@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from . import wire
 from .gccf import ContractRejection, GccfView, committed_identity
@@ -104,14 +104,33 @@ class GpfView:
 
     def __init__(self):
         self.world: Dict[str, StateEntry] = {}
+        # Records decoded for rule reads, by state key, each with the entry
+        # it was decoded from; reused only while that entry is still current.
+        self._decoded: Dict[str, Tuple[StateEntry, PolicyRecord]] = {}
 
     def copy(self) -> "GpfView":
         out = GpfView()
         out.world = dict(self.world)
+        out._decoded = dict(self._decoded)
         return out
 
     def entry(self, key: str) -> Optional[StateEntry]:
         return self.world.get(key)
+
+    def _decoded_rule(self, key: str) -> Optional[PolicyRecord]:
+        """The record under key, decoded once per state entry.
+
+        Its rule_body is shared by every read, so only rule_value uses it;
+        get_rule hands out a freshly decoded record.
+        """
+        entry = self.world.get(key)
+        if entry is None:
+            return None
+        cached = self._decoded.get(key)
+        if cached is None or cached[0] is not entry:
+            cached = (entry, decode_policy(entry.payload, updated_block=entry.block_number))
+            self._decoded[key] = cached
+        return cached[1]
 
 
 def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
@@ -171,7 +190,7 @@ def get_rule(view: GpfView, entity: str, rule_name: str) -> Optional[PolicyRecor
 
 
 def rule_value(view: GpfView, entity: str, rule_name: str, body_key: str, default: Scalar) -> Scalar:
-    record = get_rule(view, entity, rule_name)
+    record = view._decoded_rule(policy_key(entity, rule_name))
     if record is None or record.status != PolicyStatus.ALIVE:
         return default
     value = record.rule_body.get(body_key, default)

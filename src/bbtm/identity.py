@@ -187,31 +187,42 @@ class CertificateRecord:
     def digest(self) -> bytes:
         return sha256(canonical_encode(self))
 
+    # Encodings are computed on first use and kept on the instance; they are
+    # not dataclass fields, so equality, hashing, repr and replace() never
+    # see them, and a replaced record encodes afresh.
+    @functools.cached_property
+    def _signing_bytes(self) -> bytes:
+        return b"".join(
+            (
+                wire.field(wire.u32(self.version)),
+                wire.field(self.serial_number),
+                wire.field(self.subject_name.encode("utf-8")),
+                wire.field(self.issuer_name.encode("utf-8")),
+                wire.field(self.subject_public_key),
+                wire.field(self.subject_unique_id),
+                wire.field(self.issuer_unique_id),
+                wire.field(wire.u64(self.not_before) + wire.u64(self.not_after)),
+                wire.field(
+                    wire.field(self.hash_id.encode("utf-8"))
+                    + wire.field(self.sign_id.encode("utf-8"))
+                ),
+                wire.field(self.function_type.value.encode("utf-8")),
+            )
+        )
+
+    @functools.cached_property
+    def _encoding(self) -> bytes:
+        return self._signing_bytes + wire.field(self.digital_signature)
+
 
 def signing_bytes(cert: CertificateRecord) -> bytes:
     """Canonical bytes of every field except the signature, in record order."""
-    return b"".join(
-        (
-            wire.field(wire.u32(cert.version)),
-            wire.field(cert.serial_number),
-            wire.field(cert.subject_name.encode("utf-8")),
-            wire.field(cert.issuer_name.encode("utf-8")),
-            wire.field(cert.subject_public_key),
-            wire.field(cert.subject_unique_id),
-            wire.field(cert.issuer_unique_id),
-            wire.field(wire.u64(cert.not_before) + wire.u64(cert.not_after)),
-            wire.field(
-                wire.field(cert.hash_id.encode("utf-8"))
-                + wire.field(cert.sign_id.encode("utf-8"))
-            ),
-            wire.field(cert.function_type.value.encode("utf-8")),
-        )
-    )
+    return cert._signing_bytes
 
 
 def canonical_encode(cert: CertificateRecord) -> bytes:
     """Deterministic full encoding; decode(encode(c)) reproduces c exactly."""
-    return signing_bytes(cert) + wire.field(cert.digital_signature)
+    return cert._encoding
 
 
 @functools.lru_cache(maxsize=65536)

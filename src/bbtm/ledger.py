@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional
 
 from . import wire
@@ -86,7 +87,10 @@ class Transaction:
         if self.submit_time_ms < 0:
             raise LedgerError("submit time cannot be negative")
 
-    def signing_bytes(self) -> bytes:
+    # Encodings and the id are computed on first use and kept on the
+    # instance, outside the dataclass fields (see CertificateRecord).
+    @cached_property
+    def _signing_bytes(self) -> bytes:
         return b"".join(
             (
                 wire.field(self.channel.value.encode("utf-8")),
@@ -98,12 +102,19 @@ class Transaction:
             )
         )
 
-    def canonical_body(self) -> bytes:
-        return self.signing_bytes() + wire.field(self.submitter_signature)
+    @cached_property
+    def _body(self) -> bytes:
+        return self._signing_bytes + wire.field(self.submitter_signature)
 
-    @property
+    @cached_property
     def tx_id(self) -> bytes:
-        return sha256(self.canonical_body())
+        return sha256(self._body)
+
+    def signing_bytes(self) -> bytes:
+        return self._signing_bytes
+
+    def canonical_body(self) -> bytes:
+        return self._body
 
     def verify_submitter_signature(self) -> bool:
         return verify_signature(
@@ -178,15 +189,23 @@ class BlockHeader:
         if len(self.prev_header_hash) != 32 or len(self.data_hash) != 32:
             raise LedgerError("header hashes must be 32 bytes")
 
-    def encode(self) -> bytes:
+    @cached_property
+    def _encoding(self) -> bytes:
         return (
             wire.field(wire.u64(self.number))
             + wire.field(self.prev_header_hash)
             + wire.field(self.data_hash)
         )
 
+    @cached_property
+    def _hash(self) -> bytes:
+        return sha256(self._encoding)
+
+    def encode(self) -> bytes:
+        return self._encoding
+
     def hash(self) -> bytes:
-        return sha256(self.encode())
+        return self._hash
 
 
 def data_hash_of(transactions: Iterable[Transaction]) -> bytes:
@@ -271,7 +290,6 @@ class Ledger:
         self.blocks: List[Block] = []
         self.world_state: Dict[str, StateEntry] = {}
         self._creator_cert_bytes: Optional[bytes] = None
-        self._creator_public_key: Optional[bytes] = None
 
     @property
     def height(self) -> int:
@@ -327,10 +345,14 @@ class Ledger:
             raise BadCreatorSignature(f"block {block.header.number} creator signature invalid")
 
     def append_block(self, block: Block) -> None:
+        """Check the block, then commit it."""
         self.check_block(block)
+        self._append(block)
+
+    def _append(self, block: Block) -> None:
+        """Commit a block that check_block has just passed; checks nothing."""
         if self._creator_cert_bytes is None:
             self._creator_cert_bytes = canonical_encode(block.creator_cert)
-            self._creator_public_key = block.creator_cert.subject_public_key
         self.blocks.append(block)
         for tx in block.transactions:
             self.world_state[tx.key] = StateEntry(
@@ -382,7 +404,7 @@ def verify_chain(ledger: Ledger) -> Optional[int]:
                     raise LedgerError("bad transaction signature")
         except LedgerError:
             return position
-        check.append_block(block)
+        check._append(block)
     return None
 
 

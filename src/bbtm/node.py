@@ -55,7 +55,12 @@ class Node:
         return self.ledgers[channel].head_hash()
 
     def commit_block(self, channel: Channel, block: Block) -> None:
-        """Verify and commit, or raise BlockRefused leaving state untouched."""
+        """Verify and commit, or raise BlockRefused leaving state untouched.
+
+        The structural check (linkage, data hash, creator signature) runs
+        once, before the contracts; the ledger then appends without
+        repeating it.
+        """
         ledger = self.ledgers[channel]
         try:
             ledger.check_block(block)
@@ -73,7 +78,7 @@ class Node:
                     gccf.apply_tx(overlay, tx, block_number=number, quorum=quorum)
             except ContractRejection as exc:
                 raise BlockRefused(exc.reason, number) from exc
-            ledger.append_block(block)
+            ledger._append(block)
             self.gccf_view = overlay
         else:
             overlay = self.gpf_view.copy()
@@ -82,7 +87,7 @@ class Node:
                     gpf.apply_tx(overlay, self.gccf_view, tx, block_number=number)
             except ContractRejection as exc:
                 raise BlockRefused(exc.reason, number) from exc
-            ledger.append_block(block)
+            ledger._append(block)
             self.gpf_view = overlay
         self.committed_txs[channel] += len(block.transactions)
 

@@ -10,6 +10,7 @@ and re-verifying each one before committing it.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import json
@@ -354,18 +355,24 @@ class Simulation:
             AuthorityRole.ICA: ["PCA", "RA", "ECA", "LA"],
         }
         actions: List[dict] = []
-        open_targets: List[Tuple[str, int]] = []
-        alive_rules: List[Tuple[str, int]] = []
+        # Open targets and alive rules in creation order, with their times
+        # alongside: the ones old enough to act on are a prefix, found by
+        # bisection, and a draw is an index into that prefix.
+        open_targets: List[str] = []
+        open_at: List[int] = []
+        alive_rules: List[str] = []
+        alive_at: List[int] = []
         n_subjects = 0
         n_rules = 0
         for i in range(count):
             t = start_ms + i * spacing
-            eligible = [name for name, at in open_targets if at <= t - safety]
-            eligible_rules = [rule for rule, at in alive_rules if at <= t - safety]
+            eligible = bisect.bisect_right(open_at, t - safety)
+            eligible_rules = bisect.bisect_right(alive_at, t - safety)
             roll = rng.random()
             if roll < 0.50 and roll >= 0.40 and eligible:
-                target = rng.choice(eligible)
-                open_targets = [(n, at) for n, at in open_targets if n != target]
+                index = rng.choice(range(eligible))
+                target = open_targets.pop(index)
+                del open_at[index]
                 actions.append({"at_ms": t, "action": "revoke", "by": pg_name, "target": target})
             elif roll < 0.70 and roll >= 0.50 and eligible:
                 actions.append(
@@ -373,19 +380,21 @@ class Simulation:
                         "at_ms": t,
                         "action": "validate",
                         "submitter": rng.choice(validators),
-                        "target": rng.choice(eligible),
+                        "target": open_targets[rng.choice(range(eligible))],
                     }
                 )
             elif roll >= 0.90 and eligible_rules:
-                rule = rng.choice(eligible_rules)
-                alive_rules = [(r, at) for r, at in alive_rules if r != rule]
+                index = rng.choice(range(eligible_rules))
+                rule = alive_rules.pop(index)
+                del alive_at[index]
                 actions.append(
                     {"at_ms": t, "action": "policy_revoke", "entity": "Consortium", "rule": rule}
                 )
             elif roll >= 0.70:
                 n_rules += 1
                 rule = f"rule-{n_rules}"
-                alive_rules.append((rule, t))
+                alive_rules.append(rule)
+                alive_at.append(t)
                 actions.append(
                     {
                         "at_ms": t,
@@ -399,7 +408,8 @@ class Simulation:
                 issuer_name, issuer_role = rng.choice(issuers)
                 n_subjects += 1
                 subject = f"{rng.choice(subject_roles[issuer_role])}-w{n_subjects}"
-                open_targets.append((subject, t))
+                open_targets.append(subject)
+                open_at.append(t)
                 actions.append(
                     {"at_ms": t, "action": "issue", "issuer": issuer_name, "subject_name": subject}
                 )

@@ -1,5 +1,8 @@
 """Multi-node simulator: convergence, determinism, faults, recovery."""
 
+import hashlib
+import json
+import pathlib
 from random import Random
 
 import pytest
@@ -370,3 +373,22 @@ class TestQueriesAndBallotWorkload:
         report = run_scenario(config)
         assert report.converged and report.rejections == []
         assert report.queries[0]["result"] == "Success"
+
+
+class TestGeneratedWorkload:
+    # SHA-256 of the sample scenario's expanded action list under two seeds.
+    # A seed fixes every generated scenario, so the generator must keep
+    # drawing exactly these actions whatever its data structures.
+    PINNED = {
+        1: "2d19f120388afd22f9d063f32dac2944eadb2758d952c16376b2ca43ccc97790",
+        2: "7bd2eeb02ef9ea95c66c95ae62b22010e6d0ee467405e4819f75e6a15b97e246",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_action_list_is_pinned(self, seed):
+        sample = pathlib.Path(__file__).resolve().parents[1] / "samples" / "scenario.json"
+        config = ScenarioConfig.from_json({**json.loads(sample.read_text()), "seed": seed})
+        actions = Simulation(config)._actions
+        assert len(actions) > 1000
+        digest = hashlib.sha256(json.dumps(actions, sort_keys=True).encode("utf-8")).hexdigest()
+        assert digest == self.PINNED[seed]
