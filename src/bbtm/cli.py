@@ -51,12 +51,11 @@ from .ledger import (
     decode_chain,
     encode_chain,
     infer_channel,
-    replay_from_genesis,
-    verify_chain,
+    replay_and_verify,
 )
 from .node import BlockRefused, Node
 from .ordering import ConsortiumConfig, OrderingService, Rejected
-from .simulation import ScenarioConfig, Simulation
+from .simulation import ScenarioConfig, Simulation, SimulationError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -260,8 +259,14 @@ def cmd_sim_run(args) -> int:
     if args.seed is not None:
         scenario["seed"] = args.seed
     config = ScenarioConfig.from_json(scenario)
-    sim = Simulation(config)
-    report = sim.run()
+    try:
+        sim = Simulation(config)
+        report = sim.run()
+    except SimulationError as exc:
+        message = str(exc)
+        if not message.startswith("config-invalid"):
+            message = f"config-invalid: {message}"
+        raise CliError(message, EXIT_USAGE) from exc
     if args.report:
         pathlib.Path(args.report).write_bytes(report.to_json_bytes())
     if args.out:
@@ -290,11 +295,10 @@ def cmd_sim_run(args) -> int:
 def cmd_ledger_verify(args) -> int:
     try:
         blocks = decode_chain(pathlib.Path(args.file).read_bytes())
-        ledger = replay_from_genesis(infer_channel(blocks), blocks)
+        ledger, fail_at = replay_and_verify(infer_channel(blocks), blocks)
     except (OSError, LedgerError) as exc:
         print(f"verification failed: {exc}")
         return EXIT_FAIL
-    fail_at = verify_chain(ledger)
     if fail_at is None:
         _print_json({"ok": True, "height": ledger.height, "head": ledger.head_hash().hex()})
         return EXIT_OK
@@ -319,11 +323,10 @@ def cmd_ledger_import(args) -> int:
         return EXIT_FAIL
     channel = Channel(args.channel) if args.channel else infer_channel(blocks)
     try:
-        ledger = replay_from_genesis(channel, blocks)
+        ledger, fail_at = replay_and_verify(channel, blocks)
     except LedgerError as exc:
         print(f"import failed: {exc}")
         return EXIT_FAIL
-    fail_at = verify_chain(ledger)
     if fail_at is not None:
         _print_json({"ok": False, "fail_at": fail_at})
         return EXIT_FAIL

@@ -83,21 +83,22 @@ def validate_key(serial: bytes) -> str:
 
 
 class GccfView:
-    """Materialized contract state for one node's copy of the channel.
+    """Contract state for one node's copy of the channel.
 
-    Holds the world state plus the two derived indexes the contract needs:
-    the set of serials ever committed and the ordered endorsement log.  All
-    three are rebuilt identically by replaying the block sequence.
+    Reads and writes the world state it is given (on a node, the channel
+    ledger's own store) and keeps the two derived indexes the contract
+    needs: the set of serials ever committed and the ordered endorsement
+    log.  All three are rebuilt identically by replaying the block sequence.
     """
 
-    def __init__(self):
-        self.world: Dict[str, StateEntry] = {}
+    def __init__(self, world: Optional[Dict[str, StateEntry]] = None):
+        self.world: Dict[str, StateEntry] = {} if world is None else world
         self.serials: Set[bytes] = set()
         self.endorsement_log: List[Tuple[int, Endorsement]] = []
 
     def copy(self) -> "GccfView":
-        out = GccfView()
-        out.world = dict(self.world)
+        """An independent view over a copy of the store."""
+        out = GccfView(dict(self.world))
         out.serials = set(self.serials)
         out.endorsement_log = list(self.endorsement_log)
         return out
@@ -201,7 +202,7 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
         if not verify_certificate_signature(cert, issuer.subject_public_key):
             raise NotAddingVerify("bad-signature")
 
-    view.world[tx.key] = StateEntry(tx.payload, TxFunction.ADD_CERT, block_number)
+    view.world[tx.key] = tx.state_entry(block_number)
     view.serials.add(cert.serial_number)
 
 
@@ -249,7 +250,7 @@ def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: i
         if not verify_certificate_signature(cert, submitter.subject_public_key):
             raise NotRevokingVerify("not-PG")
 
-    view.world[tx.key] = StateEntry(tx.payload, TxFunction.REVOKE_CERT, block_number)
+    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
@@ -269,7 +270,7 @@ def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
         raise ContractRejection("bad-endorsement")
     if not tx.key.startswith(f"ballot/{endorsement.endorsement_type.value}/"):
         raise ContractRejection("bad-endorsement")
-    view.world[tx.key] = StateEntry(tx.payload, TxFunction.BALLOT_ENDORSE, block_number)
+    view.world[tx.key] = tx.state_entry(block_number)
     view.endorsement_log.append((block_number, endorsement))
 
 
@@ -280,7 +281,7 @@ def _apply_validate(view: GccfView, tx: Transaction, block_number: int) -> None:
     cert = _decoded_cert(tx.payload, ContractRejection, "bad-payload")
     if tx.key != validate_key(cert.serial_number):
         raise ContractRejection("bad-payload")
-    view.world[tx.key] = StateEntry(tx.payload, TxFunction.VALIDATE_CERT, block_number)
+    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def apply_tx(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:

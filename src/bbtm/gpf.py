@@ -100,17 +100,21 @@ def decode_policy(data: bytes, updated_block: Optional[int] = None) -> PolicyRec
 
 
 class GpfView:
-    """World state of the policy channel for one node."""
+    """Contract state of the policy channel for one node.
 
-    def __init__(self):
-        self.world: Dict[str, StateEntry] = {}
+    Reads and writes the world state it is given: on a node, the channel
+    ledger's own store.
+    """
+
+    def __init__(self, world: Optional[Dict[str, StateEntry]] = None):
+        self.world: Dict[str, StateEntry] = {} if world is None else world
         # Records decoded for rule reads, by state key, each with the entry
         # it was decoded from; reused only while that entry is still current.
         self._decoded: Dict[str, Tuple[StateEntry, PolicyRecord]] = {}
 
     def copy(self) -> "GpfView":
-        out = GpfView()
-        out.world = dict(self.world)
+        """An independent view over a copy of the store."""
+        out = GpfView(dict(self.world))
         out._decoded = dict(self._decoded)
         return out
 
@@ -151,7 +155,7 @@ def add_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_num
         raise ContractRejection("malformed-rule")
     if tx.key != policy_key(record.entity, record.rule_name):
         raise ContractRejection("malformed-rule")
-    view.world[tx.key] = StateEntry(tx.payload, TxFunction.ADD_POLICY, block_number)
+    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
@@ -164,7 +168,7 @@ def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_
         raise ContractRejection("malformed-rule")
     if view.entry(tx.key) is None:
         raise ContractRejection("unknown-rule")
-    view.world[tx.key] = StateEntry(tx.payload, TxFunction.REVOKE_POLICY, block_number)
+    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def apply_tx(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:

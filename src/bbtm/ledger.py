@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import wire
 from .identity import (
@@ -122,6 +122,18 @@ class Transaction:
             self.submitter_signature,
             self.signing_bytes(),
         )
+
+    def state_entry(self, block_number: int) -> "StateEntry":
+        """The world-state entry this transaction writes in block block_number.
+
+        The last entry made is kept on the instance, so every node that
+        commits the same transaction in the same block stores one shared
+        entry instead of a copy of its own.
+        """
+        entry = self.__dict__.get("_state_entry")
+        if entry is None or entry.block_number != block_number:
+            entry = self.__dict__["_state_entry"] = StateEntry(self.payload, self.function, block_number)
+        return entry
 
 
 def make_transaction(
@@ -277,12 +289,25 @@ class StateEntry:
     function: TxFunction
     block_number: int
 
+    # The entry's part of its world-state digest line, framed on first use
+    # and kept outside the dataclass fields; committed entries are shared
+    # across nodes, so each is framed once per write, not once per node.
+    @cached_property
+    def digest_framing(self) -> bytes:
+        return (
+            wire.field(self.payload)
+            + wire.field(self.function.value.encode("utf-8"))
+            + wire.field(wire.u64(self.block_number))
+        )
+
 
 class Ledger:
     """One channel's committed chain plus the derived world state.
 
     Single writer (the owning node's commit loop); committed blocks are never
-    mutated, only appended.
+    mutated, only appended.  On a node, ``world_state`` is the one store the
+    channel's contracts read and write; a standalone ledger (replay, verify)
+    writes each transaction's entry itself in ``append_block``.
     """
 
     def __init__(self, channel: Channel):
@@ -345,34 +370,31 @@ class Ledger:
             raise BadCreatorSignature(f"block {block.header.number} creator signature invalid")
 
     def append_block(self, block: Block) -> None:
-        """Check the block, then commit it."""
+        """Check the block, then commit it and its transactions' writes."""
         self.check_block(block)
-        self._append(block)
+        self._link(block)
+        number = block.header.number
+        for tx in block.transactions:
+            self.world_state[tx.key] = tx.state_entry(number)
 
-    def _append(self, block: Block) -> None:
-        """Commit a block that check_block has just passed; checks nothing."""
+    def _link(self, block: Block) -> None:
+        """Chain a block that check_block has just passed.
+
+        Checks nothing and writes no state: on a node the contracts have
+        already written the block's entries into ``world_state``.
+        """
         if self._creator_cert_bytes is None:
             self._creator_cert_bytes = canonical_encode(block.creator_cert)
         self.blocks.append(block)
-        for tx in block.transactions:
-            self.world_state[tx.key] = StateEntry(
-                payload=tx.payload, function=tx.function, block_number=block.header.number
-            )
 
     def world_state_get(self, key: str) -> Optional[StateEntry]:
         return self.world_state.get(key)
 
     def world_state_digest(self) -> bytes:
-        parts = []
-        for key in sorted(self.world_state):
-            entry = self.world_state[key]
-            parts.append(
-                wire.field(key.encode("utf-8"))
-                + wire.field(entry.payload)
-                + wire.field(entry.function.value.encode("utf-8"))
-                + wire.field(wire.u64(entry.block_number))
-            )
-        return sha256(b"".join(parts))
+        world = self.world_state
+        return sha256(
+            b"".join(wire.field(key.encode("utf-8")) + world[key].digest_framing for key in sorted(world))
+        )
 
 
 def replay_from_genesis(channel: Channel, blocks: Iterable[Block]) -> Ledger:
@@ -404,8 +426,25 @@ def verify_chain(ledger: Ledger) -> Optional[int]:
                     raise LedgerError("bad transaction signature")
         except LedgerError:
             return position
-        check._append(block)
+        check._link(block)
     return None
+
+
+def replay_and_verify(channel: Channel, blocks: Iterable[Block]) -> Tuple[Ledger, Optional[int]]:
+    """replay_from_genesis and verify_chain in one pass over the blocks.
+
+    Each block is checked once.  Raises the first structural failure, as
+    replay_from_genesis does; otherwise returns the replayed ledger and the
+    position of the first block carrying a bad transaction signature (None
+    when every signature verifies), as verify_chain does.
+    """
+    ledger = Ledger(channel)
+    fail_at = None
+    for position, block in enumerate(blocks):
+        ledger.append_block(block)
+        if fail_at is None and not all(tx.verify_submitter_signature() for tx in block.transactions):
+            fail_at = position
+    return ledger, fail_at
 
 
 def encode_chain(blocks: Iterable[Block]) -> bytes:

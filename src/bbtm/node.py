@@ -14,8 +14,8 @@ from typing import Dict
 from . import gccf, gpf
 from .gccf import ContractRejection, GccfView
 from .gpf import GpfView
-from .identity import Identity, sha256
-from .ledger import Block, Channel, Ledger, LedgerError
+from .identity import Identity, decode_certificate, sha256
+from .ledger import Block, Channel, Ledger, LedgerError, TxFunction
 
 
 class NodeStatus(str, Enum):
@@ -39,8 +39,10 @@ class Node:
             Channel.GCCF: Ledger(Channel.GCCF),
             Channel.GPF: Ledger(Channel.GPF),
         }
-        self.gccf_view = GccfView()
-        self.gpf_view = GpfView()
+        # One store per channel: the contracts read and write the ledger's
+        # world state; the views add only their derived indexes.
+        self.gccf_view = GccfView(self.ledgers[Channel.GCCF].world_state)
+        self.gpf_view = GpfView(self.ledgers[Channel.GPF].world_state)
         self.status = NodeStatus.LIVE
         self.committed_txs: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
 
@@ -58,8 +60,10 @@ class Node:
         """Verify and commit, or raise BlockRefused leaving state untouched.
 
         The structural check (linkage, data hash, creator signature) runs
-        once, before the contracts; the ledger then appends without
-        repeating it.
+        once, before the contracts.  The contracts then apply the block in
+        place; if one refuses, the journal taken beforehand (the entry each
+        of the block's keys held, the endorsement log's length) and the
+        serials of the additions already applied undo the block.
         """
         ledger = self.ledgers[channel]
         try:
@@ -70,25 +74,35 @@ class Node:
             if not tx.verify_submitter_signature():
                 raise BlockRefused("bad-tx-signature", block.header.number)
         number = block.header.number
-        if channel == Channel.GCCF:
-            overlay = self.gccf_view.copy()
-            quorum = gpf.ballot_quorum(self.gpf_view)
-            try:
+        world = ledger.world_state
+        journal = [(tx.key, world.get(tx.key)) for tx in block.transactions]
+        log_length = len(self.gccf_view.endorsement_log)
+        applied = 0
+        try:
+            if channel == Channel.GCCF:
+                quorum = gpf.ballot_quorum(self.gpf_view)
                 for tx in block.transactions:
-                    gccf.apply_tx(overlay, tx, block_number=number, quorum=quorum)
-            except ContractRejection as exc:
-                raise BlockRefused(exc.reason, number) from exc
-            ledger._append(block)
-            self.gccf_view = overlay
-        else:
-            overlay = self.gpf_view.copy()
-            try:
+                    gccf.apply_tx(self.gccf_view, tx, block_number=number, quorum=quorum)
+                    applied += 1
+            else:
                 for tx in block.transactions:
-                    gpf.apply_tx(overlay, self.gccf_view, tx, block_number=number)
-            except ContractRejection as exc:
+                    gpf.apply_tx(self.gpf_view, self.gccf_view, tx, block_number=number)
+        except BaseException as exc:
+            for key, entry in reversed(journal):
+                if entry is None:
+                    world.pop(key, None)
+                else:
+                    world[key] = entry
+            del self.gccf_view.endorsement_log[log_length:]
+            # An applied addition's serial was new (duplicates are refused),
+            # so removing it restores the set.
+            for tx in block.transactions[:applied]:
+                if tx.function == TxFunction.ADD_CERT:
+                    self.gccf_view.serials.discard(decode_certificate(tx.payload).serial_number)
+            if isinstance(exc, ContractRejection):
                 raise BlockRefused(exc.reason, number) from exc
-            ledger._append(block)
-            self.gpf_view = overlay
+            raise
+        ledger._link(block)
         self.committed_txs[channel] += len(block.transactions)
 
     def commit_genesis(self, gccf_genesis: Block, gpf_genesis: Block) -> None:

@@ -229,13 +229,16 @@ class Simulation:
         self.config = config
         self._validate_config()
         members = expand_node_counts(config.nodes)
-        self.deployment: Deployment = build_deployment(
-            config.seed,
-            members,
-            config.policy_dict(),
-            validity=config.validity,
-            defer_bootstrap=frozenset(config.defer_bootstrap),
-        )
+        try:
+            self.deployment: Deployment = build_deployment(
+                config.seed,
+                members,
+                config.policy_dict(),
+                validity=config.validity,
+                defer_bootstrap=frozenset(config.defer_bootstrap),
+            )
+        except ValueError as exc:
+            raise SimulationError(f"config-invalid: {exc}") from exc
         self.clock = VirtualClock()
         self.nodes: Dict[str, Node] = {}
         for _role, name in members:
@@ -276,9 +279,11 @@ class Simulation:
                 role = AuthorityRole(role_name)
             except ValueError as exc:
                 raise SimulationError(f"config-invalid: unknown role {role_name!r}") from exc
+            if role.value in counts:
+                raise SimulationError(f"config-invalid: role {role.value} repeated in nodes")
             if count < 0:
                 raise SimulationError("config-invalid: negative node count")
-            counts[role.value] = counts.get(role.value, 0) + count
+            counts[role.value] = count
         if counts.get("OSP", 0) != 1:
             raise SimulationError("config-invalid: exactly one ordering service required")
         if counts.get("PG", 0) < 1:
@@ -823,15 +828,18 @@ class Simulation:
 
     # ----------------------------------------------------------------- report
 
-    def assert_convergence(self) -> ConvergenceResult:
-        """Compare (GCCF head, GPF head, world-state digest) across live nodes."""
+    def assert_convergence(self, digests: Optional[Dict[str, bytes]] = None) -> ConvergenceResult:
+        """Compare (GCCF head, GPF head, world-state digest) across live nodes.
+
+        ``digests`` holds world-state digests already computed, by node name.
+        """
         summaries: Dict[str, Tuple[bytes, bytes, bytes]] = {}
         for name, node in self.nodes.items():
             if node.is_live:
                 summaries[name] = (
                     node.head(Channel.GCCF),
                     node.head(Channel.GPF),
-                    node.world_state_digest(),
+                    digests[name] if digests is not None else node.world_state_digest(),
                 )
         if not summaries:
             return ConvergenceResult(ok=False, divergent=tuple(self.nodes))
@@ -843,7 +851,8 @@ class Simulation:
         return ConvergenceResult(ok=not divergent, divergent=divergent)
 
     def _build_report(self) -> SimulationReport:
-        convergence = self.assert_convergence()
+        digests = {name: node.world_state_digest() for name, node in self.nodes.items()}
+        convergence = self.assert_convergence(digests)
         osp_node = self.nodes[self.osp_name]
         pending_left = sum(self.orderer.pending_count(ch) for ch in (Channel.GCCF, Channel.GPF))
         stalled = pending_left > 0 and not osp_node.is_live
@@ -857,7 +866,7 @@ class Simulation:
                 gccf_height=node.ledger(Channel.GCCF).height,
                 gpf_height=node.ledger(Channel.GPF).height,
                 committed={ch.value: count for ch, count in node.committed_txs.items()},
-                world_state_digest=node.world_state_digest().hex(),
+                world_state_digest=digests[name].hex(),
             )
             for name, node in self.nodes.items()
         ]
