@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 from . import wire
 from .identity import (
+    AuthorityRole,
     CertificateRecord,
     CertFunction,
     KeyPair,
@@ -158,9 +159,7 @@ def _committed_elector(view, elector_id: bytes):
     record, entry = found
     if entry.function != TxFunction.ADD_CERT:
         return None
-    from .identity import AuthorityRole, role_of_name
-
-    if role_of_name(record.subject_name) != AuthorityRole.ELECTOR:
+    if record.subject_role != AuthorityRole.ELECTOR:
         return None
     return record
 

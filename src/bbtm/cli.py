@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Optional
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
@@ -46,6 +47,7 @@ from .identity import (
     sha256,
 )
 from .ledger import (
+    Block,
     Channel,
     LedgerError,
     decode_chain,
@@ -77,6 +79,20 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def write_atomic(path: pathlib.Path, data: bytes) -> None:
+    """Replace path's content with data, all or nothing.
+
+    The bytes go to a temp file beside path, which os.replace then renames
+    over it, so a failed or interrupted write leaves the old file whole.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------- deployment
 
 
@@ -98,8 +114,7 @@ class CliDeployment:
 
     def save_chains(self) -> None:
         for channel, filename in CHAIN_FILES.items():
-            data = encode_chain(self.node.ledger(channel).blocks)
-            (self.path / filename).write_bytes(data)
+            write_atomic(self.path / filename, encode_chain(self.node.ledger(channel).blocks))
 
     def register_extra(self, ident: Identity) -> None:
         self.identities[ident.name] = ident
@@ -110,7 +125,7 @@ class CliDeployment:
             "private": ident.key.private_bytes().hex(),
             "cert": cert_to_json(ident.cert),
         }
-        keys_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_atomic(keys_path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
     def submit_and_commit(self, submitter: str, tx) -> int:
         """One-node network turn: admit, force-cut, commit, persist."""
@@ -148,7 +163,13 @@ def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
     (out_dir / CHAIN_FILES[Channel.GPF]).write_bytes(encode_chain([dep.genesis.gpf_genesis]))
 
 
-def load_deployment(path_str: str) -> CliDeployment:
+def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:
+    """Read a deployment directory and replay its chains on one node.
+
+    ``chains`` gives blocks to replay instead of the chain file of their
+    channel; nothing is written.  Every chain must have been cut by the
+    deployment's ordering service.
+    """
     path = pathlib.Path(path_str)
     try:
         meta = json.loads((path / CONSORTIUM_FILE).read_text())
@@ -180,12 +201,16 @@ def load_deployment(path_str: str) -> CliDeployment:
         )
 
     node = Node(identities[osp_name])
-    chains = {}
+    chains = dict(chains or {})
     for channel, filename in CHAIN_FILES.items():
-        try:
-            chains[channel] = decode_chain((path / filename).read_bytes())
-        except (OSError, LedgerError) as exc:
-            raise CliError(f"cannot load {filename}: {exc}") from exc
+        if channel not in chains:
+            try:
+                chains[channel] = decode_chain((path / filename).read_bytes())
+            except (OSError, LedgerError) as exc:
+                raise CliError(f"cannot load {filename}: {exc}") from exc
+        blocks = chains[channel]
+        if blocks and blocks[0].creator_cert != config.osp_cert:
+            raise CliError(f"{channel.value} chain was not cut by this deployment's ordering service")
     # Certificate history first: policy commits authenticate against it.
     try:
         for block in chains[Channel.GCCF]:
@@ -256,11 +281,12 @@ def cmd_sim_run(args) -> int:
         scenario = json.loads(pathlib.Path(args.scenario).read_text())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read scenario: {exc}", EXIT_USAGE) from exc
+    if not isinstance(scenario, dict):
+        raise CliError("config-invalid: a scenario is a JSON object", EXIT_USAGE)
     if args.seed is not None:
         scenario["seed"] = args.seed
-    config = ScenarioConfig.from_json(scenario)
     try:
-        sim = Simulation(config)
+        sim = Simulation(ScenarioConfig.from_json(scenario))
         report = sim.run()
     except SimulationError as exc:
         message = str(exc)
@@ -331,9 +357,10 @@ def cmd_ledger_import(args) -> int:
         _print_json({"ok": False, "fail_at": fail_at})
         return EXIT_FAIL
     if args.deployment:
-        dep_path = pathlib.Path(args.deployment)
-        (dep_path / CHAIN_FILES[channel]).write_bytes(encode_chain(blocks))
-        load_deployment(args.deployment)  # full contract replay as final gate
+        # Full contract replay with the imported chain in memory is the gate;
+        # the chain file changes only once it has passed.
+        load_deployment(args.deployment, chains={channel: blocks})
+        write_atomic(pathlib.Path(args.deployment) / CHAIN_FILES[channel], encode_chain(blocks))
     _print_json({"ok": True, "channel": channel.value, "height": ledger.height, "head": ledger.head_hash().hex()})
     return EXIT_OK
 

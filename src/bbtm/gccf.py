@@ -29,10 +29,10 @@ from .identity import (
     CertificateRecord,
     KeyPair,
     canonical_encode,
+    cert_key,
     cert_to_json,
     decode_certificate,
     resign_as,
-    role_of_name,
     sha256,
     verify_certificate_signature,
 )
@@ -74,10 +74,6 @@ def issuance_allowed(issuer_role: AuthorityRole, subject_role: AuthorityRole) ->
     return subject_role in ISSUANCE_MATRIX.get(issuer_role, frozenset())
 
 
-def cert_key(unique_id: bytes) -> str:
-    return f"cert/{unique_id.hex()}"
-
-
 def validate_key(serial: bytes) -> str:
     return f"validate/{serial.hex()}"
 
@@ -113,26 +109,26 @@ class GccfView:
         entry = self.cert_entry(unique_id)
         if entry is None:
             return None
-        return decode_certificate(entry.payload), entry
+        return entry.decoded(decode_certificate), entry
 
     def iter_certs(self) -> Iterator[Tuple[str, CertificateRecord, StateEntry]]:
         for key in sorted(self.world):
             if not key.startswith("cert/"):
                 continue
             entry = self.world[key]
-            yield key[len("cert/"):], decode_certificate(entry.payload), entry
+            yield key[len("cert/"):], entry.decoded(decode_certificate), entry
 
 
-def _decoded_cert(payload: bytes, exc_type, reason: str) -> CertificateRecord:
+def _decoded_cert(tx: Transaction, exc_type, reason: str) -> CertificateRecord:
     try:
-        return decode_certificate(payload)
+        return tx.decoded(decode_certificate)
     except CertificateError:
         raise exc_type(reason) from None
 
 
 def committed_identity(view: GccfView, submitter: CertificateRecord) -> Optional[StateEntry]:
     """The submitter's committed record iff it byte-matches the carried one."""
-    entry = view.cert_entry(submitter.subject_unique_id)
+    entry = view.world.get(submitter.state_key)
     if entry is None or entry.payload != canonical_encode(submitter):
         return None
     return entry
@@ -143,7 +139,7 @@ def _require_elector(view: GccfView, submitter: CertificateRecord, exc_type, rea
     if (
         entry is None
         or entry.function != TxFunction.ADD_CERT
-        or role_of_name(submitter.subject_name) != AuthorityRole.ELECTOR
+        or submitter.subject_role != AuthorityRole.ELECTOR
     ):
         raise exc_type(reason)
 
@@ -155,12 +151,16 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
     bootstrap they commit only when an accepted add ballot for the exact
     payload bytes exists in prior state.
     """
-    cert = _decoded_cert(tx.payload, NotAddingVerify, "bad-signature")
-    if cert.function_type != CertFunction.ADD or tx.key != cert_key(cert.subject_unique_id):
+    cert = _decoded_cert(tx, NotAddingVerify, "bad-signature")
+    if cert.function_type != CertFunction.ADD or tx.key != cert.state_key:
         raise NotAddingVerify("bad-signature")
     if cert.serial_number in view.serials:
         raise NotAddingVerify("duplicate-serial")
-    subject_role = role_of_name(cert.subject_name)
+    # A subject uid names one record for good: a second addition would
+    # replace a committed (possibly ballot-governed) record or un-revoke one.
+    if tx.key in view.world:
+        raise NotAddingVerify("duplicate-subject")
+    subject_role = cert.subject_role
     if subject_role is None:
         raise NotAddingVerify("role-violation")
     submitter = tx.submitter_cert
@@ -191,8 +191,8 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
             raise NotAddingVerify("unknown-issuer")
         if issuer_entry.function != TxFunction.ADD_CERT:
             raise NotAddingVerify("revoked-issuer")
-        issuer = decode_certificate(issuer_entry.payload)
-        issuer_role = role_of_name(issuer.subject_name)
+        issuer = issuer_entry.decoded(decode_certificate)
+        issuer_role = issuer.subject_role
         if issuer_role is None or not issuance_allowed(issuer_role, subject_role):
             raise NotAddingVerify("role-violation")
         if submitter.subject_unique_id != issuer.subject_unique_id:
@@ -213,18 +213,18 @@ def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: i
     root and elector certificates only through an accepted revoke ballot
     submitted by an elector.
     """
-    cert = _decoded_cert(tx.payload, NotRevokingVerify, "unknown-target")
-    if cert.function_type != CertFunction.REVOKE or tx.key != cert_key(cert.subject_unique_id):
+    cert = _decoded_cert(tx, NotRevokingVerify, "unknown-target")
+    if cert.function_type != CertFunction.REVOKE or tx.key != cert.state_key:
         raise NotRevokingVerify("unknown-target")
     target_entry = view.entry(tx.key)
     if target_entry is None:
         raise NotRevokingVerify("unknown-target")
     if target_entry.function == TxFunction.REVOKE_CERT:
         raise NotRevokingVerify("already-revoked")
-    committed = decode_certificate(target_entry.payload)
+    committed = target_entry.decoded(decode_certificate)
     if committed.serial_number != cert.serial_number:
         raise NotRevokingVerify("unknown-target")
-    target_role = role_of_name(committed.subject_name)
+    target_role = committed.subject_role
     submitter = tx.submitter_cert
 
     if target_role in BALLOT_GOVERNED:
@@ -244,7 +244,7 @@ def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: i
         if (
             entry is None
             or entry.function != TxFunction.ADD_CERT
-            or role_of_name(submitter.subject_name) != AuthorityRole.PG
+            or submitter.subject_role != AuthorityRole.PG
         ):
             raise NotRevokingVerify("not-PG")
         if not verify_certificate_signature(cert, submitter.subject_public_key):
@@ -255,12 +255,12 @@ def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: i
 
 def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
     try:
-        endorsement = decode_endorsement(tx.payload)
+        endorsement = tx.decoded(decode_endorsement)
     except Exception:
         raise ContractRejection("bad-endorsement") from None
     submitter = tx.submitter_cert
     entry = committed_identity(view, submitter)
-    if entry is None or role_of_name(submitter.subject_name) != AuthorityRole.ELECTOR:
+    if entry is None or submitter.subject_role != AuthorityRole.ELECTOR:
         raise ContractRejection("not-elector")
     if entry.function != TxFunction.ADD_CERT:
         raise ContractRejection("revoked-elector")
@@ -278,7 +278,7 @@ def _apply_validate(view: GccfView, tx: Transaction, block_number: int) -> None:
     # A validation request is recorded for audit; the verdict itself is a
     # read-time computation so that committing it never depends on the local
     # clock of whichever node replays the block.
-    cert = _decoded_cert(tx.payload, ContractRejection, "bad-payload")
+    cert = _decoded_cert(tx, ContractRejection, "bad-payload")
     if tx.key != validate_key(cert.serial_number):
         raise ContractRejection("bad-payload")
     view.world[tx.key] = tx.state_entry(block_number)
@@ -334,7 +334,7 @@ def validate_cert(view: GccfView, cert: CertificateRecord, now_s: float) -> Vali
         if uid in visited:
             return _not_verify("missing-link", path)
         visited.add(uid)
-        entry = view.cert_entry(uid)
+        entry = view.world.get(current.state_key)
         if entry is None or entry.payload != current_bytes:
             return _not_verify("missing-link", path)
         if entry.function == TxFunction.REVOKE_CERT:
@@ -343,7 +343,7 @@ def validate_cert(view: GccfView, cert: CertificateRecord, now_s: float) -> Vali
             return _not_verify("expired-on-path", path)
         path.append(current.serial_number)
         if current.is_self_signed:
-            if role_of_name(current.subject_name) not in TRUST_ANCHOR_ROLES:
+            if current.subject_role not in TRUST_ANCHOR_ROLES:
                 return _not_verify("missing-link", path)
             if not verify_certificate_signature(current, current.subject_public_key):
                 return _not_verify("bad-signature", path)
@@ -351,7 +351,7 @@ def validate_cert(view: GccfView, cert: CertificateRecord, now_s: float) -> Vali
         issuer_entry = view.cert_entry(current.issuer_unique_id)
         if issuer_entry is None:
             return _not_verify("missing-link", path)
-        issuer = decode_certificate(issuer_entry.payload)
+        issuer = issuer_entry.decoded(decode_certificate)
         if not verify_certificate_signature(current, issuer.subject_public_key):
             return _not_verify("bad-signature", path)
         current = issuer
@@ -382,7 +382,7 @@ class GccfSnapshot:
     def to_json(self) -> dict:
         grouped: Dict[str, list] = {}
         for cert in self.certificates:
-            role = role_of_name(cert.subject_name)
+            role = cert.subject_role
             grouped.setdefault(role.value if role else "unknown", []).append(cert_to_json(cert))
         return {
             "version": self.version,
@@ -402,7 +402,7 @@ def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QU
     for _uid, record, entry in view.iter_certs():
         if entry.function == TxFunction.ADD_CERT:
             active.append(record)
-    active.sort(key=lambda c: (ROLE_ORDER.get(role_of_name(c.subject_name), len(ROLE_ORDER)), c.serial_number))
+    active.sort(key=lambda c: (ROLE_ORDER.get(c.subject_role, len(ROLE_ORDER)), c.serial_number))
 
     seen = []
     for _number, endorsement in view.endorsement_log:
@@ -425,7 +425,7 @@ def make_add_cert_tx(
     return make_transaction(
         channel=Channel.GCCF,
         function=TxFunction.ADD_CERT,
-        key=cert_key(cert.subject_unique_id),
+        key=cert.state_key,
         payload=canonical_encode(cert),
         submitter_cert=submitter_cert,
         submitter_key=submitter_key,
@@ -444,7 +444,7 @@ def make_revoke_cert_tx(
     return make_transaction(
         channel=Channel.GCCF,
         function=TxFunction.REVOKE_CERT,
-        key=cert_key(target.subject_unique_id),
+        key=target.state_key,
         payload=canonical_encode(retagged),
         submitter_cert=authorizer_cert,
         submitter_key=authorizer_key,

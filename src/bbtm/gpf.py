@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from . import wire
 from .gccf import ContractRejection, GccfView, committed_identity
-from .identity import AuthorityRole, CertificateRecord, KeyPair, role_of_name
+from .identity import AuthorityRole, CertificateRecord, KeyPair
 from .ledger import Channel, StateEntry, Transaction, TxFunction, make_transaction
 
 Scalar = Union[int, str, bool]
@@ -108,33 +108,13 @@ class GpfView:
 
     def __init__(self, world: Optional[Dict[str, StateEntry]] = None):
         self.world: Dict[str, StateEntry] = {} if world is None else world
-        # Records decoded for rule reads, by state key, each with the entry
-        # it was decoded from; reused only while that entry is still current.
-        self._decoded: Dict[str, Tuple[StateEntry, PolicyRecord]] = {}
 
     def copy(self) -> "GpfView":
         """An independent view over a copy of the store."""
-        out = GpfView(dict(self.world))
-        out._decoded = dict(self._decoded)
-        return out
+        return GpfView(dict(self.world))
 
     def entry(self, key: str) -> Optional[StateEntry]:
         return self.world.get(key)
-
-    def _decoded_rule(self, key: str) -> Optional[PolicyRecord]:
-        """The record under key, decoded once per state entry.
-
-        Its rule_body is shared by every read, so only rule_value uses it;
-        get_rule hands out a freshly decoded record.
-        """
-        entry = self.world.get(key)
-        if entry is None:
-            return None
-        cached = self._decoded.get(key)
-        if cached is None or cached[0] is not entry:
-            cached = (entry, decode_policy(entry.payload, updated_block=entry.block_number))
-            self._decoded[key] = cached
-        return cached[1]
 
 
 def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
@@ -142,7 +122,7 @@ def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
     if (
         entry is None
         or entry.function != TxFunction.ADD_CERT
-        or role_of_name(submitter.subject_name) != AuthorityRole.PG
+        or submitter.subject_role != AuthorityRole.PG
     ):
         raise NotPG()
 
@@ -150,7 +130,7 @@ def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
 def add_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
     """Commit a rule with status alive; only the PG may write."""
     _require_pg(gccf_view, tx.submitter_cert)
-    record = decode_policy(tx.payload)
+    record = tx.decoded(decode_policy)
     if record.status != PolicyStatus.ALIVE:
         raise ContractRejection("malformed-rule")
     if tx.key != policy_key(record.entity, record.rule_name):
@@ -161,7 +141,7 @@ def add_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_num
 def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
     """Flip an existing rule to status death (a new appended state)."""
     _require_pg(gccf_view, tx.submitter_cert)
-    record = decode_policy(tx.payload)
+    record = tx.decoded(decode_policy)
     if record.status != PolicyStatus.DEATH:
         raise ContractRejection("malformed-rule")
     if tx.key != policy_key(record.entity, record.rule_name):
@@ -186,6 +166,8 @@ def get_rule(view: GpfView, entity: str, rule_name: str) -> Optional[PolicyRecor
     """Latest committed record for the rule, or None if never written.
 
     A returned record with status death means the rule is not in force.
+    It is decoded afresh, so the caller may change it; the record the
+    entry shares with its transaction never leaves this module.
     """
     entry = view.entry(policy_key(entity, rule_name))
     if entry is None:
@@ -194,8 +176,11 @@ def get_rule(view: GpfView, entity: str, rule_name: str) -> Optional[PolicyRecor
 
 
 def rule_value(view: GpfView, entity: str, rule_name: str, body_key: str, default: Scalar) -> Scalar:
-    record = view._decoded_rule(policy_key(entity, rule_name))
-    if record is None or record.status != PolicyStatus.ALIVE:
+    entry = view.entry(policy_key(entity, rule_name))
+    if entry is None:
+        return default
+    record = entry.decoded(decode_policy)
+    if record.status != PolicyStatus.ALIVE:
         return default
     value = record.rule_body.get(body_key, default)
     return value if isinstance(value, (int, str, bool)) else default

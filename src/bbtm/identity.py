@@ -58,14 +58,18 @@ class AuthorityRole(str, Enum):
         return self.value
 
 
+_ROLES_BY_VALUE = {role.value: role for role in AuthorityRole}
+
+
 # Entity names carry their role as a prefix ("ICA-2", "Elector-1"); the
 # contracts use this to apply the issuance permission matrix.
 def role_of_name(name: str) -> Optional[AuthorityRole]:
-    head = name.split("-", 1)[0]
-    try:
-        return AuthorityRole(head)
-    except ValueError:
-        return None
+    return _ROLES_BY_VALUE.get(name.split("-", 1)[0])
+
+
+def cert_key(unique_id: bytes) -> str:
+    """World-state key of the certificate record for a subject unique id."""
+    return f"cert/{unique_id.hex()}"
 
 
 class CertFunction(str, Enum):
@@ -176,6 +180,14 @@ class CertificateRecord:
             raise CertificateError(f"unknown function type {self.function_type!r}")
         if len(self.digital_signature) != SIGNATURE_LEN:
             raise CertificateError("digital_signature must be 64 bytes")
+        # The subject's role and world-state key, derived once and kept
+        # outside the dataclass fields like the encodings below.  They are set
+        # here rather than on first use so that every record adds its
+        # attributes in one order and its attribute dict keeps sharing the
+        # class's key table; attributes added late, in varying orders, give
+        # each record a larger dict of its own.
+        object.__setattr__(self, "subject_role", role_of_name(self.subject_name))
+        object.__setattr__(self, "state_key", cert_key(self.subject_unique_id))
 
     @property
     def is_self_signed(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from . import wire
 from .identity import (
@@ -20,7 +20,6 @@ from .identity import (
     KeyPair,
     canonical_encode,
     decode_certificate,
-    role_of_name,
     sha256,
     verify_certificate_signature,
     verify_signature,
@@ -69,6 +68,23 @@ class WrongChannel(LedgerError):
 
 class NonMonotoneNumber(LedgerError):
     pass
+
+
+T = TypeVar("T")
+
+
+def _kept_decode(value, decode: Callable[[bytes], T]) -> T:
+    """decode(value.payload), kept in the value's one ``_decoded`` slot.
+
+    A payload has one decoder, fixed by its function, so only the first call
+    decodes.  The slot lies outside the dataclass fields: equality, hashing,
+    repr and replace() never see it.  A decode that raises keeps nothing, so
+    every later reader meets the same failure.
+    """
+    record = value.__dict__.get("_decoded")
+    if record is None:
+        record = value.__dict__["_decoded"] = decode(value.payload)
+    return record
 
 
 @dataclass(frozen=True)
@@ -123,16 +139,28 @@ class Transaction:
             self.signing_bytes(),
         )
 
+    def decoded(self, decode: Callable[[bytes], T]) -> T:
+        """The record the payload decodes to, decoded once per transaction.
+
+        The orderer's admission check and every peer's contracts share the
+        one record, so it must never be mutated.
+        """
+        return _kept_decode(self, decode)
+
     def state_entry(self, block_number: int) -> "StateEntry":
         """The world-state entry this transaction writes in block block_number.
 
         The last entry made is kept on the instance, so every node that
         commits the same transaction in the same block stores one shared
-        entry instead of a copy of its own.
+        entry instead of a copy of its own.  The entry starts with the
+        transaction's decoded record, if it has one.
         """
         entry = self.__dict__.get("_state_entry")
         if entry is None or entry.block_number != block_number:
             entry = self.__dict__["_state_entry"] = StateEntry(self.payload, self.function, block_number)
+            record = self.__dict__.get("_decoded")
+            if record is not None:
+                entry.__dict__["_decoded"] = record
         return entry
 
 
@@ -300,6 +328,10 @@ class StateEntry:
             + wire.field(wire.u64(self.block_number))
         )
 
+    def decoded(self, decode: Callable[[bytes], T]) -> T:
+        """The record the payload decodes to, shared like Transaction.decoded."""
+        return _kept_decode(self, decode)
+
 
 class Ledger:
     """One channel's committed chain plus the derived world state.
@@ -354,7 +386,7 @@ class Ledger:
         if self._creator_cert_bytes is None:
             # Genesis registers the ordering service: the creator record must
             # be a valid self-signed OSP certificate.
-            if role_of_name(block.creator_cert.subject_name) != AuthorityRole.OSP:
+            if block.creator_cert.subject_role != AuthorityRole.OSP:
                 raise BadCreatorSignature("genesis creator is not an ordering service")
             if not block.creator_cert.is_self_signed or not verify_certificate_signature(
                 block.creator_cert, block.creator_cert.subject_public_key

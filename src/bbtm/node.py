@@ -98,7 +98,7 @@ class Node:
             # so removing it restores the set.
             for tx in block.transactions[:applied]:
                 if tx.function == TxFunction.ADD_CERT:
-                    self.gccf_view.serials.discard(decode_certificate(tx.payload).serial_number)
+                    self.gccf_view.serials.discard(tx.decoded(decode_certificate).serial_number)
             if isinstance(exc, ContractRejection):
                 raise BlockRefused(exc.reason, number) from exc
             raise

@@ -24,7 +24,6 @@ from .identity import (
     Identity,
     cert_from_json,
     cert_to_json,
-    role_of_name,
     sha256,
     verify_certificate_signature,
 )
@@ -92,7 +91,7 @@ class ConsortiumConfig:
     channel_policies: Dict[Channel, ChannelPolicy] = dc_field(default_factory=default_channel_policies)
 
     def validate(self) -> None:
-        if role_of_name(self.osp_cert.subject_name) != AuthorityRole.OSP:
+        if self.osp_cert.subject_role != AuthorityRole.OSP:
             raise ConfigError("missing OSP certificate")
         if not self.osp_cert.is_self_signed or not verify_certificate_signature(
             self.osp_cert, self.osp_cert.subject_public_key

@@ -124,6 +124,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
+        """Parse a scenario; a missing or malformed field is config-invalid."""
+        try:
+            return cls._parse(obj)
+        except KeyError as exc:
+            raise SimulationError(f"config-invalid: missing key {exc.args[0]!r}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SimulationError(f"config-invalid: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, obj: dict) -> "ScenarioConfig":
         network = obj.get("network", {})
         return cls(
             seed=obj["seed"],

@@ -1,10 +1,15 @@
 """CLI verbs, file outputs, and exit codes."""
 
 import json
+import os
 
 import pytest
 
+from bbtm import cli, gccf
 from bbtm.cli import main
+from bbtm.ledger import Channel, encode_chain, make_block
+
+from helpers import make_identity
 
 BASE_CONFIG = {
     "seed": 77,
@@ -235,3 +240,92 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["cert", "validate", "--cert", "x"])
         assert exc.value.code == 2
+
+
+class TestScenarioErrors:
+    @pytest.mark.parametrize("scenario, message", [
+        ({"seed": 1}, "missing key 'nodes'"),
+        ({"nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]]}, "missing key 'seed'"),
+        ({"seed": 1, "nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]],
+          "faults": [{"crash_at_ms": 5}]}, "missing key 'node'"),
+        ([1, 2], "a scenario is a JSON object"),
+    ])
+    def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["sim", "run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: config-invalid: {message}"
+
+    def test_seed_override_fills_a_missing_seed(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]]}))
+        assert main(["sim", "run", "--scenario", str(path), "--seed", "4"]) == 0
+
+
+def _chain_files(dep):
+    return {name: (dep / name).read_bytes() for name in cli.CHAIN_FILES.values()}
+
+
+class TestAtomicImport:
+    """``ledger import --deployment`` changes the deployment only if it still loads."""
+
+    def _export(self, dep, tmp_path, capsys, channel="GCCF"):
+        out = tmp_path / f"{dep.name}.{channel}.export"
+        assert main(["ledger", "export", "--deployment", str(dep), "--channel", channel, "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def test_foreign_chain_is_refused_and_target_still_loads(self, deployment, tmp_path, capsys):
+        other_config = tmp_path / "other.json"
+        other_config.write_text(json.dumps({**BASE_CONFIG, "seed": 78}))
+        other = tmp_path / "other"
+        assert main(["network", "init", "--config", str(other_config), "--out", str(other)]) == 0
+        foreign = self._export(other, tmp_path, capsys)
+        before = _chain_files(deployment)
+        assert main(["ledger", "import", str(foreign), "--channel", "GCCF", "--deployment", str(deployment)]) == 1
+        assert "not cut by this deployment's ordering service" in capsys.readouterr().err
+        assert _chain_files(deployment) == before
+        assert sorted(p.name for p in deployment.iterdir() if p.name.endswith(".tmp")) == []
+        cli.load_deployment(str(deployment))
+        assert main(["gccf", "export", "--deployment", str(deployment), "--out", str(tmp_path / "snap")]) == 0
+
+    def test_chain_that_does_not_replay_is_refused_and_nothing_written(self, deployment, tmp_path, capsys):
+        # Cut by the deployment's own ordering service and validly signed, so
+        # only the contract replay can refuse it: ICA-1 may not certify an MA.
+        dep = cli.load_deployment(str(deployment))
+        ica = dep.identity("ICA-1")
+        osp = dep.identity(dep.osp_name)
+        chain = dep.node.ledger(Channel.GCCF)
+        bad = gccf.make_add_cert_tx(make_identity("MA-7", ica).cert, ica.cert, ica.key, 0)
+        block = make_block(chain.height, chain.head_hash(), [bad], osp.cert, osp.key)
+        path = tmp_path / "bad.chain"
+        path.write_bytes(encode_chain(chain.blocks + [block]))
+        before = _chain_files(deployment)
+        assert main(["ledger", "import", str(path), "--channel", "GCCF", "--deployment", str(deployment)]) == 1
+        assert "does not replay" in capsys.readouterr().err
+        assert _chain_files(deployment) == before
+        cli.load_deployment(str(deployment))
+
+    def test_valid_import_replaces_the_chain(self, deployment, tmp_path, capsys):
+        source = tmp_path / "ica9.bin"
+        exported = self._export(deployment, tmp_path, capsys)
+        assert main(["cert", "issue", "--deployment", str(deployment), "--issuer", "RCA-1", "--subject", "ICA-9",
+                     "--out", str(source), "--submit"]) == 0
+        capsys.readouterr()
+        grown = (deployment / "gccf.chain").read_bytes()
+        assert main(["ledger", "import", str(exported), "--channel", "GCCF", "--deployment", str(deployment)]) == 0
+        assert (deployment / "gccf.chain").read_bytes() == exported.read_bytes() != grown
+        assert cli.load_deployment(str(deployment)).node.ledger(Channel.GCCF).height == 1
+
+    def test_failed_write_keeps_the_old_file(self, deployment, monkeypatch):
+        target = deployment / "gccf.chain"
+        before = target.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_atomic(target, b"partial")
+        assert target.read_bytes() == before
+        assert not (deployment / "gccf.chain.tmp").exists()

@@ -18,12 +18,18 @@ from bbtm.gccf import (
 )
 from bbtm.identity import (
     AuthorityRole,
+    Subject,
     canonical_encode,
     decode_certificate,
+    generate_keypair,
+    issue_certificate,
     role_of_name,
     verify_certificate_signature,
 )
-from bbtm.ledger import TxFunction
+from bbtm.ledger import Channel, TxFunction, make_block
+from bbtm.node import BlockRefused
+from bbtm.ordering import Rejected
+from bbtm.simulation import ScenarioConfig, Simulation
 
 from helpers import BIG, Bed, make_identity
 
@@ -368,3 +374,66 @@ class TestExportSnapshot:
             for c in snapshot.certificates
         ]
         assert keys == sorted(keys)
+
+
+def _issue_with_uid(name, issuer, unique_id, rng):
+    """A record for a fresh key and serial that claims an existing subject uid."""
+    key = generate_keypair(rng.randbytes(32))
+    return issue_certificate(
+        issuer.key, issuer.cert,
+        Subject(name=name, public_key=key.public_key, unique_id=unique_id, not_before=0, not_after=BIG),
+        now_s=issuer.cert.not_before, serial=rng.randbytes(16),
+    )
+
+
+class TestSubjectUidOverwrite:
+    """An addition may never reuse a committed subject uid (duplicate-subject)."""
+
+    def test_issuer_cannot_replace_an_elector_record(self):
+        bed = Bed()
+        elector = bed.electors[0]
+        before = bed.view.cert_entry(elector.cert.subject_unique_id)
+        evil = _issue_with_uid("RA-evil", bed.ica, elector.cert.subject_unique_id, bed.rng)
+        with pytest.raises(NotAddingVerify) as exc:
+            bed.add(evil, bed.ica)
+        assert reject_reason(exc) == "duplicate-subject"
+        assert bed.view.cert_entry(elector.cert.subject_unique_id) is before
+        assert evil.serial_number not in bed.view.serials
+        assert validate_cert(bed.view, elector.cert, now_s=10.0).ok
+
+    def test_revoked_record_cannot_be_reissued(self):
+        bed = Bed()
+        bed.revoke(bed.ica.cert)
+        again = _issue_with_uid("ICA-1", bed.rca, bed.ica.cert.subject_unique_id, bed.rng)
+        with pytest.raises(NotAddingVerify) as exc:
+            bed.add(again, bed.rca)
+        assert reject_reason(exc) == "duplicate-subject"
+        assert bed.view.cert_entry(bed.ica.cert.subject_unique_id).function == TxFunction.REVOKE_CERT
+        assert not validate_cert(bed.view, again, now_s=10.0).ok
+        assert not validate_cert(bed.view, bed.ica.cert, now_s=10.0).ok
+
+    def test_duplicate_serial_is_checked_first(self):
+        bed = Bed()
+        clash = make_identity("ICA-1", bed.rca, serial=bed.ica.cert.serial_number)
+        with pytest.raises(NotAddingVerify) as exc:
+            bed.add(clash.cert, bed.rca)
+        assert reject_reason(exc) == "duplicate-serial"
+
+    def test_refused_at_admission_and_on_every_peer(self):
+        sim = Simulation(ScenarioConfig(seed=3, nodes=(("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1),
+                                                       ("OSP", 1), ("RA", 1)), policies=(("ballot_quorum", 2),)))
+        assert sim.run().converged
+        ica = sim.deployment.identity("ICA-1")
+        elector = sim.deployment.identity("Elector-1")
+        evil = _issue_with_uid("RA-evil", ica, elector.cert.subject_unique_id, Random(5))
+        tx = make_add_cert_tx(evil, ica.cert, ica.key, 0)
+        with pytest.raises(Rejected, match="duplicate-subject"):
+            sim.orderer.submit_tx(tx, now_ms=0)
+        for node in sim.nodes.values():
+            chain = node.ledger(Channel.GCCF)
+            block = make_block(chain.height, chain.head_hash(), [tx], sim.deployment.osp.cert,
+                               sim.deployment.osp.key)
+            with pytest.raises(BlockRefused) as refused:
+                node.commit_block(Channel.GCCF, block)
+            assert refused.value.reason == "duplicate-subject"
+            assert validate_cert(node.gccf_view, elector.cert, now_s=10.0).ok

@@ -320,6 +320,33 @@ class TestScenarioConfig:
             Simulation(small_config(faults=(Fault(node="ghost", crash_at_ms=1),)))
 
 
+class TestScenarioMissingKeys:
+    BASE = {"seed": 1, "nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]]}
+
+    @pytest.mark.parametrize("scenario, key", [
+        ({"seed": 1}, "nodes"),
+        ({"nodes": BASE["nodes"]}, "seed"),
+        ({**BASE, "faults": [{"crash_at_ms": 5}]}, "node"),
+        ({**BASE, "faults": [{"node": "PG-1"}]}, "crash_at_ms"),
+    ])
+    def test_missing_key_is_config_invalid(self, scenario, key):
+        with pytest.raises(SimulationError, match=f"^config-invalid: missing key '{key}'$"):
+            ScenarioConfig.from_json(scenario)
+
+    @pytest.mark.parametrize("scenario", [
+        {"seed": 1, "nodes": 5},
+        {"seed": 1, "nodes": [["OSP"]]},
+        {"seed": 1, "nodes": [["OSP", "many"]]},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_field_is_config_invalid(self, scenario):
+        with pytest.raises(SimulationError, match="^config-invalid: "):
+            ScenarioConfig.from_json(scenario)
+
+    def test_complete_scenario_still_parses(self):
+        assert ScenarioConfig.from_json(self.BASE).nodes == (("Elector", 3), ("RCA", 1), ("PG", 1), ("OSP", 1))
+
+
 class TestQueriesAndBallotWorkload:
     def test_ballot_workload_promotes_and_demotes_root(self):
         # End-to-end through the simulator: a deferred root is voted in,
