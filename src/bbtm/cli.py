@@ -17,7 +17,7 @@ import os
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
@@ -43,6 +43,7 @@ from .identity import (
     dump_json,
     generate_keypair,
     issue_certificate,
+    iter_json,
     role_of_name,
     sha256,
 )
@@ -76,18 +77,20 @@ class CliError(Exception):
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    sys.stdout.write(dump_json(obj).decode("utf-8"))
 
 
-def write_atomic(path: pathlib.Path, data: bytes) -> None:
+def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> None:
     """Replace path's content with data, all or nothing.
 
-    The bytes go to a temp file beside path, which os.replace then renames
-    over it, so a failed or interrupted write leaves the old file whole.
+    data is the bytes or an iterable of chunks of them.  They go to a temp
+    file beside path, which os.replace then renames over it, so a failed or
+    interrupted write leaves the old file whole.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -125,7 +128,7 @@ class CliDeployment:
             "private": ident.key.private_bytes().hex(),
             "cert": cert_to_json(ident.cert),
         }
-        write_atomic(keys_path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+        write_atomic(keys_path, dump_json(payload))
 
     def submit_and_commit(self, submitter: str, tx) -> int:
         """One-node network turn: admit, force-cut, commit, persist."""
@@ -294,11 +297,11 @@ def cmd_sim_run(args) -> int:
             message = f"config-invalid: {message}"
         raise CliError(message, EXIT_USAGE) from exc
     if args.report:
-        pathlib.Path(args.report).write_bytes(report.to_json_bytes())
+        write_atomic(pathlib.Path(args.report), iter_json(report.to_json()))
     if args.out:
         sim.export_ledgers(args.out)
     if args.lifecycles:
-        pathlib.Path(args.lifecycles).write_text(metrics.lifecycles_to_csv(report.lifecycles))
+        write_atomic(pathlib.Path(args.lifecycles), metrics.lifecycles_to_csv(report.lifecycles).encode("utf-8"))
     summary = {
         "converged": report.converged,
         "stalled": report.stalled,

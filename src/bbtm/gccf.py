@@ -335,10 +335,16 @@ def validate_cert(view: GccfView, cert: CertificateRecord, now_s: float) -> Vali
             return _not_verify("missing-link", path)
         visited.add(uid)
         entry = view.world.get(current.state_key)
-        if entry is None or entry.payload != current_bytes:
+        if entry is None:
             return _not_verify("missing-link", path)
         if entry.function == TxFunction.REVOKE_CERT:
-            return _not_verify("revoked-on-path", path)
+            # A revocation commits the record re-tagged and re-signed, so the
+            # addition a holder presents is matched by its serial.
+            if entry.decoded(decode_certificate).serial_number == current.serial_number:
+                return _not_verify("revoked-on-path", path)
+            return _not_verify("missing-link", path)
+        if entry.payload != current_bytes:
+            return _not_verify("missing-link", path)
         if not current.covers(now_s):
             return _not_verify("expired-on-path", path)
         path.append(current.serial_number)

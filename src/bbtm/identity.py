@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
+import itertools
 import json
 import secrets
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import Optional
+from typing import Iterator, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -401,6 +403,28 @@ def cert_from_json(obj: dict) -> CertificateRecord:
         raise CertificateError(f"bad certificate JSON: {exc}") from exc
 
 
-def dump_json(obj: dict) -> bytes:
-    """Stable JSON bytes used for every exported projection."""
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+# Encoder tokens joined per chunk: a token is a few characters, so a chunk of
+# a simulation report is about 25 kB, however large the report is.
+JSON_TOKENS_PER_CHUNK = 4096
+
+
+def iter_json(obj) -> Iterator[bytes]:
+    """The bytes of dump_json(obj), in chunks of bounded size.
+
+    The standard library's pretty-printer, which json.dumps(obj,
+    sort_keys=True, indent=2) also runs, yields a string per token; joining
+    them a batch at a time keeps only one batch of those strings alive.
+    """
+    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while batch := list(itertools.islice(tokens, JSON_TOKENS_PER_CHUNK)):
+        yield "".join(batch).encode("utf-8")
+    yield b"\n"
+
+
+def dump_json(obj) -> bytes:
+    """Stable JSON bytes used for every exported projection (see FORMAT.md)."""
+    # The buffer takes each chunk as it comes and getvalue() hands it over
+    # without a copy; b"".join would hold every chunk and the result at once.
+    buf = io.BytesIO()
+    buf.writelines(iter_json(obj))
+    return buf.getvalue()

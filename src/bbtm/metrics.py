@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .identity import dump_json
 
 
 class MetricsError(ValueError):
@@ -264,7 +265,7 @@ def report_to_csv(report: MetricsReport) -> str:
 
 
 def report_to_json_bytes(report: MetricsReport) -> bytes:
-    return (json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return dump_json(report.to_json())
 
 
 def export_report(report: MetricsReport, fmt: str, path) -> None:

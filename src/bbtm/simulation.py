@@ -38,6 +38,7 @@ from .identity import (
     Subject,
     UID_LEN,
     canonical_encode,
+    dump_json,
     generate_keypair,
     issue_certificate,
     role_of_name,
@@ -229,7 +230,7 @@ class SimulationReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return dump_json(self.to_json())
 
 
 class Simulation:

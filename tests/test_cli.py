@@ -2,14 +2,18 @@
 
 import json
 import os
+import pathlib
 
 import pytest
 
-from bbtm import cli, gccf
+from bbtm import cli, gccf, metrics
 from bbtm.cli import main
 from bbtm.ledger import Channel, encode_chain, make_block
+from bbtm.simulation import ScenarioConfig, Simulation
 
 from helpers import make_identity
+
+SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "samples" / "scenario.json"
 
 BASE_CONFIG = {
     "seed": 77,
@@ -74,6 +78,21 @@ class TestCertVerbs:
         assert rc == 1
         verdict = _last_json(capsys)
         assert verdict["result"] == "NotVerify" and verdict["reason"] == "missing-link"
+
+    def test_revoked_cert_fails_revoked_on_path(self, deployment, tmp_path, capsys):
+        cert_path = tmp_path / "ica9.bin"
+        assert main([
+            "cert", "issue", "--deployment", str(deployment),
+            "--issuer", "RCA-1", "--subject", "ICA-9", "--out", str(cert_path), "--submit",
+        ]) == 0
+        capsys.readouterr()
+        dep = cli.load_deployment(str(deployment))
+        pg = dep.identity("PG-1")
+        dep.submit_and_commit(pg.name, gccf.make_revoke_cert_tx(cli.read_cert_file(str(cert_path)), pg.cert, pg.key, 0))
+        rc = main(["cert", "validate", "--deployment", str(deployment), "--cert", str(cert_path)])
+        assert rc == 1
+        verdict = _last_json(capsys)
+        assert verdict["result"] == "NotVerify" and verdict["reason"] == "revoked-on-path"
 
     def test_validate_accepts_json_cert_files(self, deployment, tmp_path, capsys):
         meta = json.loads((deployment / "consortium.json").read_text())
@@ -228,6 +247,47 @@ class TestSimAndMetrics:
             assert main(["sim", "run", "--scenario", str(path), "--seed", seed, "--report", str(rp)]) == 0
             reports.append(json.loads(rp.read_text()))
         assert reports[0]["seed"] == 9 and reports[1]["seed"] == 10
+
+
+class TestSimRunFiles:
+    """``sim run`` writes its report and lifecycle files whole or not at all."""
+
+    def test_report_file_is_the_report_bytes(self, tmp_path):
+        report_path, csv_path = tmp_path / "report.json", tmp_path / "lifecycles.csv"
+        assert main(["sim", "run", "--scenario", str(SAMPLE), "--report", str(report_path),
+                     "--lifecycles", str(csv_path)]) == 0
+        expected = Simulation(ScenarioConfig.from_json(json.loads(SAMPLE.read_text()))).run()
+        assert report_path.read_bytes() == expected.to_json_bytes()
+        assert csv_path.read_text() == metrics.lifecycles_to_csv(expected.lifecycles)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lifecycles.csv", "report.json"]
+
+    def test_failed_replace_keeps_the_old_report(self, tmp_path, monkeypatch):
+        report_path = tmp_path / "report.json"
+        report_path.write_bytes(b"old report\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["sim", "run", "--scenario", str(SAMPLE), "--report", str(report_path)])
+        assert report_path.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_chunks_failing_midway_keep_the_old_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old report\n")
+
+        def chunks():
+            yield b"{\n"
+            raise RuntimeError("encoder failed")
+
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            cli.write_atomic(target, chunks())
+        assert target.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        cli.write_atomic(target, iter([b"{", b"}\n"]))
+        assert target.read_bytes() == b"{}\n"
 
 
 class TestUsageErrors:

@@ -4,9 +4,12 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbtm import gccf
 from bbtm.gccf import (
+    ContractRejection,
     GccfView,
     ISSUANCE_MATRIX,
     NotAddingVerify,
@@ -299,6 +302,24 @@ class TestValidateCert:
         assert not result.ok and result.reason == "missing-link"
         assert brute_force_validate(bed.view, rogue.cert, 100.0) is False
 
+    def test_revoked_record_itself_is_revoked_on_path(self):
+        bed = Bed()
+        revocation = bed.revoke(bed.ica.cert)
+        result = validate_cert(bed.view, bed.ica.cert, now_s=100.0)
+        assert not result.ok and result.reason == "revoked-on-path"
+        assert result.path == ()
+        retagged = decode_certificate(revocation.payload)
+        assert validate_cert(bed.view, retagged, now_s=100.0).reason == "revoked-on-path"
+        assert brute_force_validate(bed.view, bed.ica.cert, 100.0) is False
+
+    def test_same_uid_other_serial_under_a_revocation_is_missing_link(self):
+        bed = Bed()
+        bed.revoke(bed.ica.cert)
+        impostor = _issue_with_uid("ICA-1", bed.rca, bed.ica.cert.subject_unique_id, bed.rng)
+        result = validate_cert(bed.view, impostor, now_s=100.0)
+        assert not result.ok and result.reason == "missing-link"
+        assert result.path == ()
+
     @pytest.mark.parametrize("seed", range(60))
     def test_oracle_equivalence_random_worlds(self, seed):
         bed, certs, now = random_cert_world(seed)
@@ -437,3 +458,46 @@ class TestSubjectUidOverwrite:
                 node.commit_block(Channel.GCCF, block)
             assert refused.value.reason == "duplicate-subject"
             assert validate_cert(node.gccf_view, elector.cert, now_s=10.0).ok
+
+
+SUBJECT_NAMES = ("ICA", "PCA", "RA", "MA", "PG", "Elector", "RCA")
+NON_BALLOT_STEP = st.tuples(
+    st.sampled_from(["collide", "add", "revoke", "validate"]),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=63),
+)
+
+
+class TestAnchorRecordsChangeOnlyByBallot:
+    """No non-ballot GCCF transaction changes an elector's or the root's record."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(NON_BALLOT_STEP, min_size=1, max_size=12), seed=st.integers(min_value=0, max_value=2**32))
+    def test_non_ballot_transactions_never_change_an_anchor_record(self, steps, seed):
+        bed = Bed()
+        rng = Random(seed)
+        anchors = [e.cert for e in bed.electors] + [bed.rca.cert]
+        before = {a.state_key: bed.view.world[a.state_key] for a in anchors}
+        signers = [bed.rca, bed.ica, bed.pg] + bed.electors
+        known = anchors + [bed.ica.cert, bed.pg.cert]
+        for kind, i, j in steps:
+            signer = signers[i % len(signers)]
+            name = f"{SUBJECT_NAMES[j % len(SUBJECT_NAMES)]}-h{len(known)}"
+            if kind == "collide":
+                uid = anchors[j % len(anchors)].subject_unique_id
+                tx = make_add_cert_tx(_issue_with_uid(name, signer, uid, rng), signer.cert, signer.key, 0)
+            elif kind == "add":
+                cert = _issue_with_uid(name, signer, rng.randbytes(16), rng)
+                known.append(cert)
+                tx = make_add_cert_tx(cert, signer.cert, signer.key, 0)
+            elif kind == "revoke":
+                tx = gccf.make_revoke_cert_tx(known[j % len(known)], bed.pg.cert, bed.pg.key, 0)
+            else:
+                tx = gccf.make_validate_tx(known[j % len(known)], signer.cert, signer.key, 0)
+            try:
+                gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=bed.quorum)
+            except ContractRejection:
+                pass
+            bed.next_block += 1
+            for key, entry in before.items():
+                assert bed.view.world[key] is entry
