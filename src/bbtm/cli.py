@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
@@ -46,6 +45,7 @@ from .identity import (
     iter_json,
     role_of_name,
     sha256,
+    write_atomic,
 )
 from .ledger import (
     Block,
@@ -54,7 +54,7 @@ from .ledger import (
     decode_chain,
     encode_chain,
     infer_channel,
-    replay_and_verify,
+    verify_chain,
 )
 from .node import BlockRefused, Node
 from .ordering import ConsortiumConfig, OrderingService, Rejected
@@ -78,22 +78,6 @@ class CliError(Exception):
 
 def _print_json(obj) -> None:
     sys.stdout.write(dump_json(obj).decode("utf-8"))
-
-
-def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> None:
-    """Replace path's content with data, all or nothing.
-
-    data is the bytes or an iterable of chunks of them.  They go to a temp
-    file beside path, which os.replace then renames over it, so a failed or
-    interrupted write leaves the old file whole.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.writelines([data] if isinstance(data, bytes) else data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- deployment
@@ -177,31 +161,34 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
     try:
         meta = json.loads((path / CONSORTIUM_FILE).read_text())
         key_data = json.loads((path / KEYS_FILE).read_text())
+        seed = meta["seed"]
+        config = ConsortiumConfig.from_json(meta["config"])
+        identities: Dict[str, Identity] = {}
+        osp_name = config.osp_cert.subject_name
+        identities[osp_name] = Identity(
+            name=osp_name,
+            role=AuthorityRole.OSP,
+            key=generate_keypair(bytes.fromhex(key_data["keys"][osp_name])),
+            cert=config.osp_cert,
+        )
+        for member in config.members:
+            identities[member.name] = Identity(
+                name=member.name,
+                role=member.role,
+                key=generate_keypair(bytes.fromhex(key_data["keys"][member.name])),
+                cert=member.cert,
+            )
+        for name, extra in key_data.get("extras", {}).items():
+            identities[name] = Identity(
+                name=name,
+                role=AuthorityRole(extra["role"]),
+                key=generate_keypair(bytes.fromhex(extra["private"])),
+                cert=cert_from_json(extra["cert"]),
+            )
+    except KeyError as exc:
+        raise CliError(f"not a deployment directory: missing key {exc.args[0]!r}") from exc
     except (OSError, ValueError) as exc:
         raise CliError(f"not a deployment directory: {exc}") from exc
-    config = ConsortiumConfig.from_json(meta["config"])
-    identities: Dict[str, Identity] = {}
-    osp_name = config.osp_cert.subject_name
-    identities[osp_name] = Identity(
-        name=osp_name,
-        role=AuthorityRole.OSP,
-        key=generate_keypair(bytes.fromhex(key_data["keys"][osp_name])),
-        cert=config.osp_cert,
-    )
-    for member in config.members:
-        identities[member.name] = Identity(
-            name=member.name,
-            role=member.role,
-            key=generate_keypair(bytes.fromhex(key_data["keys"][member.name])),
-            cert=member.cert,
-        )
-    for name, extra in key_data.get("extras", {}).items():
-        identities[name] = Identity(
-            name=name,
-            role=AuthorityRole(extra["role"]),
-            key=generate_keypair(bytes.fromhex(extra["private"])),
-            cert=cert_from_json(extra["cert"]),
-        )
 
     node = Node(identities[osp_name])
     chains = dict(chains or {})
@@ -212,7 +199,10 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
             except (OSError, LedgerError) as exc:
                 raise CliError(f"cannot load {filename}: {exc}") from exc
         blocks = chains[channel]
-        if blocks and blocks[0].creator_cert != config.osp_cert:
+        # An empty chain would load as a deployment with no state at all.
+        if not blocks:
+            raise CliError(f"{channel.value} chain has no genesis block")
+        if blocks[0].creator_cert != config.osp_cert:
             raise CliError(f"{channel.value} chain was not cut by this deployment's ordering service")
     # Certificate history first: policy commits authenticate against it.
     try:
@@ -225,7 +215,7 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
     orderer = OrderingService(config, identities[osp_name], node)
     return CliDeployment(
         path=path,
-        seed=meta["seed"],
+        seed=seed,
         consortium=config,
         identities=identities,
         osp_name=osp_name,
@@ -253,20 +243,30 @@ def cmd_network_init(args) -> int:
         config = json.loads(pathlib.Path(args.config).read_text())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read config: {exc}", EXIT_USAGE) from exc
-    if "members" in config:
-        members = [(AuthorityRole(m["role"]), m["name"]) for m in config["members"]]
-    elif "nodes" in config:
-        members = expand_node_counts([(n["role"], n["count"]) for n in config["nodes"]])
-    else:
-        raise CliError("config needs a 'members' or 'nodes' section", EXIT_USAGE)
-    validity = tuple(config.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER)))
-    dep = build_deployment(
-        int(config["seed"]),
-        members,
-        {str(k): int(v) for k, v in config.get("policies", {}).items()},
-        validity=validity,
-        defer_bootstrap=frozenset(config.get("defer_bootstrap", ())),
-    )
+    if not isinstance(config, dict):
+        raise CliError("config-invalid: a network config is a JSON object", EXIT_USAGE)
+    try:
+        if "members" in config:
+            members = [(AuthorityRole(m["role"]), m["name"]) for m in config["members"]]
+        elif "nodes" in config:
+            members = expand_node_counts([(n["role"], n["count"]) for n in config["nodes"]])
+        else:
+            raise CliError("config-invalid: config needs a 'members' or 'nodes' section", EXIT_USAGE)
+        # Every later command signs blocks with the one ordering service.
+        if sum(1 for role, _name in members if role == AuthorityRole.OSP) != 1:
+            raise CliError("config-invalid: exactly one ordering service required", EXIT_USAGE)
+        validity = tuple(config.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER)))
+        dep = build_deployment(
+            int(config["seed"]),
+            members,
+            {str(k): int(v) for k, v in config.get("policies", {}).items()},
+            validity=validity,
+            defer_bootstrap=frozenset(config.get("defer_bootstrap", ())),
+        )
+    except KeyError as exc:
+        raise CliError(f"config-invalid: missing key {exc.args[0]!r}", EXIT_USAGE) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"config-invalid: {exc}", EXIT_USAGE) from exc
     write_deployment(dep, pathlib.Path(args.out))
     _print_json(
         {
@@ -324,7 +324,7 @@ def cmd_sim_run(args) -> int:
 def cmd_ledger_verify(args) -> int:
     try:
         blocks = decode_chain(pathlib.Path(args.file).read_bytes())
-        ledger, fail_at = replay_and_verify(infer_channel(blocks), blocks)
+        ledger, fail_at = verify_chain(infer_channel(blocks), blocks)
     except (OSError, LedgerError) as exc:
         print(f"verification failed: {exc}")
         return EXIT_FAIL
@@ -339,7 +339,7 @@ def cmd_ledger_export(args) -> int:
     dep = load_deployment(args.deployment)
     channel = Channel(args.channel)
     data = encode_chain(dep.node.ledger(channel).blocks)
-    pathlib.Path(args.out).write_bytes(data)
+    write_atomic(pathlib.Path(args.out), data)
     _print_json({"channel": channel.value, "bytes": len(data), "height": dep.node.ledger(channel).height})
     return EXIT_OK
 
@@ -352,7 +352,7 @@ def cmd_ledger_import(args) -> int:
         return EXIT_FAIL
     channel = Channel(args.channel) if args.channel else infer_channel(blocks)
     try:
-        ledger, fail_at = replay_and_verify(channel, blocks)
+        ledger, fail_at = verify_chain(channel, blocks)
     except LedgerError as exc:
         print(f"import failed: {exc}")
         return EXIT_FAIL
@@ -542,12 +542,10 @@ def cmd_metrics_report(args) -> int:
         computed = metrics.compute_metrics(lifecycles, ledger_sizes)
     except metrics.MetricsError as exc:
         raise CliError(str(exc)) from exc
+    data = metrics.encode_report(computed, args.format)
     if args.out:
-        metrics.export_report(computed, args.format, args.out)
-    if args.format == "csv":
-        sys.stdout.write(metrics.report_to_csv(computed))
-    else:
-        sys.stdout.write(metrics.report_to_json_bytes(computed).decode("utf-8"))
+        write_atomic(pathlib.Path(args.out), data)
+    sys.stdout.write(data.decode("utf-8"))
     return EXIT_OK
 
 

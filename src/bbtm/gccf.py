@@ -145,7 +145,7 @@ def _require_elector(view: GccfView, submitter: CertificateRecord, exc_type, rea
 
 
 def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
-    """Commit an addition, or raise NotAddingVerify with the failed check.
+    """Check an addition and record its serial, or raise NotAddingVerify.
 
     Root and elector subjects are ballot-governed: outside the genesis
     bootstrap they commit only when an accepted add ballot for the exact
@@ -202,12 +202,11 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
         if not verify_certificate_signature(cert, issuer.subject_public_key):
             raise NotAddingVerify("bad-signature")
 
-    view.world[tx.key] = tx.state_entry(block_number)
     view.serials.add(cert.serial_number)
 
 
-def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
-    """Commit a revocation, or raise NotRevokingVerify.
+def revoke_cert(view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
+    """Check a revocation, or raise NotRevokingVerify.
 
     Ordinary authority certificates are revoked by the policy generator;
     root and elector certificates only through an accepted revoke ballot
@@ -237,8 +236,6 @@ def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: i
         tally = tally_ballot(view, etype, sha256(target_entry.payload), quorum)
         if tally.status != BallotStatus.ACCEPTED:
             raise NotRevokingVerify("not-PG")
-        if not verify_certificate_signature(cert, submitter.subject_public_key):
-            raise NotRevokingVerify("not-PG")
     else:
         entry = committed_identity(view, submitter)
         if (
@@ -247,10 +244,8 @@ def revoke_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: i
             or submitter.subject_role != AuthorityRole.PG
         ):
             raise NotRevokingVerify("not-PG")
-        if not verify_certificate_signature(cert, submitter.subject_public_key):
-            raise NotRevokingVerify("not-PG")
-
-    view.world[tx.key] = tx.state_entry(block_number)
+    if not verify_certificate_signature(cert, submitter.subject_public_key):
+        raise NotRevokingVerify("not-PG")
 
 
 def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
@@ -270,34 +265,37 @@ def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
         raise ContractRejection("bad-endorsement")
     if not tx.key.startswith(f"ballot/{endorsement.endorsement_type.value}/"):
         raise ContractRejection("bad-endorsement")
-    view.world[tx.key] = tx.state_entry(block_number)
     view.endorsement_log.append((block_number, endorsement))
 
 
-def _apply_validate(view: GccfView, tx: Transaction, block_number: int) -> None:
+def _check_validate(tx: Transaction) -> None:
     # A validation request is recorded for audit; the verdict itself is a
     # read-time computation so that committing it never depends on the local
     # clock of whichever node replays the block.
     cert = _decoded_cert(tx, ContractRejection, "bad-payload")
     if tx.key != validate_key(cert.serial_number):
         raise ContractRejection("bad-payload")
-    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def apply_tx(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
-    """Check-and-apply one committed transaction against the view."""
+    """Check one committed transaction against the view, then write its entry.
+
+    The function's own check raises ContractRejection before anything is
+    written; the entry written here is the channel's only state write.
+    """
     if tx.channel != Channel.GCCF:
         raise ContractRejection("wrong-channel")
     if tx.function == TxFunction.ADD_CERT:
         add_cert(view, tx, block_number=block_number, quorum=quorum)
     elif tx.function == TxFunction.REVOKE_CERT:
-        revoke_cert(view, tx, block_number=block_number, quorum=quorum)
+        revoke_cert(view, tx, quorum=quorum)
     elif tx.function == TxFunction.BALLOT_ENDORSE:
         _apply_endorse(view, tx, block_number)
     elif tx.function == TxFunction.VALIDATE_CERT:
-        _apply_validate(view, tx, block_number)
+        _check_validate(tx)
     else:
         raise ContractRejection("wrong-channel")
+    view.world[tx.key] = tx.state_entry(block_number)
 
 
 @dataclass(frozen=True)

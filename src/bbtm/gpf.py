@@ -127,19 +127,18 @@ def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
         raise NotPG()
 
 
-def add_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
-    """Commit a rule with status alive; only the PG may write."""
+def add_policy(gccf_view: GccfView, tx: Transaction) -> None:
+    """Check a rule with status alive; only the PG may write."""
     _require_pg(gccf_view, tx.submitter_cert)
     record = tx.decoded(decode_policy)
     if record.status != PolicyStatus.ALIVE:
         raise ContractRejection("malformed-rule")
     if tx.key != policy_key(record.entity, record.rule_name):
         raise ContractRejection("malformed-rule")
-    view.world[tx.key] = tx.state_entry(block_number)
 
 
-def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
-    """Flip an existing rule to status death (a new appended state)."""
+def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction) -> None:
+    """Check the flip of an existing rule to status death (a new appended state)."""
     _require_pg(gccf_view, tx.submitter_cert)
     record = tx.decoded(decode_policy)
     if record.status != PolicyStatus.DEATH:
@@ -148,18 +147,19 @@ def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_
         raise ContractRejection("malformed-rule")
     if view.entry(tx.key) is None:
         raise ContractRejection("unknown-rule")
-    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def apply_tx(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
+    """Check one committed transaction, then write its entry: the channel's only state write."""
     if tx.channel != Channel.GPF:
         raise ContractRejection("wrong-channel")
     if tx.function == TxFunction.ADD_POLICY:
-        add_policy(view, gccf_view, tx, block_number=block_number)
+        add_policy(gccf_view, tx)
     elif tx.function == TxFunction.REVOKE_POLICY:
-        revoke_policy(view, gccf_view, tx, block_number=block_number)
+        revoke_policy(view, gccf_view, tx)
     else:
         raise ContractRejection("wrong-channel")
+    view.world[tx.key] = tx.state_entry(block_number)
 
 
 def get_rule(view: GpfView, entity: str, rule_name: str) -> Optional[PolicyRecord]:

@@ -15,11 +15,13 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pathlib
 import secrets
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -428,3 +430,19 @@ def dump_json(obj) -> bytes:
     buf = io.BytesIO()
     buf.writelines(iter_json(obj))
     return buf.getvalue()
+
+
+def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> None:
+    """Replace path's content with data, all or nothing.
+
+    data is the bytes or an iterable of chunks of them.  They go to a temp
+    file beside path, which os.replace then renames over it, so a failed or
+    interrupted write leaves the old file whole.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

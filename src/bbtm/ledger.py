@@ -70,6 +70,10 @@ class NonMonotoneNumber(LedgerError):
     pass
 
 
+class BadTxSignature(LedgerError):
+    """A submitter signature fails; check_block raises it after every other check."""
+
+
 T = TypeVar("T")
 
 
@@ -337,9 +341,9 @@ class Ledger:
     """One channel's committed chain plus the derived world state.
 
     Single writer (the owning node's commit loop); committed blocks are never
-    mutated, only appended.  On a node, ``world_state`` is the one store the
-    channel's contracts read and write; a standalone ledger (replay, verify)
-    writes each transaction's entry itself in ``append_block``.
+    mutated, only appended.  ``world_state`` is the one store the channel's
+    contracts read and write; the ledger itself never writes it, so a
+    standalone ledger (``verify_chain``) keeps an empty one.
     """
 
     def __init__(self, channel: Channel):
@@ -363,7 +367,10 @@ class Ledger:
         return self.blocks[-1].header.hash()
 
     def check_block(self, block: Block) -> None:
-        """Structural checks only; raises without mutating anything."""
+        """Structure, creator, then submitter signatures; raises without mutating anything.
+
+        BadTxSignature comes last, so it means every other check has passed.
+        """
         if block.header.number != len(self.blocks):
             raise NonMonotoneNumber(
                 f"expected block {len(self.blocks)}, got {block.header.number}"
@@ -380,6 +387,9 @@ class Ledger:
                     f"transaction for {tx.channel.value} in a {self.channel.value} block"
                 )
         self._check_creator(block)
+        for tx in block.transactions:
+            if not tx.verify_submitter_signature():
+                raise BadTxSignature("bad-tx-signature")
 
     def _check_creator(self, block: Block) -> None:
         cert_bytes = canonical_encode(block.creator_cert)
@@ -402,25 +412,15 @@ class Ledger:
             raise BadCreatorSignature(f"block {block.header.number} creator signature invalid")
 
     def append_block(self, block: Block) -> None:
-        """Check the block, then commit it and its transactions' writes."""
+        """Check the block, then chain it; writes no state."""
         self.check_block(block)
         self._link(block)
-        number = block.header.number
-        for tx in block.transactions:
-            self.world_state[tx.key] = tx.state_entry(number)
 
     def _link(self, block: Block) -> None:
-        """Chain a block that check_block has just passed.
-
-        Checks nothing and writes no state: on a node the contracts have
-        already written the block's entries into ``world_state``.
-        """
+        """Chain a block that check_block has just passed; checks nothing."""
         if self._creator_cert_bytes is None:
             self._creator_cert_bytes = canonical_encode(block.creator_cert)
         self.blocks.append(block)
-
-    def world_state_get(self, key: str) -> Optional[StateEntry]:
-        return self.world_state.get(key)
 
     def world_state_digest(self) -> bytes:
         world = self.world_state
@@ -429,53 +429,24 @@ class Ledger:
         )
 
 
-def replay_from_genesis(channel: Channel, blocks: Iterable[Block]) -> Ledger:
-    """Rebuild a ledger by committing the given blocks in order.
+def verify_chain(channel: Channel, blocks: Iterable[Block]) -> Tuple[Ledger, Optional[int]]:
+    """Check a chain's structure and signatures; no contract runs, no state is written.
 
-    Propagates the first append failure, so a corrupted export never yields a
-    silently truncated state.
-    """
-    ledger = Ledger(channel)
-    for block in blocks:
-        ledger.append_block(block)
-    return ledger
-
-
-def verify_chain(ledger: Ledger) -> Optional[int]:
-    """Full integrity scan; returns the first failing block number, or None.
-
-    Checks every header link, data hash, creator certificate and signature,
-    and every transaction's submitter signature.  The returned number is the
-    position in the sequence, which is what a tampered block's self-declared
-    number can no longer be trusted to state.
-    """
-    check = Ledger(ledger.channel)
-    for position, block in enumerate(ledger.blocks):
-        try:
-            check.check_block(block)
-            for tx in block.transactions:
-                if not tx.verify_submitter_signature():
-                    raise LedgerError("bad transaction signature")
-        except LedgerError:
-            return position
-        check._link(block)
-    return None
-
-
-def replay_and_verify(channel: Channel, blocks: Iterable[Block]) -> Tuple[Ledger, Optional[int]]:
-    """replay_from_genesis and verify_chain in one pass over the blocks.
-
-    Each block is checked once.  Raises the first structural failure, as
-    replay_from_genesis does; otherwise returns the replayed ledger and the
-    position of the first block carrying a bad transaction signature (None
-    when every signature verifies), as verify_chain does.
+    Raises the first failure other than a bad submitter signature, so a
+    corrupted export never passes as a shorter chain.  Otherwise returns the
+    chained ledger and the position of the first block with a bad submitter
+    signature, or None: a position, because a tampered block's own number
+    cannot be trusted.
     """
     ledger = Ledger(channel)
     fail_at = None
     for position, block in enumerate(blocks):
-        ledger.append_block(block)
-        if fail_at is None and not all(tx.verify_submitter_signature() for tx in block.transactions):
-            fail_at = position
+        try:
+            ledger.append_block(block)
+        except BadTxSignature:
+            if fail_at is None:
+                fail_at = position
+            ledger._link(block)
     return ledger, fail_at
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
+import pathlib
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .identity import dump_json
+from .identity import dump_json, write_atomic
 
 
 class MetricsError(ValueError):
@@ -268,15 +269,17 @@ def report_to_json_bytes(report: MetricsReport) -> bytes:
     return dump_json(report.to_json())
 
 
-def export_report(report: MetricsReport, fmt: str, path) -> None:
+def encode_report(report: MetricsReport, fmt: str) -> bytes:
+    """The report's file bytes in fmt, "csv" or "json"."""
     if fmt == "csv":
-        data = report_to_csv(report).encode("utf-8")
-    elif fmt == "json":
-        data = report_to_json_bytes(report)
-    else:
-        raise MetricsError(f"unknown format {fmt!r}")
-    with open(path, "wb") as fh:
-        fh.write(data)
+        return report_to_csv(report).encode("utf-8")
+    if fmt == "json":
+        return report_to_json_bytes(report)
+    raise MetricsError(f"unknown format {fmt!r}")
+
+
+def export_report(report: MetricsReport, fmt: str, path) -> None:
+    write_atomic(pathlib.Path(path), encode_report(report, fmt))
 
 
 def lifecycles_to_csv(lifecycles: Sequence[TxLifecycle]) -> str:

@@ -59,10 +59,10 @@ class Node:
     def commit_block(self, channel: Channel, block: Block) -> None:
         """Verify and commit, or raise BlockRefused leaving state untouched.
 
-        The structural check (linkage, data hash, creator signature) runs
-        once, before the contracts.  The contracts then apply the block in
-        place; if one refuses, the journal taken beforehand (the entry each
-        of the block's keys held, the endorsement log's length) and the
+        The ledger's check (structure, creator and submitter signatures)
+        runs once, before the contracts.  The contracts then apply the block
+        in place; if one refuses, the journal taken beforehand (the entry
+        each of the block's keys held, the endorsement log's length) and the
         serials of the additions already applied undo the block.
         """
         ledger = self.ledgers[channel]
@@ -70,9 +70,6 @@ class Node:
             ledger.check_block(block)
         except LedgerError as exc:
             raise BlockRefused(str(exc), block.header.number) from exc
-        for tx in block.transactions:
-            if not tx.verify_submitter_signature():
-                raise BlockRefused("bad-tx-signature", block.header.number)
         number = block.header.number
         world = ledger.world_state
         journal = [(tx.key, world.get(tx.key)) for tx in block.transactions]

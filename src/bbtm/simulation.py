@@ -43,6 +43,7 @@ from .identity import (
     issue_certificate,
     role_of_name,
     sha256,
+    write_atomic,
 )
 from .ledger import Block, Channel, Transaction, encode_chain
 from .metrics import TxLifecycle
@@ -911,7 +912,7 @@ class Simulation:
         base.mkdir(parents=True, exist_ok=True)
         for channel, filename in ((Channel.GCCF, "gccf.chain"), (Channel.GPF, "gpf.chain")):
             path = base / filename
-            path.write_bytes(encode_chain(self.nodes[self.osp_name].ledger(channel).blocks))
+            write_atomic(path, encode_chain(self.nodes[self.osp_name].ledger(channel).blocks))
             out[channel.value] = str(path)
         return out
 

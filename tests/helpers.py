@@ -19,7 +19,7 @@ from bbtm.identity import (
     issue_certificate,
     role_of_name,
 )
-from bbtm.ledger import StateEntry, Transaction, TxFunction
+from bbtm.ledger import Channel, Ledger, LedgerError, StateEntry, Transaction, TxFunction
 
 BIG = 10_000_000_000
 SEED = 20_240_101
@@ -117,3 +117,14 @@ class Bed:
         self.view.world[gccf.cert_key(cert.subject_unique_id)] = StateEntry(
             canonical_encode(cert), TxFunction.REVOKE_CERT, block_number
         )
+
+
+def first_refused(channel: Channel, blocks) -> Optional[int]:
+    """Position of the first block append_block refuses, for any reason, or None."""
+    chain = Ledger(channel)
+    for position, block in enumerate(blocks):
+        try:
+            chain.append_block(block)
+        except LedgerError:
+            return position
+    return None

@@ -16,12 +16,12 @@ from bbtm import gccf, gpf, metrics
 from bbtm.ballot import BallotStatus, EndorsementType
 from bbtm.gpf import PolicyStatus
 from bbtm.identity import AuthorityRole, canonical_encode, sha256
-from bbtm.ledger import Channel, Ledger, Transaction, decode_block, make_block, verify_chain
+from bbtm.ledger import Channel, Transaction, decode_block, make_block, verify_chain
 from bbtm.node import Node
 from bbtm.ordering import GCCF_WRITERS, GPF_WRITERS, OrderingService, Rejected
 from bbtm.simulation import Fault, NetworkParams, ScenarioConfig, Simulation, run_scenario
 
-from helpers import Bed, make_identity
+from helpers import Bed, first_refused, make_identity
 from test_gccf import brute_force_validate, random_cert_world
 
 # Context floors from the published cloud measurements; the in-process
@@ -247,7 +247,7 @@ def test_acceptance_5_exhaustive_tamper_evidence():
         node.commit_block(Channel.GPF, block)
     blocks = list(ledger.blocks)
     assert len(blocks) == 5
-    assert verify_chain(ledger) is None
+    assert verify_chain(Channel.GPF, blocks)[1] is None
 
     total = 0
     detected = 0
@@ -261,9 +261,7 @@ def test_acceptance_5_exhaustive_tamper_evidence():
             except Exception:
                 detected += 1  # undecodable: flagged at this block trivially
                 continue
-            probe = Ledger(Channel.GPF)
-            probe.blocks = blocks[:index] + [mutated_block] + blocks[index + 1:]
-            fail_at = verify_chain(probe)
+            fail_at = first_refused(Channel.GPF, blocks[:index] + [mutated_block] + blocks[index + 1:])
             assert fail_at is not None, f"undetected mutation at block {index} byte {pos}"
             assert fail_at <= index, f"mutation at block {index} flagged late ({fail_at})"
             detected += 1

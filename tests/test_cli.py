@@ -49,6 +49,42 @@ class TestNetworkInit:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["network", "init", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("config, message", [
+        ({"nodes": BASE_CONFIG["nodes"]}, "missing key 'seed'"),
+        ({**BASE_CONFIG, "nodes": BASE_CONFIG["nodes"] + [{"role": "Bogus", "count": 1}]},
+         "'Bogus' is not a valid AuthorityRole"),
+        ({**BASE_CONFIG, "nodes": [n for n in BASE_CONFIG["nodes"] if n["role"] != "RCA"]},
+         "ICA-1 requires a root CA member before it"),
+        ({**BASE_CONFIG, "nodes": [n for n in BASE_CONFIG["nodes"] if n["role"] != "OSP"]},
+         "exactly one ordering service required"),
+        ({**BASE_CONFIG, "nodes": BASE_CONFIG["nodes"] + [{"role": "OSP", "count": 1}]},
+         "exactly one ordering service required"),
+        ({"seed": 1, "members": [{"role": "Elector", "name": "Elector-1"}, {"role": "RCA", "name": "RCA-1"},
+                                 {"role": "OSP", "name": "OSP-1"}, {"role": "OSP", "name": "OSP-2"}]},
+         "exactly one ordering service required"),
+        ([1, 2], "a network config is a JSON object"),
+    ], ids=["no-seed", "unknown-role", "ica-without-rca", "no-osp", "two-osp-nodes", "two-osp-members",
+            "not-an-object"])
+    def test_config_errors_are_config_invalid(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "dep"
+        assert main(["network", "init", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: config-invalid: {message}"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("filename, key", [("keys.json", "OSP-1"), ("consortium.json", "seed")])
+    def test_deployment_missing_a_key_is_not_a_deployment(self, deployment, capsys, filename, key):
+        path = deployment / filename
+        data = json.loads(path.read_text())
+        del (data["keys"] if filename == "keys.json" else data)[key]
+        path.write_text(json.dumps(data))
+        assert main(["policy", "get", "--deployment", str(deployment), "--entity", "Elector",
+                     "--rule", "ballot_quorum"]) == 1
+        assert capsys.readouterr().err.strip() == f"error: not a deployment directory: missing key {key!r}"
+
 
 class TestCertVerbs:
     def test_issue_validate_roundtrip(self, deployment, tmp_path, capsys):
@@ -182,6 +218,15 @@ class TestLedgerVerbs:
         assert _last_json(capsys)["ok"] is True
         assert main(["ledger", "import", str(out), "--channel", "GCCF"]) == 0
 
+    def test_failed_export_replace_keeps_the_old_file(self, deployment, tmp_path, monkeypatch):
+        out = tmp_path / "gccf.export"
+        out.write_bytes(b"old export")
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["ledger", "export", "--deployment", str(deployment), "--channel", "GCCF", "--out", str(out)])
+        assert out.read_bytes() == b"old export"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("gccf.export")) == ["gccf.export"]
+
     def test_verify_flags_corruption(self, deployment, tmp_path, capsys):
         out = tmp_path / "gpf.export"
         assert main(["ledger", "export", "--deployment", str(deployment), "--channel", "GPF", "--out", str(out)]) == 0
@@ -249,8 +294,41 @@ class TestSimAndMetrics:
         assert reports[0]["seed"] == 9 and reports[1]["seed"] == 10
 
 
+def _fail_replace(src, dst):
+    raise OSError("disk full")
+
+
+class TestMetricsReportFile:
+    @pytest.fixture
+    def report_path(self, tmp_path):
+        path = tmp_path / "report.json"
+        assert main(["sim", "run", "--scenario", str(SAMPLE), "--report", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_is_the_printed_report_encoded_once(self, report_path, tmp_path, capsys, monkeypatch, fmt):
+        capsys.readouterr()
+        calls = []
+        for name in ("report_to_json_bytes", "report_to_csv"):
+            original = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name, lambda report, _f=original: calls.append(1) or _f(report))
+        out = tmp_path / f"metrics.{fmt}"
+        assert main(["metrics", "report", "--report", str(report_path), "--format", fmt, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    def test_failed_replace_keeps_the_old_file(self, report_path, tmp_path, monkeypatch):
+        out = tmp_path / "metrics.json"
+        out.write_bytes(b"old metrics\n")
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["metrics", "report", "--report", str(report_path), "--out", str(out)])
+        assert out.read_bytes() == b"old metrics\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "report.json"]
+
+
 class TestSimRunFiles:
-    """``sim run`` writes its report and lifecycle files whole or not at all."""
+    """``sim run`` writes its report, lifecycle and chain files whole or not at all."""
 
     def test_report_file_is_the_report_bytes(self, tmp_path):
         report_path, csv_path = tmp_path / "report.json", tmp_path / "lifecycles.csv"
@@ -273,6 +351,17 @@ class TestSimRunFiles:
             main(["sim", "run", "--scenario", str(SAMPLE), "--report", str(report_path)])
         assert report_path.read_bytes() == b"old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_failed_replace_keeps_the_old_chains(self, tmp_path, monkeypatch):
+        out = tmp_path / "dep"
+        out.mkdir()
+        for name in cli.CHAIN_FILES.values():
+            (out / name).write_bytes(b"old chain")
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["sim", "run", "--scenario", str(SAMPLE), "--out", str(out)])
+        assert _chain_files(out) == {name: b"old chain" for name in cli.CHAIN_FILES.values()}
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli.CHAIN_FILES.values())
 
     def test_chunks_failing_midway_keep_the_old_file(self, tmp_path):
         target = tmp_path / "report.json"
@@ -365,6 +454,21 @@ class TestAtomicImport:
         assert "does not replay" in capsys.readouterr().err
         assert _chain_files(deployment) == before
         cli.load_deployment(str(deployment))
+
+    def test_chain_without_genesis_is_refused(self, deployment, tmp_path, capsys):
+        empty = tmp_path / "empty.chain"
+        empty.write_bytes(encode_chain([]))
+        assert len(empty.read_bytes()) == 5
+        before = _chain_files(deployment)
+        assert main(["ledger", "import", str(empty), "--deployment", str(deployment), "--channel", "GPF"]) == 1
+        assert "GPF chain has no genesis block" in capsys.readouterr().err
+        assert _chain_files(deployment) == before
+        get = ["policy", "get", "--deployment", str(deployment), "--entity", "Elector", "--rule", "ballot_quorum"]
+        assert main(get) == 0
+        assert _last_json(capsys)["found"] is True
+        (deployment / "gpf.chain").write_bytes(empty.read_bytes())
+        assert main(get) == 1
+        assert "GPF chain has no genesis block" in capsys.readouterr().err
 
     def test_valid_import_replaces_the_chain(self, deployment, tmp_path, capsys):
         source = tmp_path / "ica9.bin"

@@ -11,14 +11,12 @@ from bbtm.gpf import (
     NotPG,
     PolicyRecord,
     PolicyStatus,
-    add_policy,
     ballot_quorum,
     decode_policy,
     encode_policy,
     get_rule,
     make_policy_tx,
     make_revoke_policy_tx,
-    revoke_policy,
 )
 from bbtm.identity import AuthorityRole
 from bbtm.ledger import Channel
@@ -38,7 +36,7 @@ class TestAddPolicy:
         bed = Bed()
         view = GpfView()
         tx = make_policy_tx(_quorum_record(3), bed.pg.cert, bed.pg.key, 0)
-        add_policy(view, bed.view, tx, block_number=1)
+        gpf.apply_tx(view, bed.view, tx, block_number=1)
         record = get_rule(view, "Elector", "ballot_quorum")
         assert record.status == PolicyStatus.ALIVE
         assert record.rule_body == {"min_endorsements": 3}
@@ -49,7 +47,7 @@ class TestAddPolicy:
         view = GpfView()
         tx = make_policy_tx(_quorum_record(), bed.rca.cert, bed.rca.key, 0)
         with pytest.raises(NotPG):
-            add_policy(view, bed.view, tx, block_number=1)
+            gpf.apply_tx(view, bed.view, tx, block_number=1)
 
     def test_revoked_pg_is_not_pg(self):
         bed = Bed()
@@ -57,13 +55,13 @@ class TestAddPolicy:
         view = GpfView()
         tx = make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0)
         with pytest.raises(NotPG):
-            add_policy(view, bed.view, tx, block_number=1)
+            gpf.apply_tx(view, bed.view, tx, block_number=1)
 
     def test_readd_overwrites_alive(self):
         bed = Bed()
         view = GpfView()
-        add_policy(view, bed.view, make_policy_tx(_quorum_record(2), bed.pg.cert, bed.pg.key, 0), block_number=1)
-        add_policy(view, bed.view, make_policy_tx(_quorum_record(5), bed.pg.cert, bed.pg.key, 1), block_number=2)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(2), bed.pg.cert, bed.pg.key, 0), block_number=1)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(5), bed.pg.cert, bed.pg.key, 1), block_number=2)
         record = get_rule(view, "Elector", "ballot_quorum")
         assert record.status == PolicyStatus.ALIVE
         assert record.rule_body == {"min_endorsements": 5}
@@ -74,9 +72,9 @@ class TestRevokePolicy:
     def test_revoke_flips_to_death(self):
         bed = Bed()
         view = GpfView()
-        add_policy(view, bed.view, make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
         tx = make_revoke_policy_tx(view, "Elector", "ballot_quorum", bed.pg.cert, bed.pg.key, 1)
-        revoke_policy(view, bed.view, tx, block_number=2)
+        gpf.apply_tx(view, bed.view, tx, block_number=2)
         record = get_rule(view, "Elector", "ballot_quorum")
         assert record.status == PolicyStatus.DEATH
         # Dead rules are not in force: consumers fall back to the default.
@@ -87,19 +85,19 @@ class TestRevokePolicy:
         view = GpfView()
         tx = make_revoke_policy_tx(view, "Elector", "never_added", bed.pg.cert, bed.pg.key, 0)
         with pytest.raises(ContractRejection) as exc:
-            revoke_policy(view, bed.view, tx, block_number=1)
+            gpf.apply_tx(view, bed.view, tx, block_number=1)
         assert exc.value.reason == "unknown-rule"
 
     def test_revoke_then_readd_is_alive(self):
         bed = Bed()
         view = GpfView()
-        add_policy(view, bed.view, make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
-        revoke_policy(
+        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
+        gpf.apply_tx(
             view, bed.view,
             make_revoke_policy_tx(view, "Elector", "ballot_quorum", bed.pg.cert, bed.pg.key, 1),
             block_number=2,
         )
-        add_policy(view, bed.view, make_policy_tx(_quorum_record(4), bed.pg.cert, bed.pg.key, 2), block_number=3)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(4), bed.pg.cert, bed.pg.key, 2), block_number=3)
         assert get_rule(view, "Elector", "ballot_quorum").status == PolicyStatus.ALIVE
         assert ballot_quorum(view) == 4
 

@@ -24,8 +24,6 @@ from bbtm.ledger import (
     TxFunction,
     encode_chain,
     make_block,
-    replay_and_verify,
-    replay_from_genesis,
     verify_chain,
 )
 from bbtm.node import BlockRefused
@@ -280,18 +278,21 @@ class TestLedgerVerifyOnePass:
         assert main(["ledger", "import", str(path)]) == 1
         assert capsys.readouterr().out.startswith("import failed: block 3 does not extend the tip")
 
-    def test_matches_replay_then_verify(self, finished, chain):
+    def test_fail_at_is_the_first_forged_block(self, finished, chain):
         blocks, _path = chain
-        for candidate in (blocks, self._forged_signature(finished, blocks, 1), self._forged_signature(finished, blocks, 3)):
-            replayed, fail_at = replay_and_verify(Channel.GCCF, candidate)
-            two_pass = replay_from_genesis(Channel.GCCF, candidate)
-            assert fail_at == verify_chain(two_pass)
-            assert replayed.world_state == two_pass.world_state
-            assert replayed.head_hash() == two_pass.head_hash()
+        for candidate, expected in (
+            (blocks, None),
+            (self._forged_signature(finished, blocks, 1), 1),
+            (self._forged_signature(finished, blocks, 3), 3),
+        ):
+            checked, fail_at = verify_chain(Channel.GCCF, candidate)
+            assert fail_at == expected
+            assert checked.world_state == {}
+            assert checked.head_hash() == candidate[-1].header.hash()
         bad = list(blocks)
         bad[2] = dataclasses.replace(bad[2], header=dataclasses.replace(bad[2].header, data_hash=bytes(32)))
         with pytest.raises(LedgerError, match="data hash mismatch"):
-            replay_and_verify(Channel.GCCF, bad)
+            verify_chain(Channel.GCCF, bad)
 
 
 class TestConfigErrors:
