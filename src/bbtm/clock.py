@@ -26,6 +26,3 @@ class VirtualClock:
         if t_ms < self._ms:
             raise ValueError(f"clock cannot move backwards ({t_ms} < {self._ms})")
         self._ms = t_ms
-
-    def advance_by(self, delta_ms: int) -> None:
-        self.advance_to(self._ms + delta_ms)

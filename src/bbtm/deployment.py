@@ -24,6 +24,7 @@ from .identity import (
     UID_LEN,
     generate_keypair,
     issue_certificate,
+    role_of_name,
 )
 from .ledger import Transaction
 from .ordering import ConsortiumConfig, GenesisBundle, Member, create_genesis
@@ -111,6 +112,29 @@ def expand_node_counts(node_counts: Sequence[Tuple[str, int]]) -> List[Tuple[Aut
     return members
 
 
+def derive_identity(
+    seed: int,
+    name: str,
+    issuer: Optional[Identity],
+    *,
+    validity: Tuple[int, int],
+    serial: bytes,
+    now_s: float,
+    role: Optional[AuthorityRole] = None,
+) -> Identity:
+    """Mint ``name``: its key and unique id depend only on the seed and the name.
+
+    Self-signed when ``issuer`` is None; ``role`` defaults to the name's prefix.
+    """
+    key = generate_keypair(derive_bytes(seed, f"key:{name}", 32))
+    uid = derive_bytes(seed, f"uid:{name}", UID_LEN)
+    not_before, not_after = validity
+    subject = Subject(name=name, public_key=key.public_key, unique_id=uid, not_before=not_before, not_after=not_after)
+    signer_key, signer_cert = (issuer.key, issuer.cert) if issuer else (key, None)
+    cert = issue_certificate(signer_key, signer_cert, subject, now_s=now_s, serial=serial)
+    return Identity(name=name, role=role if role is not None else role_of_name(name), key=key, cert=cert)
+
+
 def build_deployment(
     seed: int,
     members: Sequence[Tuple[AuthorityRole, str]],
@@ -127,33 +151,24 @@ def build_deployment(
     but committed later through ordinary transactions.
     """
     member_list = list(members)
+    # Every later block is cut by the one ordering service.  Checked before
+    # the names, so two OSP entries get this message and not the vaguer one.
+    osp_names = [name for role, name in member_list if role == AuthorityRole.OSP]
+    if len(osp_names) != 1:
+        raise ValueError("exactly one ordering service required")
     names = [name for _role, name in member_list]
     if len(set(names)) != len(names):
         raise ValueError("duplicate member names")
-    not_before, not_after = validity
     serial_rng = derive_rng(seed, "serials")
 
     def make_identity(role: AuthorityRole, name: str, issuer: Optional[Identity]) -> Identity:
-        key = generate_keypair(derive_bytes(seed, f"key:{name}", 32))
-        subject = Subject(
-            name=name,
-            public_key=key.public_key,
-            unique_id=derive_bytes(seed, f"uid:{name}", UID_LEN),
-            not_before=not_before,
-            not_after=not_after,
+        return derive_identity(
+            seed, name, issuer, validity=validity, serial=serial_rng.randbytes(16),
+            now_s=validity[0], role=role,
         )
-        cert = issue_certificate(
-            issuer.key if issuer else key,
-            issuer.cert if issuer else None,
-            subject,
-            now_s=not_before,
-            serial=serial_rng.randbytes(16),
-        )
-        return Identity(name=name, role=role, key=key, cert=cert)
 
     identities: Dict[str, Identity] = {}
-    osp_name = next((n for r, n in member_list if r == AuthorityRole.OSP), "OSP-1")
-    osp = make_identity(AuthorityRole.OSP, osp_name, None)
+    osp = make_identity(AuthorityRole.OSP, osp_names[0], None)
 
     by_role: Dict[AuthorityRole, List[Identity]] = {}
     # Two passes: self-signed and root-issued first, then the ICA-issued

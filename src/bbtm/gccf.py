@@ -134,14 +134,10 @@ def committed_identity(view: GccfView, submitter: CertificateRecord) -> Optional
     return entry
 
 
-def _require_elector(view: GccfView, submitter: CertificateRecord, exc_type, reason: str) -> None:
-    entry = committed_identity(view, submitter)
-    if (
-        entry is None
-        or entry.function != TxFunction.ADD_CERT
-        or submitter.subject_role != AuthorityRole.ELECTOR
-    ):
-        raise exc_type(reason)
+def holds_role(view: GccfView, cert: CertificateRecord, role: AuthorityRole) -> bool:
+    """True iff ``cert`` is committed as carried, not revoked, and has ``role``."""
+    entry = committed_identity(view, cert)
+    return entry is not None and entry.function == TxFunction.ADD_CERT and cert.subject_role == role
 
 
 def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
@@ -174,7 +170,8 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
             if submitter.subject_unique_id != cert.subject_unique_id:
                 raise NotAddingVerify("role-violation")
         else:
-            _require_elector(view, submitter, NotAddingVerify, "role-violation")
+            if not holds_role(view, submitter, AuthorityRole.ELECTOR):
+                raise NotAddingVerify("role-violation")
             etype = (
                 EndorsementType.ADD_ROOT
                 if subject_role == AuthorityRole.RCA
@@ -227,7 +224,8 @@ def revoke_cert(view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT
     submitter = tx.submitter_cert
 
     if target_role in BALLOT_GOVERNED:
-        _require_elector(view, submitter, NotRevokingVerify, "not-PG")
+        if not holds_role(view, submitter, AuthorityRole.ELECTOR):
+            raise NotRevokingVerify("not-PG")
         etype = (
             EndorsementType.REVOKE_ROOT
             if target_role == AuthorityRole.RCA
@@ -236,14 +234,8 @@ def revoke_cert(view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT
         tally = tally_ballot(view, etype, sha256(target_entry.payload), quorum)
         if tally.status != BallotStatus.ACCEPTED:
             raise NotRevokingVerify("not-PG")
-    else:
-        entry = committed_identity(view, submitter)
-        if (
-            entry is None
-            or entry.function != TxFunction.ADD_CERT
-            or submitter.subject_role != AuthorityRole.PG
-        ):
-            raise NotRevokingVerify("not-PG")
+    elif not holds_role(view, submitter, AuthorityRole.PG):
+        raise NotRevokingVerify("not-PG")
     if not verify_certificate_signature(cert, submitter.subject_public_key):
         raise NotRevokingVerify("not-PG")
 

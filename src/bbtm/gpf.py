@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, Optional, Union
 
 from . import wire
-from .gccf import ContractRejection, GccfView, committed_identity
+from .gccf import ContractRejection, GccfView, holds_role
 from .identity import AuthorityRole, CertificateRecord, KeyPair
 from .ledger import Channel, StateEntry, Transaction, TxFunction, make_transaction
 
@@ -118,12 +118,7 @@ class GpfView:
 
 
 def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
-    entry = committed_identity(gccf_view, submitter)
-    if (
-        entry is None
-        or entry.function != TxFunction.ADD_CERT
-        or submitter.subject_role != AuthorityRole.PG
-    ):
+    if not holds_role(gccf_view, submitter, AuthorityRole.PG):
         raise NotPG()
 
 

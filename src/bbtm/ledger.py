@@ -447,6 +447,9 @@ def verify_chain(channel: Channel, blocks: Iterable[Block]) -> Tuple[Ledger, Opt
             if fail_at is None:
                 fail_at = position
             ledger._link(block)
+    # A chain without its genesis block holds no consortium to check against.
+    if ledger.height == 0:
+        raise LedgerError(f"{channel.value} chain has no genesis block")
     return ledger, fail_at
 
 

@@ -108,12 +108,6 @@ class ConsortiumConfig:
             if AuthorityRole.EE in policy.writers:
                 raise ConfigError("end entities are read-only")
 
-    def member_by_uid(self, uid: bytes) -> Optional[Member]:
-        for member in self.members:
-            if member.cert.subject_unique_id == uid:
-                return member
-        return None
-
     def to_json(self) -> dict:
         return {
             "consensus_id": self.consensus_id,
@@ -213,10 +207,6 @@ class OrderingService:
 
     def pending_count(self, channel: Channel) -> int:
         return len(self._pending[channel])
-
-    def oldest_pending_ms(self, channel: Channel) -> Optional[int]:
-        q = self._pending[channel]
-        return q[0].arrival_ms if q else None
 
     def submit_tx(self, tx: Transaction, *, now_ms: int) -> int:
         """Admit and return the sequence number, or raise Rejected."""

@@ -27,20 +27,15 @@ from .deployment import (
     DEFAULT_NOT_BEFORE,
     Deployment,
     build_deployment,
-    derive_bytes,
+    derive_identity,
     derive_rng,
     expand_node_counts,
 )
 from .identity import (
     AuthorityRole,
-    CertificateRecord,
     Identity,
-    Subject,
-    UID_LEN,
     canonical_encode,
     dump_json,
-    generate_keypair,
-    issue_certificate,
     role_of_name,
     sha256,
     write_atomic,
@@ -240,11 +235,13 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self._validate_config()
-        members = expand_node_counts(config.nodes)
+        self._members = expand_node_counts(config.nodes)
+        # The default signer of revocations and rules: the first PG.
+        self._pg_name = next(name for role, name in self._members if role == AuthorityRole.PG)
         try:
             self.deployment: Deployment = build_deployment(
                 config.seed,
-                members,
+                self._members,
                 config.policy_dict(),
                 validity=config.validity,
                 defer_bootstrap=frozenset(config.defer_bootstrap),
@@ -253,7 +250,7 @@ class Simulation:
             raise SimulationError(f"config-invalid: {exc}") from exc
         self.clock = VirtualClock()
         self.nodes: Dict[str, Node] = {}
-        for _role, name in members:
+        for _role, name in self._members:
             node = Node(self.deployment.identity(name))
             node.commit_genesis(self.deployment.genesis.gccf_genesis, self.deployment.genesis.gpf_genesis)
             self.nodes[name] = node
@@ -266,9 +263,6 @@ class Simulation:
         # Registry of every identity that can sign or be certified, including
         # synthetic workload subjects created on the fly.
         self._identities: Dict[str, Identity] = dict(self.deployment.identities)
-        self._certs: Dict[str, CertificateRecord] = {
-            name: ident.cert for name, ident in self.deployment.identities.items()
-        }
         self._heap: List[Tuple[int, int, Callable, tuple]] = []
         self._event_seq = itertools.count()
         self._lifecycles: Dict[bytes, TxLifecycle] = {}
@@ -296,8 +290,6 @@ class Simulation:
             if count < 0:
                 raise SimulationError("config-invalid: negative node count")
             counts[role.value] = count
-        if counts.get("OSP", 0) != 1:
-            raise SimulationError("config-invalid: exactly one ordering service required")
         if counts.get("PG", 0) < 1:
             raise SimulationError("config-invalid: a policy generator is required")
         quorum = self.config.policy_dict().get("ballot_quorum", ballot_mod.DEFAULT_BALLOT_QUORUM)
@@ -309,7 +301,7 @@ class Simulation:
             raise SimulationError("config-invalid: bad network parameters")
         if any(not 0 <= rate <= 1 for _name, rate in net.link_drop):
             raise SimulationError("config-invalid: bad link drop rate")
-        names = {f"{role}-{i}" for role, count in self.config.nodes for i in range(1, count + 1)}
+        names = {name for _role, name in expand_node_counts(self.config.nodes)}
         for fault in self.config.faults:
             if fault.node not in names:
                 raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
@@ -318,17 +310,11 @@ class Simulation:
         actions: List[dict] = []
         t = PROLOGUE_START_MS
         if self.config.auto_commit_members:
+            # Every member still missing is issued by another member.
+            name_of = {ident.unique_id: name for name, ident in self.deployment.identities.items()}
             for ident in self.deployment.members_missing_from_genesis():
-                issuer_uid = ident.cert.issuer_unique_id
-                issuer = next(
-                    (i for i in self.deployment.identities.values() if i.unique_id == issuer_uid),
-                    None,
-                )
-                if issuer is None or issuer.name == ident.name:
-                    continue
-                actions.append(
-                    {"at_ms": t, "action": "commit_member", "name": ident.name, "issuer": issuer.name}
-                )
+                issuer = name_of[ident.cert.issuer_unique_id]
+                actions.append({"at_ms": t, "action": "commit_member", "name": ident.name, "issuer": issuer})
                 t += PROLOGUE_SPACING_MS
         prologue_end = t
         if self.config.generate:
@@ -351,21 +337,14 @@ class Simulation:
         safety = net.latency_max_ms - net.latency_min_ms + spacing + 1
 
         issuers = [
-            (name, AuthorityRole(role))
-            for role, role_count in self.config.nodes
-            for name in [f"{role}-{i}" for i in range(1, role_count + 1)]
-            if role in ("RCA", "ICA") and name not in self.config.defer_bootstrap
+            (name, role)
+            for role, name in self._members
+            if role in (AuthorityRole.RCA, AuthorityRole.ICA) and name not in self.config.defer_bootstrap
         ]
         if not issuers:
             raise SimulationError("config-invalid: generated workload needs an RCA or ICA")
-        pg_name = next(
-            f"PG-{i}" for role, c in self.config.nodes if role == "PG" for i in range(1, c + 1)
-        )
         validators = [
-            f"{role}-{i}"
-            for role, c in self.config.nodes
-            for i in range(1, c + 1)
-            if role in ("RA", "ICA", "RCA")
+            name for role, name in self._members if role in (AuthorityRole.RA, AuthorityRole.ICA, AuthorityRole.RCA)
         ]
         subject_roles = {
             AuthorityRole.RCA: ["MA"],
@@ -390,7 +369,7 @@ class Simulation:
                 index = rng.choice(range(eligible))
                 target = open_targets.pop(index)
                 del open_at[index]
-                actions.append({"at_ms": t, "action": "revoke", "by": pg_name, "target": target})
+                actions.append({"at_ms": t, "action": "revoke", "by": self._pg_name, "target": target})
             elif roll < 0.70 and roll >= 0.50 and eligible:
                 actions.append(
                     {
@@ -478,27 +457,13 @@ class Simulation:
 
     # --------------------------------------------------------------- workload
 
-    def _identity_for(self, name: str, *, self_signed: bool = False) -> Identity:
-        if name in self._identities:
-            return self._identities[name]
-        role = role_of_name(name)
-        if role is None:
-            raise SimulationError(f"cannot infer a role from name {name!r}")
-        key = generate_keypair(derive_bytes(self.config.seed, f"key:{name}", 32))
-        uid = derive_bytes(self.config.seed, f"uid:{name}", UID_LEN)
-        nb, na = self.config.validity
-        if not self_signed:
-            raise SimulationError(f"unknown identity {name!r}")
-        cert = issue_certificate(
-            key,
-            None,
-            Subject(name=name, public_key=key.public_key, unique_id=uid, not_before=nb, not_after=na),
-            now_s=nb,
-            serial=self._serial_rng(name).randbytes(16),
-        )
-        ident = Identity(name=name, role=role, key=key, cert=cert)
+    def _mint(self, name: str, issuer: Optional[Identity], validity: Tuple[int, int], now_s: float) -> Identity:
+        """Derive a workload subject; a serial comes from its signer's stream."""
+        if role_of_name(name) is None:
+            raise SimulationError(f"subject name {name!r} carries no role")
+        serial = self._serial_rng(issuer.name if issuer else name).randbytes(16)
+        ident = derive_identity(self.config.seed, name, issuer, validity=validity, serial=serial, now_s=now_s)
         self._identities[name] = ident
-        self._certs[name] = cert
         return ident
 
     def _serial_rng(self, issuer: str):
@@ -529,40 +494,29 @@ class Simulation:
                 self._submit(issuer.name, tx)
             elif kind == "issue":
                 issuer = self._identities[action["issuer"]]
-                subject_name = action["subject_name"]
-                role = role_of_name(subject_name)
-                if role is None:
-                    raise SimulationError(f"subject name {subject_name!r} carries no role")
-                key = generate_keypair(derive_bytes(self.config.seed, f"key:{subject_name}", 32))
-                uid = derive_bytes(self.config.seed, f"uid:{subject_name}", UID_LEN)
-                nb = action.get("not_before", self.config.validity[0])
-                na = action.get("not_after", self.config.validity[1])
-                cert = issue_certificate(
-                    issuer.key,
-                    issuer.cert,
-                    Subject(name=subject_name, public_key=key.public_key, unique_id=uid, not_before=nb, not_after=na),
-                    now_s=self.clock.now_s,
-                    serial=self._serial_rng(issuer.name).randbytes(16),
+                validity = (
+                    action.get("not_before", self.config.validity[0]),
+                    action.get("not_after", self.config.validity[1]),
                 )
-                self._identities[subject_name] = Identity(name=subject_name, role=role, key=key, cert=cert)
-                self._certs[subject_name] = cert
-                tx = gccf.make_add_cert_tx(cert, issuer.cert, issuer.key, now)
+                subject = self._mint(action["subject_name"], issuer, validity, self.clock.now_s)
+                tx = gccf.make_add_cert_tx(subject.cert, issuer.cert, issuer.key, now)
                 self._submit(issuer.name, tx)
             elif kind == "new_root":
-                self._identity_for(action["name"], self_signed=True)
+                if action["name"] not in self._identities:
+                    self._mint(action["name"], None, self.config.validity, self.config.validity[0])
             elif kind == "revoke":
-                by = self._identities[action.get("by", self._first_of(AuthorityRole.PG))]
-                target = self._certs[action["target"]]
+                by = self._identities[action.get("by", self._pg_name)]
+                target = self._identities[action["target"]].cert
                 tx = gccf.make_revoke_cert_tx(target, by.cert, by.key, now)
                 self._submit(by.name, tx)
             elif kind == "validate":
                 submitter = self._identities[action["submitter"]]
-                target = self._certs[action["target"]]
+                target = self._identities[action["target"]].cert
                 tx = gccf.make_validate_tx(target, submitter.cert, submitter.key, now)
                 self._submit(submitter.name, tx)
             elif kind == "query":
                 node = self.nodes[action["node"]]
-                target = self._certs[action["target"]]
+                target = self._identities[action["target"]].cert
                 result = gccf.validate_cert(node.gccf_view, target, self.clock.now_s)
                 self.queries.append(
                     {
@@ -575,7 +529,7 @@ class Simulation:
                     }
                 )
             elif kind == "policy_add":
-                pg = self._identities[action.get("by", self._first_of(AuthorityRole.PG))]
+                pg = self._identities[action.get("by", self._pg_name)]
                 record = gpf.PolicyRecord(
                     entity=action["entity"],
                     rule_name=action["rule"],
@@ -585,7 +539,7 @@ class Simulation:
                 tx = gpf.make_policy_tx(record, pg.cert, pg.key, now)
                 self._submit(pg.name, tx)
             elif kind == "policy_revoke":
-                pg = self._identities[action.get("by", self._first_of(AuthorityRole.PG))]
+                pg = self._identities[action.get("by", self._pg_name)]
                 tx = gpf.make_revoke_policy_tx(
                     self.nodes[pg.name].gpf_view, action["entity"], action["rule"], pg.cert, pg.key, now
                 )
@@ -593,7 +547,7 @@ class Simulation:
             elif kind == "endorse":
                 elector = self._identities[action["elector"]]
                 etype = EndorsementType(action["type"])
-                target = self._certs[action["target"]]
+                target = self._identities[action["target"]].cert
                 view = self.nodes[elector.name].gccf_view
                 endorsement = ballot_mod.create_endorsement(elector.key, elector.cert, etype, target, view)
                 tx = ballot_mod.make_endorsement_tx(endorsement, target.serial_number, elector.cert, elector.key, now)
@@ -601,7 +555,7 @@ class Simulation:
             elif kind == "apply_ballot":
                 elector = self._identities[action["elector"]]
                 etype = EndorsementType(action["type"])
-                target = self._certs[action["target"]]
+                target = self._identities[action["target"]].cert
                 node = self.nodes[elector.name]
                 quorum = gpf.ballot_quorum(node.gpf_view)
                 tally = ballot_mod.tally_ballot(node.gccf_view, etype, sha256(canonical_encode(target)), quorum)
@@ -611,12 +565,6 @@ class Simulation:
                 raise SimulationError(f"unknown workload action {kind!r}")
         except BallotError as exc:
             self._reject(action.get("elector", "?"), "GCCF", "Ballot", exc.reason, now)
-
-    def _first_of(self, role: AuthorityRole) -> str:
-        for name, ident in self.deployment.identities.items():
-            if ident.role == role:
-                return name
-        raise SimulationError(f"no member with role {role.value}")
 
     def _submit(self, submitter: str, tx: Transaction) -> None:
         node = self.nodes.get(submitter)
@@ -904,17 +852,28 @@ class Simulation:
         )
 
     def export_ledgers(self, directory) -> Dict[str, str]:
-        """Write the sequencer's chains as ledger files; returns the paths."""
+        """Write the sequencer's chains as ledger files; returns the paths.
+
+        The pair is written whole or not at all: if the second file fails,
+        the first gets its previous bytes back, or goes if it is new.
+        """
         import pathlib
 
-        out = {}
         base = pathlib.Path(directory)
         base.mkdir(parents=True, exist_ok=True)
-        for channel, filename in ((Channel.GCCF, "gccf.chain"), (Channel.GPF, "gpf.chain")):
-            path = base / filename
-            write_atomic(path, encode_chain(self.nodes[self.osp_name].ledger(channel).blocks))
-            out[channel.value] = str(path)
-        return out
+        first, second = base / "gccf.chain", base / "gpf.chain"
+        previous = first.read_bytes() if first.exists() else None
+        osp = self.nodes[self.osp_name]
+        write_atomic(first, encode_chain(osp.ledger(Channel.GCCF).blocks))
+        try:
+            write_atomic(second, encode_chain(osp.ledger(Channel.GPF).blocks))
+        except BaseException:
+            if previous is None:
+                first.unlink(missing_ok=True)
+            else:
+                write_atomic(first, previous)
+            raise
+        return {Channel.GCCF.value: str(first), Channel.GPF.value: str(second)}
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:

@@ -6,19 +6,10 @@ from random import Random
 from typing import Optional
 
 from bbtm import gccf, gpf
-from bbtm.deployment import derive_bytes
+from bbtm.deployment import derive_bytes, derive_identity
 from bbtm.gccf import GccfView
 from bbtm.gpf import GpfView, PolicyRecord, PolicyStatus
-from bbtm.identity import (
-    CertificateRecord,
-    Identity,
-    Subject,
-    UID_LEN,
-    canonical_encode,
-    generate_keypair,
-    issue_certificate,
-    role_of_name,
-)
+from bbtm.identity import CertificateRecord, Identity, canonical_encode, role_of_name
 from bbtm.ledger import Channel, Ledger, LedgerError, StateEntry, Transaction, TxFunction
 
 BIG = 10_000_000_000
@@ -36,27 +27,14 @@ def make_identity(
     seed: int = SEED,
     issue_now: Optional[float] = None,
 ) -> Identity:
-    role = role_of_name(name)
-    assert role is not None, f"test identity name {name!r} needs a role prefix"
-    key = generate_keypair(derive_bytes(seed, f"key:{name}", 32))
+    assert role_of_name(name) is not None, f"test identity name {name!r} needs a role prefix"
     # Sign at a time inside the issuer's own window; the subject's window is
     # independent so tests can mint already-expired or not-yet-valid records.
     if issue_now is None:
         issue_now = issuer.cert.not_before if issuer else not_before
-    cert = issue_certificate(
-        issuer.key if issuer else key,
-        issuer.cert if issuer else None,
-        Subject(
-            name=name,
-            public_key=key.public_key,
-            unique_id=derive_bytes(seed, f"uid:{name}", UID_LEN),
-            not_before=not_before,
-            not_after=not_after,
-        ),
-        now_s=issue_now,
-        serial=serial if serial is not None else (rng.randbytes(16) if rng else derive_bytes(seed, f"serial:{name}", 16)),
-    )
-    return Identity(name=name, role=role, key=key, cert=cert)
+    if serial is None:
+        serial = rng.randbytes(16) if rng else derive_bytes(seed, f"serial:{name}", 16)
+    return derive_identity(seed, name, issuer, validity=(not_before, not_after), serial=serial, now_s=issue_now)
 
 
 class Bed:

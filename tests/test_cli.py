@@ -8,6 +8,8 @@ import pytest
 
 from bbtm import cli, gccf, metrics
 from bbtm.cli import main
+from bbtm.deployment import derive_identity
+from bbtm.identity import verify_certificate_signature
 from bbtm.ledger import Channel, encode_chain, make_block
 from bbtm.simulation import ScenarioConfig, Simulation
 
@@ -114,6 +116,24 @@ class TestCertVerbs:
         assert rc == 1
         verdict = _last_json(capsys)
         assert verdict["result"] == "NotVerify" and verdict["reason"] == "missing-link"
+
+    def test_self_issue_of_a_member_keeps_its_key(self, deployment, tmp_path, capsys):
+        # Every stored key is the one its name derives to, so a member that
+        # issues itself a new record keeps its key and unique id.
+        keys = json.loads((deployment / "keys.json").read_text())["keys"]
+        for name, private in keys.items():
+            derived = derive_identity(BASE_CONFIG["seed"], name, None, validity=(0, 1), serial=bytes(16), now_s=0)
+            assert derived.key.private_bytes().hex() == private
+        member = cli.load_deployment(str(deployment)).identity("RCA-1").cert
+        cert_path = tmp_path / "rca1.bin"
+        assert main([
+            "cert", "issue", "--deployment", str(deployment),
+            "--issuer", "RCA-1", "--subject", "RCA-1", "--out", str(cert_path),
+        ]) == 0
+        cert = cli.read_cert_file(str(cert_path))
+        assert cert.is_self_signed and cert.serial_number != member.serial_number
+        assert (cert.subject_public_key, cert.subject_unique_id) == (member.subject_public_key, member.subject_unique_id)
+        assert verify_certificate_signature(cert, member.subject_public_key)
 
     def test_revoked_cert_fails_revoked_on_path(self, deployment, tmp_path, capsys):
         cert_path = tmp_path / "ica9.bin"
@@ -235,6 +255,17 @@ class TestLedgerVerbs:
         corrupted = tmp_path / "gpf.corrupt"
         corrupted.write_bytes(bytes(data))
         assert main(["ledger", "verify", str(corrupted)]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify"], "verification failed: GCCF chain has no genesis block"),
+        (["import"], "import failed: GCCF chain has no genesis block"),
+        (["import", "--channel", "GPF"], "import failed: GPF chain has no genesis block"),
+    ], ids=["verify", "import", "import-gpf"])
+    def test_chain_with_no_blocks_is_refused(self, tmp_path, capsys, argv, message):
+        empty = tmp_path / "empty.chain"
+        empty.write_bytes(encode_chain([]))
+        assert main(["ledger", argv[0], str(empty), *argv[1:]]) == 1
+        assert capsys.readouterr().out.strip() == message
 
 
 class TestGccfExport:
@@ -362,6 +393,27 @@ class TestSimRunFiles:
             main(["sim", "run", "--scenario", str(SAMPLE), "--out", str(out)])
         assert _chain_files(out) == {name: b"old chain" for name in cli.CHAIN_FILES.values()}
         assert sorted(p.name for p in out.iterdir()) == sorted(cli.CHAIN_FILES.values())
+
+    @pytest.mark.parametrize("old", [True, False], ids=["old-chains", "no-chains"])
+    def test_failed_second_replace_keeps_the_old_pair(self, tmp_path, monkeypatch, old):
+        out = tmp_path / "dep"
+        out.mkdir()
+        before = {name: f"old {name}".encode() for name in cli.CHAIN_FILES.values()} if old else {}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+        real_replace = os.replace
+        calls = []
+
+        def fail_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            main(["sim", "run", "--scenario", str(SAMPLE), "--out", str(out)])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_chunks_failing_midway_keep_the_old_file(self, tmp_path):
         target = tmp_path / "report.json"

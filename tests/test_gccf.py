@@ -205,7 +205,7 @@ def brute_force_validate(view: GccfView, cert, now_s: float) -> bool:
 
 
 def random_cert_world(seed: int, max_certs: int = 30):
-    """A random committed certificate DAG with revocations and expiries."""
+    """A random committed certificate DAG with revocations, expiries and uid collisions."""
     rng = Random(seed)
     bed = Bed()
     view = bed.view
@@ -215,6 +215,7 @@ def random_cert_world(seed: int, max_certs: int = 30):
         (bed.rca.cert, bed.rca), (bed.ica.cert, bed.ica), (bed.pg.cert, bed.pg),
     ] + [(e.cert, e) for e in bed.electors]}
     n = rng.randint(1, max_certs - len(certs))
+    first_random = len(certs)
     roles_by_issuer = {
         AuthorityRole.RCA: ["ICA", "MA", "PG"],
         AuthorityRole.ICA: ["PCA", "RA", "ECA", "LA"],
@@ -239,10 +240,15 @@ def random_cert_world(seed: int, max_certs: int = 30):
             nb, na = int(now) + rng.randint(1, 1000), BIG
         else:
             nb, na = 0, BIG
-        child = make_identity(
-            f"{rng.choice(options)}-r{seed}x{counter}", issuer,
-            not_before=nb, not_after=na, rng=rng,
-        )
+        name = f"{rng.choice(options)}-r{seed}x{counter}"
+        # Now and then an earlier name is minted again, by another issuer or
+        # by the same one: the same uid and key with a new serial and window.
+        # The newer record replaces the older, and the older one's children
+        # now chain through it.
+        rivals = [c.subject_name for c in certs[first_random:] if role_of_name(c.subject_name).value in options]
+        if rivals and rng.random() < 0.15:
+            name = rng.choice(rivals)
+        child = make_identity(name, issuer, not_before=nb, not_after=na, rng=rng)
         bed.inject_committed(child.cert, block_number=counter)
         certs.append(child.cert)
         identities[child.cert.subject_unique_id] = child

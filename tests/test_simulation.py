@@ -402,6 +402,16 @@ class TestQueriesAndBallotWorkload:
         assert report.queries[0]["result"] == "Success"
 
 
+    @pytest.mark.parametrize("action", [
+        {"at_ms": 500, "action": "new_root", "name": "Nobody-1"},
+        {"at_ms": 500, "action": "issue", "issuer": "RCA-1", "subject_name": "Nobody-1"},
+    ], ids=["new_root", "issue"])
+    def test_subject_without_a_role_prefix_is_refused(self, action):
+        sim = Simulation(small_config(count=0, workload=(action,), generate=None))
+        with pytest.raises(SimulationError, match="subject name 'Nobody-1' carries no role"):
+            sim.run()
+
+
 class TestGeneratedWorkload:
     # SHA-256 of the sample scenario's expanded action list under two seeds.
     # A seed fixes every generated scenario, so the generator must keep
