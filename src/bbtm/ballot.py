@@ -18,12 +18,10 @@ from . import wire
 from .identity import (
     AuthorityRole,
     CertificateRecord,
-    CertFunction,
     KeyPair,
     UID_LEN,
     canonical_encode,
     decode_certificate,
-    resign_as,
     sha256,
     verify_signature,
 )
@@ -277,6 +275,9 @@ def apply_ballot(
     tally against the chain when the transaction commits, so a stale or
     forged application is rejected there as well.
     """
+    # Imported here because gccf imports this module for its tallies.
+    from .gccf import make_add_cert_tx, make_revoke_cert_tx
+
     if ballot.status != BallotStatus.ACCEPTED:
         raise BallotError("not-accepted")
     if ballot.endorsement_type.is_add:
@@ -288,28 +289,11 @@ def apply_ballot(
             record, entry = committed
             if entry.function == TxFunction.ADD_CERT and entry.payload == canonical_encode(target):
                 raise BallotError("already-applied")
-        return make_transaction(
-            channel=Channel.GCCF,
-            function=TxFunction.ADD_CERT,
-            key=f"cert/{target.subject_unique_id.hex()}",
-            payload=canonical_encode(target),
-            submitter_cert=elector_cert,
-            submitter_key=elector_key,
-            submit_time_ms=submit_time_ms,
-        )
+        return make_add_cert_tx(target, elector_cert, elector_key, submit_time_ms)
     found = _find_committed_by_digest(view, ballot.target_cert_digest)
     if found is None:
         raise BallotError("unknown-target")
     record, entry = found
     if entry.function == TxFunction.REVOKE_CERT:
         raise BallotError("already-applied")
-    retagged = resign_as(record, CertFunction.REVOKE, elector_key)
-    return make_transaction(
-        channel=Channel.GCCF,
-        function=TxFunction.REVOKE_CERT,
-        key=f"cert/{record.subject_unique_id.hex()}",
-        payload=canonical_encode(retagged),
-        submitter_cert=elector_cert,
-        submitter_key=elector_key,
-        submit_time_ms=submit_time_ms,
-    )
+    return make_revoke_cert_tx(record, elector_cert, elector_key, submit_time_ms)

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
 from .deployment import (
+    CHAIN_FILES,
     DEFAULT_NOT_AFTER,
     DEFAULT_NOT_BEFORE,
     Deployment,
@@ -65,7 +66,6 @@ EXIT_USAGE = 2
 CONSORTIUM_FILE = "consortium.json"
 KEYS_FILE = "keys.json"
 SYSTEM_BLOCK_FILE = "system.block"
-CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
 
 
 class CliError(Exception):
@@ -137,15 +137,15 @@ def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
         "deferred": sorted(dep.deferred),
         "config": dep.consortium.to_json(),
     }
-    (out_dir / CONSORTIUM_FILE).write_bytes(dump_json(meta))
+    write_atomic(out_dir / CONSORTIUM_FILE, dump_json(meta))
     keys = {
         "keys": {name: ident.key.private_bytes().hex() for name, ident in dep.identities.items()},
         "extras": {},
     }
-    (out_dir / KEYS_FILE).write_bytes(dump_json(keys))
-    (out_dir / SYSTEM_BLOCK_FILE).write_bytes(dep.genesis.system_block.encode())
-    (out_dir / CHAIN_FILES[Channel.GCCF]).write_bytes(encode_chain([dep.genesis.gccf_genesis]))
-    (out_dir / CHAIN_FILES[Channel.GPF]).write_bytes(encode_chain([dep.genesis.gpf_genesis]))
+    write_atomic(out_dir / KEYS_FILE, dump_json(keys))
+    write_atomic(out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode())
+    write_atomic(out_dir / CHAIN_FILES[Channel.GCCF], encode_chain([dep.genesis.gccf_genesis]))
+    write_atomic(out_dir / CHAIN_FILES[Channel.GPF], encode_chain([dep.genesis.gpf_genesis]))
 
 
 def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:
@@ -161,28 +161,19 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
         key_data = json.loads((path / KEYS_FILE).read_text())
         seed = meta["seed"]
         config = ConsortiumConfig.from_json(meta["config"])
-        identities: Dict[str, Identity] = {}
         osp_name = config.osp_cert.subject_name
-        identities[osp_name] = Identity(
-            name=osp_name,
-            role=AuthorityRole.OSP,
-            key=generate_keypair(bytes.fromhex(key_data["keys"][osp_name])),
-            cert=config.osp_cert,
-        )
-        for member in config.members:
-            identities[member.name] = Identity(
-                name=member.name,
-                role=member.role,
-                key=generate_keypair(bytes.fromhex(key_data["keys"][member.name])),
-                cert=member.cert,
-            )
-        for name, extra in key_data.get("extras", {}).items():
-            identities[name] = Identity(
-                name=name,
-                role=AuthorityRole(extra["role"]),
-                key=generate_keypair(bytes.fromhex(extra["private"])),
-                cert=cert_from_json(extra["cert"]),
-            )
+        keys = key_data["keys"]
+        # (name, role, private key hex, certificate): the OSP, the members, then the extras.
+        holders = [(osp_name, AuthorityRole.OSP, keys[osp_name], config.osp_cert)]
+        holders += [(m.name, m.role, keys[m.name], m.cert) for m in config.members]
+        holders += [
+            (name, AuthorityRole(extra["role"]), extra["private"], cert_from_json(extra["cert"]))
+            for name, extra in key_data.get("extras", {}).items()
+        ]
+        identities = {
+            name: Identity(name=name, role=role, key=generate_keypair(bytes.fromhex(private)), cert=cert)
+            for name, role, private, cert in holders
+        }
     except KeyError as exc:
         raise CliError(f"not a deployment directory: missing key {exc.args[0]!r}") from exc
     except (OSError, ValueError) as exc:
@@ -347,20 +338,20 @@ def cmd_ledger_import(args) -> int:
         return EXIT_FAIL
     channel = Channel(args.channel) if args.channel else infer_channel(blocks)
     if args.deployment:
-        # Full contract replay with the imported chain in memory is the gate.
-        # It runs first, so a chain the deployment refuses is reported as a
-        # deployment error; the chain file changes only once all checks pass.
-        load_deployment(args.deployment, chains={channel: blocks})
-    try:
-        ledger, fail_at = verify_chain(channel, blocks)
-    except LedgerError as exc:
-        print(f"import failed: {exc}")
-        return EXIT_FAIL
-    if fail_at is not None:
-        _print_json({"ok": False, "fail_at": fail_at})
-        return EXIT_FAIL
-    if args.deployment:
+        # The deployment's replay of the imported chain is the gate: it runs
+        # verify_chain's levels and the contracts, so a refusal is reported as
+        # a deployment error, and the chain file changes only once it passes.
+        ledger = load_deployment(args.deployment, chains={channel: blocks}).node.ledger(channel)
         write_atomic(pathlib.Path(args.deployment) / CHAIN_FILES[channel], encode_chain(blocks))
+    else:
+        try:
+            ledger, fail_at = verify_chain(channel, blocks)
+        except LedgerError as exc:
+            print(f"import failed: {exc}")
+            return EXIT_FAIL
+        if fail_at is not None:
+            _print_json({"ok": False, "fail_at": fail_at})
+            return EXIT_FAIL
     _print_json({"ok": True, "channel": channel.value, "height": ledger.height, "head": ledger.head_hash().hex()})
     return EXIT_OK
 
@@ -385,8 +376,8 @@ def cmd_cert_issue(args) -> int:
         raise CliError(str(exc)) from exc
     cert = ident.cert
     out = pathlib.Path(args.out)
-    out.write_bytes(canonical_encode(cert))
-    out.with_suffix(out.suffix + ".json").write_bytes(dump_json(cert_to_json(cert)))
+    write_atomic(out, canonical_encode(cert))
+    write_atomic(out.with_suffix(out.suffix + ".json"), dump_json(cert_to_json(cert)))
     dep.register_extra(ident)
     result = {"cert": args.out, "serial": cert.serial_number.hex(), "submitted": False}
     if args.submit:
@@ -412,8 +403,8 @@ def cmd_gccf_export(args) -> int:
     quorum = gpf.ballot_quorum(dep.node.gpf_view)
     snapshot = gccf.export_gccf(dep.node.gccf_view, dep.node.ledger(Channel.GCCF).tip_number, quorum)
     base = pathlib.Path(args.out)
-    base.with_suffix(".bin").write_bytes(snapshot.encode())
-    base.with_suffix(".json").write_bytes(dump_json(snapshot.to_json()))
+    write_atomic(base.with_suffix(".bin"), snapshot.encode())
+    write_atomic(base.with_suffix(".json"), dump_json(snapshot.to_json()))
     _print_json(
         {
             "version": snapshot.version,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import gpf
-from .gccf import make_add_cert_tx
-from .gpf import PolicyRecord, PolicyStatus, make_policy_tx
+from .gccf import BALLOT_GOVERNED, ISSUANCE_MATRIX, make_add_cert_tx
+from .gpf import KNOWN_RULES, PolicyRecord, PolicyStatus, make_policy_tx
 from .identity import (
     AuthorityRole,
     Identity,
@@ -26,34 +25,23 @@ from .identity import (
     issue_certificate,
     role_of_name,
 )
-from .ledger import Transaction
+from .ledger import Channel, Transaction
 from .ordering import ConsortiumConfig, GenesisBundle, Member, create_genesis
 
 DEFAULT_NOT_BEFORE = 0
 DEFAULT_NOT_AFTER = 10_000_000_000  # far beyond any simulated horizon
 
-# Rules understood in the short-form "policies" config section.
-KNOWN_RULES = {
-    "ballot_quorum": (gpf.RULE_BALLOT_QUORUM, "min_endorsements"),
-    "block_max_txs": (gpf.RULE_BLOCK_MAX_TXS, "value"),
-    "block_timeout_ms": (gpf.RULE_BLOCK_TIMEOUT_MS, "value"),
-}
+# The ledger files of a deployment directory, and of a simulator export.
+CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
 
-# Issuer role for each member role when the deployment pre-builds the full
-# credential hierarchy.  Electors, the root, and the ordering service are
-# self-signed; end entities and configuration managers stay off-chain.
+# Issuer role of each member role the two certifying authorities issue: the
+# issuance matrix read from subject to issuer.  Every other member (electors,
+# roots, the ordering service, end entities) is self-signed.
 ISSUED_BY = {
-    AuthorityRole.ICA: AuthorityRole.RCA,
-    AuthorityRole.MA: AuthorityRole.RCA,
-    AuthorityRole.PG: AuthorityRole.RCA,
-    AuthorityRole.PCA: AuthorityRole.ICA,
-    AuthorityRole.RA: AuthorityRole.ICA,
-    AuthorityRole.ECA: AuthorityRole.ICA,
-    AuthorityRole.LA: AuthorityRole.ICA,
+    subject: issuer
+    for issuer in (AuthorityRole.RCA, AuthorityRole.ICA)
+    for subject in ISSUANCE_MATRIX[issuer]
 }
-SELF_SIGNED_ROLES = frozenset(
-    {AuthorityRole.ELECTOR, AuthorityRole.RCA, AuthorityRole.OSP, AuthorityRole.EE, AuthorityRole.DCM}
-)
 
 
 def derive_bytes(seed: int, label: str, n: int) -> bytes:
@@ -88,18 +76,11 @@ class Deployment:
 
         Deferred members are excluded: their records only enter via ballots.
         """
-        out = []
-        for name, ident in self.identities.items():
-            if ident.role == AuthorityRole.OSP:
-                continue
-            if name in self.gccf_bootstrap_names or name in self.deferred:
-                continue
-            if ident.role in (AuthorityRole.EE, AuthorityRole.DCM):
-                continue
-            if ident.role in (AuthorityRole.ELECTOR, AuthorityRole.RCA):
-                continue
-            out.append(ident)
-        return out
+        return [
+            ident
+            for name, ident in self.identities.items()
+            if ident.role in ISSUED_BY and name not in self.gccf_bootstrap_names and name not in self.deferred
+        ]
 
 
 def expand_node_counts(node_counts: Sequence[Tuple[str, int]]) -> List[Tuple[AuthorityRole, str]]:
@@ -178,9 +159,9 @@ def build_deployment(
         if role == AuthorityRole.OSP:
             identities[name] = osp
             continue
-        if role in SELF_SIGNED_ROLES:
+        if role not in ISSUED_BY:
             ident = make_identity(role, name, None)
-        elif ISSUED_BY.get(role) == AuthorityRole.RCA:
+        elif ISSUED_BY[role] == AuthorityRole.RCA:
             rca = by_role.get(AuthorityRole.RCA)
             if not rca:
                 raise ValueError(f"{name} requires a root CA member before it")
@@ -191,10 +172,10 @@ def build_deployment(
         identities[name] = ident
         by_role.setdefault(role, []).append(ident)
     for role, name in deferred:
-        issuer_role = ISSUED_BY.get(role)
+        issuer_role = ISSUED_BY[role]
         issuers = by_role.get(issuer_role, [])
         if not issuers:
-            raise ValueError(f"{name} requires an {issuer_role.value if issuer_role else '?'} member")
+            raise ValueError(f"{name} requires an {issuer_role.value} member")
         ident = make_identity(role, name, issuers[0])
         identities[name] = ident
         by_role.setdefault(role, []).append(ident)
@@ -215,7 +196,7 @@ def build_deployment(
     for ident in (identities[n] for n in names):
         if ident.name in defer_bootstrap:
             continue
-        if ident.role in (AuthorityRole.ELECTOR, AuthorityRole.RCA):
+        if ident.role in BALLOT_GOVERNED:
             gccf_txs.append(make_add_cert_tx(ident.cert, ident.cert, ident.key, 0))
             bootstrap_names.append(ident.name)
     rcas = [i for i in by_role.get(AuthorityRole.RCA, []) if i.name not in defer_bootstrap]
@@ -231,17 +212,11 @@ def build_deployment(
     if policies and pgs:
         pg = pgs[0]
         for rule, value in sorted(policies.items()):
-            if rule in KNOWN_RULES:
-                (entity, rule_name), body_key = KNOWN_RULES[rule]
-                record = PolicyRecord(
-                    entity=entity, rule_name=rule_name, rule_body={body_key: int(value)},
-                    status=PolicyStatus.ALIVE,
-                )
-            else:
-                record = PolicyRecord(
-                    entity="Consortium", rule_name=rule, rule_body={"value": value},
-                    status=PolicyStatus.ALIVE,
-                )
+            # A rule the system does not read is a consortium-wide value.
+            (entity, rule_name), body_key, _default = KNOWN_RULES.get(rule, (("Consortium", rule), "value", None))
+            record = PolicyRecord(
+                entity=entity, rule_name=rule_name, rule_body={body_key: int(value)}, status=PolicyStatus.ALIVE
+            )
             gpf_txs.append(make_policy_tx(record, pg.cert, pg.key, 0))
 
     genesis = create_genesis(config, gccf_txs, gpf_txs, osp.key)

@@ -14,22 +14,22 @@ from enum import Enum
 from typing import Dict, Optional, Union
 
 from . import wire
+from .ballot import DEFAULT_BALLOT_QUORUM
 from .gccf import ContractRejection, GccfView, holds_role
 from .identity import AuthorityRole, CertificateRecord, KeyPair
 from .ledger import Channel, StateEntry, Transaction, TxFunction, make_transaction
 
 Scalar = Union[int, str, bool]
 
-# Rule names the rest of the system reads, with their fallback values when
-# the rule is absent or dead.
-RULE_BALLOT_QUORUM = ("Elector", "ballot_quorum")
-RULE_BLOCK_MAX_TXS = ("OSP", "block_max_txs")
-RULE_BLOCK_TIMEOUT_MS = ("OSP", "block_timeout_ms")
-DEFAULT_RULES = {
-    RULE_BALLOT_QUORUM: 2,
-    RULE_BLOCK_MAX_TXS: 10,
-    RULE_BLOCK_TIMEOUT_MS: 500,
+# The rules the rest of the system reads, by their short name in a config's
+# "policies" section: ((entity, rule name), the body key that holds the
+# value, the value used while the rule is absent or dead).
+KNOWN_RULES = {
+    "ballot_quorum": (("Elector", "ballot_quorum"), "min_endorsements", DEFAULT_BALLOT_QUORUM),
+    "block_max_txs": (("OSP", "block_max_txs"), "value", 10),
+    "block_timeout_ms": (("OSP", "block_timeout_ms"), "value", 500),
 }
+RULE_BALLOT_QUORUM = KNOWN_RULES["ballot_quorum"][0]
 
 
 class NotPG(ContractRejection):
@@ -181,17 +181,21 @@ def rule_value(view: GpfView, entity: str, rule_name: str, body_key: str, defaul
     return value if isinstance(value, (int, str, bool)) else default
 
 
+def _known_rule(view: GpfView, short_name: str) -> int:
+    (entity, rule_name), body_key, default = KNOWN_RULES[short_name]
+    return int(rule_value(view, entity, rule_name, body_key, default))
+
+
 def ballot_quorum(view: GpfView) -> int:
-    value = rule_value(view, *RULE_BALLOT_QUORUM, "min_endorsements", DEFAULT_RULES[RULE_BALLOT_QUORUM])
-    return int(value)
+    return _known_rule(view, "ballot_quorum")
 
 
 def block_max_txs(view: GpfView) -> int:
-    return int(rule_value(view, *RULE_BLOCK_MAX_TXS, "value", DEFAULT_RULES[RULE_BLOCK_MAX_TXS]))
+    return _known_rule(view, "block_max_txs")
 
 
 def block_timeout_ms(view: GpfView) -> int:
-    return int(rule_value(view, *RULE_BLOCK_TIMEOUT_MS, "value", DEFAULT_RULES[RULE_BLOCK_TIMEOUT_MS]))
+    return _known_rule(view, "block_timeout_ms")
 
 
 def make_policy_tx(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar
 
 from . import wire
 from .identity import (
@@ -351,6 +351,8 @@ class Ledger:
         self.blocks: List[Block] = []
         self.world_state: Dict[str, StateEntry] = {}
         self._creator_cert_bytes: Optional[bytes] = None
+        # The canonical body of every chained transaction: each is committed once.
+        self._tx_bodies: Set[bytes] = set()
 
     @property
     def height(self) -> int:
@@ -365,6 +367,9 @@ class Ledger:
         if not self.blocks:
             return ZERO_HASH
         return self.blocks[-1].header.hash()
+
+    def has_tx(self, tx: Transaction) -> bool:
+        return tx.canonical_body() in self._tx_bodies
 
     def check_block(self, block: Block) -> None:
         """Structure, creator, then submitter signatures; raises without mutating anything.
@@ -381,6 +386,9 @@ class Ledger:
             raise BrokenLinkage(f"block {block.header.number} data hash mismatch")
         if block.header.number > 0 and not block.transactions:
             raise LedgerError("non-genesis block carries no transactions")
+        bodies = {tx.canonical_body() for tx in block.transactions}
+        if len(bodies) != len(block.transactions) or not self._tx_bodies.isdisjoint(bodies):
+            raise LedgerError(f"block {block.header.number} repeats a transaction")
         for tx in block.transactions:
             if tx.channel != self.channel:
                 raise WrongChannel(
@@ -421,6 +429,7 @@ class Ledger:
         if self._creator_cert_bytes is None:
             self._creator_cert_bytes = canonical_encode(block.creator_cert)
         self.blocks.append(block)
+        self._tx_bodies.update(tx.canonical_body() for tx in block.transactions)
 
     def world_state_digest(self) -> bytes:
         world = self.world_state

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from . import gccf, gpf
-from .gccf import ContractRejection, GccfView
+from .gccf import ISSUANCE_MATRIX, ContractRejection, GccfView
 from .gpf import GpfView
 from .identity import (
     AuthorityRole,
@@ -38,9 +38,10 @@ from .ledger import (
 from .node import Node
 
 ALL_ROLES = frozenset(AuthorityRole)
-GCCF_WRITERS = frozenset(
-    {AuthorityRole.ELECTOR, AuthorityRole.RCA, AuthorityRole.ICA, AuthorityRole.PG, AuthorityRole.RA}
-)
+# Writers on the certificate channel are the issuing authorities of the
+# issuance matrix plus the PG (revocations) and the RA (validation
+# transactions).  Policy writes are PG-only; end entities only read.
+GCCF_WRITERS = frozenset(ISSUANCE_MATRIX) | {AuthorityRole.PG, AuthorityRole.RA}
 GPF_WRITERS = frozenset({AuthorityRole.PG})
 
 
@@ -67,9 +68,6 @@ class ChannelPolicy:
 
 
 def default_channel_policies() -> Dict[Channel, ChannelPolicy]:
-    # Writers on the certificate channel are the issuing authorities from the
-    # permission matrix plus the PG (revocations) and the RA (validation
-    # transactions).  Policy writes are PG-only; end entities only read.
     return {
         Channel.GCCF: ChannelPolicy(readers=ALL_ROLES, writers=GCCF_WRITERS),
         Channel.GPF: ChannelPolicy(readers=ALL_ROLES, writers=GPF_WRITERS),
@@ -199,6 +197,8 @@ class OrderingService:
             Channel.GPF: deque(),
         }
         self._next_seq: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
+        # Canonical bodies of the queued transactions, not yet on the chain.
+        self._pending_bodies: Set[bytes] = set()
         # Speculative state = committed state plus the pending queues applied
         # in admission order; kept in lockstep so admission checks see what
         # commit will see.
@@ -218,6 +218,10 @@ class OrderingService:
         policy = self.config.channel_policies[tx.channel]
         if member.role not in policy.writers:
             raise Rejected("policy-denied")
+        # A replay can pass its contract again (an AddPolicy after a revocation): admit each once.
+        body = tx.canonical_body()
+        if body in self._pending_bodies or self.node.ledger(tx.channel).has_tx(tx):
+            raise Rejected("duplicate-tx")
         next_number = self.node.ledger(tx.channel).height
         try:
             if tx.channel == Channel.GCCF:
@@ -234,6 +238,7 @@ class OrderingService:
         seq = self._next_seq[tx.channel]
         self._next_seq[tx.channel] = seq + 1
         self._pending[tx.channel].append(_Pending(seq=seq, arrival_ms=now_ms, tx=tx))
+        self._pending_bodies.add(body)
         return seq
 
     def cut_block(self, channel: Channel, *, now_ms: int, force: bool = False) -> Optional[Block]:
@@ -249,6 +254,7 @@ class OrderingService:
         if not (force or len(q) >= max_txs or now_ms - q[0].arrival_ms >= timeout):
             return None
         batch = [q.popleft() for _ in range(min(max_txs, len(q)))]
+        self._pending_bodies.difference_update(p.tx.canonical_body() for p in batch)
         ledger = self.node.ledger(channel)
         return make_block(
             number=ledger.height,

@@ -11,6 +11,7 @@ and re-verifying each one before committing it.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import heapq
 import itertools
 import json
@@ -23,6 +24,7 @@ from . import gccf, gpf
 from .ballot import BallotError, EndorsementType
 from .clock import VirtualClock
 from .deployment import (
+    CHAIN_FILES,
     DEFAULT_NOT_AFTER,
     DEFAULT_NOT_BEFORE,
     Deployment,
@@ -53,6 +55,17 @@ PROLOGUE_SPACING_MS = 15
 
 class SimulationError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a missing or malformed scenario field as config-invalid."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SimulationError(f"config-invalid: missing key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SimulationError(f"config-invalid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -122,12 +135,8 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
         """Parse a scenario; a missing or malformed field is config-invalid."""
-        try:
+        with _config_errors():
             return cls._parse(obj)
-        except KeyError as exc:
-            raise SimulationError(f"config-invalid: missing key {exc.args[0]!r}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SimulationError(f"config-invalid: {exc}") from exc
 
     @classmethod
     def _parse(cls, obj: dict) -> "ScenarioConfig":
@@ -234,7 +243,8 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self._validate_config()
+        with _config_errors():
+            self._validate_config()
         self._members = expand_node_counts(config.nodes)
         # The default signer of revocations and rules: the first PG.
         self._pg_name = next(name for role, name in self._members if role == AuthorityRole.PG)
@@ -266,14 +276,14 @@ class Simulation:
         self._heap: List[Tuple[int, int, Callable, tuple]] = []
         self._event_seq = itertools.count()
         self._lifecycles: Dict[bytes, TxLifecycle] = {}
-        self._lifecycle_order: List[bytes] = []
         self.rejections: List[dict] = []
         self.queries: List[dict] = []
         self.undelivered: List[dict] = []
         self.delay_trace: List[dict] = []
         self._tamper_hooks: Dict[str, Callable[[Block], Block]] = {}
         self._sync_scheduled: Set[str] = set()
-        self._actions = self._expand_workload()
+        with _config_errors():
+            self._actions = self._expand_workload()
         self._ran = False
 
     # ------------------------------------------------------------------ setup
@@ -484,7 +494,7 @@ class Simulation:
         )
 
     def _do_action(self, action: dict) -> None:
-        kind = action["action"]
+        kind = action.get("action")
         now = self.clock.now_ms
         try:
             if kind == "commit_member":
@@ -518,16 +528,7 @@ class Simulation:
                 node = self.nodes[action["node"]]
                 target = self._identities[action["target"]].cert
                 result = gccf.validate_cert(node.gccf_view, target, self.clock.now_s)
-                self.queries.append(
-                    {
-                        "time_ms": now,
-                        "node": node.name,
-                        "target": action["target"],
-                        "result": "Success" if result.ok else "NotVerify",
-                        "reason": result.reason,
-                        "path": [s.hex() for s in result.path],
-                    }
-                )
+                self.queries.append({"time_ms": now, "node": node.name, "target": action["target"], **result.to_json()})
             elif kind == "policy_add":
                 pg = self._identities[action.get("by", self._pg_name)]
                 record = gpf.PolicyRecord(
@@ -565,6 +566,10 @@ class Simulation:
                 raise SimulationError(f"unknown workload action {kind!r}")
         except BallotError as exc:
             self._reject(action.get("elector", "?"), "GCCF", "Ballot", exc.reason, now)
+        except (KeyError, TypeError, ValueError) as exc:
+            # A node or identity the run does not have, a field the action lacks, or a malformed value.
+            detail = f"unknown or missing {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise SimulationError(f"config-invalid: {kind} action at {now} ms: {detail}") from exc
 
     def _submit(self, submitter: str, tx: Transaction) -> None:
         node = self.nodes.get(submitter)
@@ -598,7 +603,6 @@ class Simulation:
             size_bytes=len(tx.canonical_body()),
         )
         self._lifecycles[tx.tx_id] = lc
-        self._lifecycle_order.append(tx.tx_id)
         self._try_cut(tx.channel)
         if self.orderer.pending_count(tx.channel):
             timeout = gpf.block_timeout_ms(self.nodes[self.osp_name].gpf_view)
@@ -830,7 +834,8 @@ class Simulation:
             )
             for name, node in self.nodes.items()
         ]
-        lifecycles = [self._lifecycles[tx_id] for tx_id in self._lifecycle_order]
+        # In admission order: the orderer admits each transaction once.
+        lifecycles = list(self._lifecycles.values())
         ledger_sizes = {
             Channel.GCCF.value: len(encode_chain(osp_node.ledger(Channel.GCCF).blocks)),
             Channel.GPF.value: len(encode_chain(osp_node.ledger(Channel.GPF).blocks)),
@@ -861,7 +866,7 @@ class Simulation:
 
         base = pathlib.Path(directory)
         base.mkdir(parents=True, exist_ok=True)
-        first, second = base / "gccf.chain", base / "gpf.chain"
+        first, second = base / CHAIN_FILES[Channel.GCCF], base / CHAIN_FILES[Channel.GPF]
         previous = first.read_bytes() if first.exists() else None
         osp = self.nodes[self.osp_name]
         write_atomic(first, encode_chain(osp.ledger(Channel.GCCF).blocks))

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from bbtm import cli, gccf, metrics
+from bbtm import ledger as ledger_mod
 from bbtm.cli import main
 from bbtm.deployment import derive_identity
 from bbtm.identity import verify_certificate_signature
@@ -16,6 +17,7 @@ from bbtm.simulation import ScenarioConfig, Simulation
 from helpers import make_identity
 
 SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "samples" / "scenario.json"
+SAMPLE_SCENARIO = json.loads(SAMPLE.read_text())
 
 BASE_CONFIG = {
     "seed": 77,
@@ -150,6 +152,18 @@ class TestCertVerbs:
         verdict = _last_json(capsys)
         assert verdict["result"] == "NotVerify" and verdict["reason"] == "revoked-on-path"
 
+    def test_failed_replace_keeps_the_old_cert_files(self, deployment, tmp_path, monkeypatch):
+        out = tmp_path / "ica9.bin"
+        files = [out, tmp_path / "ica9.bin.json"]
+        for path in files:
+            path.write_bytes(b"old " + path.name.encode())
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["cert", "issue", "--deployment", str(deployment), "--issuer", "RCA-1", "--subject", "ICA-9",
+                  "--out", str(out)])
+        assert [path.read_bytes() for path in files] == [b"old ica9.bin", b"old ica9.bin.json"]
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("ica9")) == ["ica9.bin", "ica9.bin.json"]
+
     def test_validate_accepts_json_cert_files(self, deployment, tmp_path, capsys):
         meta = json.loads((deployment / "consortium.json").read_text())
         rca = next(m for m in meta["config"]["members"] if m["name"] == "RCA-1")
@@ -171,6 +185,21 @@ class TestPolicyVerbs:
         assert main(["policy", "revoke", "--deployment", str(deployment), "--entity", "RA", "--rule", "batch"]) == 0
         capsys.readouterr()
         main(["policy", "get", "--deployment", str(deployment), "--entity", "RA", "--rule", "batch"])
+        assert _last_json(capsys)["record"]["status"] == "death"
+
+    def test_replayed_policy_add_is_refused(self, deployment, capsys):
+        # Any reader of the chain holds its transactions; bringing back the
+        # rule's addition after its revocation must not revive the rule.
+        rule = ["--deployment", str(deployment), "--entity", "Consortium", "--rule", "speed"]
+        assert main(["policy", "add", *rule]) == 0
+        kept = cli.load_deployment(str(deployment)).node.ledger(Channel.GPF).blocks[1].transactions[0]
+        assert main(["policy", "revoke", *rule]) == 0
+        dep = cli.load_deployment(str(deployment))
+        with pytest.raises(cli.CliError, match="rejected: duplicate-tx"):
+            dep.submit_and_commit("PG-1", kept)
+        assert cli.load_deployment(str(deployment)).node.ledger(Channel.GPF).height == 3
+        capsys.readouterr()
+        assert main(["policy", "get", *rule]) == 0
         assert _last_json(capsys)["record"]["status"] == "death"
 
     def test_get_absent_rule_fails(self, deployment, capsys):
@@ -277,6 +306,19 @@ class TestGccfExport:
         snapshot = json.loads(base.with_suffix(".json").read_text())
         assert snapshot["version"] == summary["version"]
         assert "Elector" in snapshot["certificates"]
+
+    def test_failed_replace_keeps_the_old_snapshot(self, deployment, tmp_path, monkeypatch):
+        base = tmp_path / "snapshot"
+        files = [base.with_suffix(".bin"), base.with_suffix(".json")]
+        for path in files:
+            path.write_bytes(b"old " + path.name.encode())
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["gccf", "export", "--deployment", str(deployment), "--out", str(base)])
+        assert [path.read_bytes() for path in files] == [b"old snapshot.bin", b"old snapshot.json"]
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("snapshot")) == [
+            "snapshot.bin", "snapshot.json",
+        ]
 
 
 class TestSimAndMetrics:
@@ -450,6 +492,17 @@ class TestScenarioErrors:
         ({"seed": 1, "nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]],
           "faults": [{"crash_at_ms": 5}]}, "missing key 'node'"),
         ([1, 2], "a scenario is a JSON object"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": "x"}}, "invalid literal for int() with base 10: 'x'"),
+        ({**SAMPLE_SCENARIO, "generate": {"spacing_ms": 10}}, "missing key 'count'"),
+        ({**SAMPLE_SCENARIO, "workload": [{"action": "query", "node": "RA-1", "target": "RA-1"}]},
+         "missing key 'at_ms'"),
+        ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "latency_min_ms": "a"}},
+         "'<' not supported between instances of 'str' and 'int'"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "query", "node": "X-1", "target": "RA-1"}]},
+         "query action at 100 ms: unknown or missing 'X-1'"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-9",
+                                           "subject_name": "PCA-w0"}]},
+         "issue action at 100 ms: unknown or missing 'ICA-9'"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"
@@ -532,6 +585,19 @@ class TestAtomicImport:
         assert main(["ledger", "import", str(exported), "--channel", "GCCF", "--deployment", str(deployment)]) == 0
         assert (deployment / "gccf.chain").read_bytes() == exported.read_bytes() != grown
         assert cli.load_deployment(str(deployment)).node.ledger(Channel.GCCF).height == 1
+
+    def test_import_checks_each_block_once(self, deployment, tmp_path, capsys, monkeypatch):
+        for i in range(5):
+            assert main(["policy", "add", "--deployment", str(deployment), "--entity", "RA", "--rule", f"r{i}"]) == 0
+        exported = self._export(deployment, tmp_path, capsys, channel="GPF")
+        calls = []
+        original = ledger_mod.data_hash_of
+        monkeypatch.setattr(ledger_mod, "data_hash_of", lambda txs: calls.append(1) or original(txs))
+        assert main(["ledger", "import", str(exported), "--channel", "GPF", "--deployment", str(deployment)]) == 0
+        # One check per block: the 1-block GCCF chain and the 6-block GPF chain.
+        assert len(calls) == 7
+        chain = cli.load_deployment(str(deployment)).node.ledger(Channel.GPF)
+        assert _last_json(capsys) == {"ok": True, "channel": "GPF", "height": 6, "head": chain.head_hash().hex()}
 
     def test_failed_write_keeps_the_old_file(self, deployment, monkeypatch):
         target = deployment / "gccf.chain"

@@ -322,6 +322,36 @@ class TestNodeAndLedgerAgree:
         assert peer.world_state_digest() == node.world_state_digest()
 
 
+class TestRepeatedTransactions:
+    """A transaction is committed once: no block may carry it a second time."""
+
+    def test_verify_chain_refuses_a_repeat(self, osp, submitter):
+        blocks = _chain(osp, submitter, [("a", b"1"), ("b", b"2")], txs_per_block=1)
+        again = make_block(3, blocks[2].header.hash(), blocks[1].transactions, osp.cert, osp.key)
+        with pytest.raises(LedgerError, match="^block 3 repeats a transaction$"):
+            verify_chain(Channel.GCCF, blocks + [again])
+
+    def test_verify_chain_refuses_a_repeat_within_a_block(self, osp, submitter):
+        tx = _tx(submitter, "a", b"1")
+        genesis = make_block(0, ZERO_HASH, [], osp.cert, osp.key)
+        twice = make_block(1, genesis.header.hash(), [tx, tx], osp.cert, osp.key)
+        with pytest.raises(LedgerError, match="^block 1 repeats a transaction$"):
+            verify_chain(Channel.GCCF, [genesis, twice])
+
+    def test_peer_refuses_a_block_repeating_a_committed_transaction(self, dep):
+        node = _policy_node(dep)
+        add = _policy_tx(dep, "speed", 1)
+        _commit_policies(node, dep, [add])
+        _commit_policies(node, dep, [_policy_tx(dep, "speed", 1, t=1, alive=False)])
+        before = node.world_state_digest()
+        with pytest.raises(BlockRefused) as refused:
+            _commit_policies(node, dep, [add])
+        assert refused.value.reason == "block 3 repeats a transaction"
+        assert node.ledger(Channel.GPF).height == 3
+        assert node.world_state_digest() == before
+        assert gpf.get_rule(node.gpf_view, "Consortium", "speed").status == gpf.PolicyStatus.DEATH
+
+
 class TestChainFile:
     def test_roundtrip(self, osp, submitter):
         blocks = _chain(osp, submitter, [("a", b"1"), ("b", b"2"), ("c", b"3")])

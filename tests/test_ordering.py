@@ -119,6 +119,22 @@ class TestSubmitTx:
             service.submit_tx(tx, now_ms=0)
         assert exc.value.reason == "policy-denied"
 
+    def test_pending_or_committed_transaction_is_a_duplicate(self):
+        dep = _deployment()
+        service, node = _service(dep)
+        pg = dep.identity("PG-1")
+        record = PolicyRecord(entity="RA", rule_name="r", rule_body={}, status=PolicyStatus.ALIVE)
+        tx = make_policy_tx(record, pg.cert, pg.key, 0)
+        service.submit_tx(tx, now_ms=0)
+        with pytest.raises(Rejected) as pending:
+            service.submit_tx(tx, now_ms=1)
+        service.commit_own(Channel.GPF, service.cut_block(Channel.GPF, now_ms=2, force=True))
+        with pytest.raises(Rejected) as committed:
+            service.submit_tx(tx, now_ms=3)
+        assert pending.value.reason == committed.value.reason == "duplicate-tx"
+        assert service.pending_count(Channel.GPF) == 0
+        assert node.ledger(Channel.GPF).height == 2
+
     def test_stripped_signature_rejected(self):
         dep = _deployment()
         service, _node = _service(dep)
