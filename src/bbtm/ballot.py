@@ -10,7 +10,7 @@ ballot turns into a regular add/revoke transaction for the target record.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Optional
 
@@ -182,22 +182,14 @@ def create_endorsement(
         raise BallotError("revoked-elector")
     if canonical_encode(record) != canonical_encode(elector_cert):
         raise BallotError("unknown-elector")
-    digest = sha256(canonical_encode(target_cert))
-    carried = target_cert if endorsement_type.is_add else None
     unsigned = Endorsement(
         endorsement_type=endorsement_type,
-        target_cert_digest=digest,
+        target_cert_digest=sha256(canonical_encode(target_cert)),
         elector_id=elector_cert.subject_unique_id,
         elector_signature=b"",
-        target_cert=carried,
+        target_cert=target_cert if endorsement_type.is_add else None,
     )
-    return Endorsement(
-        endorsement_type=endorsement_type,
-        target_cert_digest=digest,
-        elector_id=elector_cert.subject_unique_id,
-        elector_signature=elector_key.sign(unsigned.signing_bytes()),
-        target_cert=carried,
-    )
+    return replace(unsigned, elector_signature=elector_key.sign(unsigned.signing_bytes()))
 
 
 def make_endorsement_tx(

@@ -12,11 +12,13 @@ Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
@@ -50,6 +52,7 @@ from .ledger import (
     Block,
     Channel,
     LedgerError,
+    Transaction,
     decode_chain,
     encode_chain,
     infer_channel,
@@ -126,6 +129,18 @@ class CliDeployment:
             raise CliError(f"commit refused: {exc.reason}") from exc
         self.save_chains()
         return block.header.number
+
+    def submit_command(self, signer: Identity, build: Callable[..., Transaction], *args) -> int:
+        """Commit ``build(*args, signer cert, signer key, submit_time_ms)`` with the time 0
+        or, when that exact transaction is already on the chain (the same command run
+        again: its signature is deterministic), with the first channel height that makes it new."""
+        sign = functools.partial(build, *args, signer.cert, signer.key)
+        tx = sign(0)
+        ledger = self.node.ledger(tx.channel)
+        stamps = itertools.count(ledger.height)
+        while ledger.has_tx(tx):
+            tx = sign(next(stamps))
+        return self.submit_and_commit(signer.name, tx)
 
 
 def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
@@ -382,8 +397,7 @@ def cmd_cert_issue(args) -> int:
     result = {"cert": args.out, "serial": cert.serial_number.hex(), "submitted": False}
     if args.submit:
         submitter = dep.identity(args.issuer)
-        tx = gccf.make_add_cert_tx(cert, submitter.cert, submitter.key, 0)
-        block = dep.submit_and_commit(submitter.name, tx)
+        block = dep.submit_command(submitter, gccf.make_add_cert_tx, cert)
         result.update({"submitted": True, "block": block})
     _print_json(result)
     return EXIT_OK
@@ -433,8 +447,7 @@ def cmd_policy_add(args) -> int:
     record = gpf.PolicyRecord(
         entity=args.entity, rule_name=args.rule, rule_body=body, status=gpf.PolicyStatus.ALIVE
     )
-    tx = gpf.make_policy_tx(record, pg.cert, pg.key, 0)
-    block = dep.submit_and_commit(pg.name, tx)
+    block = dep.submit_command(pg, gpf.make_policy_tx, record)
     _print_json({"committed": True, "block": block, "record": record.to_json()})
     return EXIT_OK
 
@@ -442,8 +455,7 @@ def cmd_policy_add(args) -> int:
 def cmd_policy_revoke(args) -> int:
     dep = load_deployment(args.deployment)
     pg = dep.identity(args.by) if args.by else _pg_identity(dep)
-    tx = gpf.make_revoke_policy_tx(dep.node.gpf_view, args.entity, args.rule, pg.cert, pg.key, 0)
-    block = dep.submit_and_commit(pg.name, tx)
+    block = dep.submit_command(pg, gpf.make_revoke_policy_tx, dep.node.gpf_view, args.entity, args.rule)
     _print_json({"committed": True, "block": block})
     return EXIT_OK
 
@@ -469,40 +481,34 @@ def cmd_ballot_endorse(args) -> int:
         )
     except ballot_mod.BallotError as exc:
         raise CliError(f"endorsement refused: {exc.reason}") from exc
-    tx = ballot_mod.make_endorsement_tx(endorsement, target.serial_number, elector.cert, elector.key, 0)
-    block = dep.submit_and_commit(elector.name, tx)
+    block = dep.submit_command(elector, ballot_mod.make_endorsement_tx, endorsement, target.serial_number)
     _print_json(
         {"committed": True, "block": block, "endorsement": ballot_mod.endorsement_to_json(endorsement)}
     )
     return EXIT_OK
 
 
-def cmd_ballot_tally(args) -> int:
-    dep = load_deployment(args.deployment)
+def _tally(dep: CliDeployment, args) -> ballot_mod.Ballot:
+    """The ``--type`` ballot on the ``--target-cert`` bytes, at the committed quorum."""
     target = read_cert_file(args.target_cert)
     etype = ballot_mod.EndorsementType(args.type)
     quorum = gpf.ballot_quorum(dep.node.gpf_view)
-    tally = ballot_mod.tally_ballot(
-        dep.node.gccf_view, etype, sha256(canonical_encode(target)), quorum
-    )
-    _print_json(tally.to_json())
+    return ballot_mod.tally_ballot(dep.node.gccf_view, etype, sha256(canonical_encode(target)), quorum)
+
+
+def cmd_ballot_tally(args) -> int:
+    _print_json(_tally(load_deployment(args.deployment), args).to_json())
     return EXIT_OK
 
 
 def cmd_ballot_apply(args) -> int:
     dep = load_deployment(args.deployment)
     elector = dep.identity(args.elector)
-    target = read_cert_file(args.target_cert)
-    etype = ballot_mod.EndorsementType(args.type)
-    quorum = gpf.ballot_quorum(dep.node.gpf_view)
-    tally = ballot_mod.tally_ballot(
-        dep.node.gccf_view, etype, sha256(canonical_encode(target)), quorum
-    )
+    tally = _tally(dep, args)
     try:
-        tx = ballot_mod.apply_ballot(dep.node.gccf_view, tally, elector.cert, elector.key, 0)
+        block = dep.submit_command(elector, ballot_mod.apply_ballot, dep.node.gccf_view, tally)
     except ballot_mod.BallotError as exc:
         raise CliError(f"cannot apply ballot: {exc.reason}") from exc
-    block = dep.submit_and_commit(elector.name, tx)
     _print_json({"committed": True, "block": block, "ballot": tally.to_json()})
     return EXIT_OK
 

@@ -189,23 +189,13 @@ def build_deployment(
         ),
     )
 
-    # Bootstrap: electors and root self-submit their records; the root
-    # submits the PG's.  Everything is timestamped at virtual time zero.
-    bootstrap_names: List[str] = []
-    gccf_txs: List[Transaction] = []
-    for ident in (identities[n] for n in names):
-        if ident.name in defer_bootstrap:
-            continue
-        if ident.role in BALLOT_GOVERNED:
-            gccf_txs.append(make_add_cert_tx(ident.cert, ident.cert, ident.key, 0))
-            bootstrap_names.append(ident.name)
-    rcas = [i for i in by_role.get(AuthorityRole.RCA, []) if i.name not in defer_bootstrap]
-    for ident in (identities[n] for n in names):
-        if ident.name in defer_bootstrap:
-            continue
-        if ident.role == AuthorityRole.PG and rcas:
-            gccf_txs.append(make_add_cert_tx(ident.cert, rcas[0].cert, rcas[0].key, 0))
-            bootstrap_names.append(ident.name)
+    # Bootstrap, as (record, submitter): electors and roots self-submit their
+    # records, then the first root submits the PGs'.  All at virtual time zero.
+    bootstrapped = [identities[n] for n in names if n not in defer_bootstrap]
+    rcas = [i for i in bootstrapped if i.role == AuthorityRole.RCA]
+    bootstrap = [(i, i) for i in bootstrapped if i.role in BALLOT_GOVERNED]
+    bootstrap += [(i, rcas[0]) for i in bootstrapped if i.role == AuthorityRole.PG and rcas]
+    gccf_txs = [make_add_cert_tx(i.cert, submitter.cert, submitter.key, 0) for i, submitter in bootstrap]
 
     gpf_txs: List[Transaction] = []
     pgs = [identities[n] for n in names if identities[n].role == AuthorityRole.PG]
@@ -226,7 +216,7 @@ def build_deployment(
         identities=identities,
         osp=osp,
         genesis=genesis,
-        gccf_bootstrap_names=tuple(bootstrap_names),
+        gccf_bootstrap_names=tuple(i.name for i, _submitter in bootstrap),
         validity=validity,
         deferred=frozenset(defer_bootstrap),
     )

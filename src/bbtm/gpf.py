@@ -117,43 +117,22 @@ class GpfView:
         return self.world.get(key)
 
 
-def _require_pg(gccf_view: GccfView, submitter: CertificateRecord) -> None:
-    if not holds_role(gccf_view, submitter, AuthorityRole.PG):
-        raise NotPG()
-
-
-def add_policy(gccf_view: GccfView, tx: Transaction) -> None:
-    """Check a rule with status alive; only the PG may write."""
-    _require_pg(gccf_view, tx.submitter_cert)
-    record = tx.decoded(decode_policy)
-    if record.status != PolicyStatus.ALIVE:
-        raise ContractRejection("malformed-rule")
-    if tx.key != policy_key(record.entity, record.rule_name):
-        raise ContractRejection("malformed-rule")
-
-
-def revoke_policy(view: GpfView, gccf_view: GccfView, tx: Transaction) -> None:
-    """Check the flip of an existing rule to status death (a new appended state)."""
-    _require_pg(gccf_view, tx.submitter_cert)
-    record = tx.decoded(decode_policy)
-    if record.status != PolicyStatus.DEATH:
-        raise ContractRejection("malformed-rule")
-    if tx.key != policy_key(record.entity, record.rule_name):
-        raise ContractRejection("malformed-rule")
-    if view.entry(tx.key) is None:
-        raise ContractRejection("unknown-rule")
-
-
 def apply_tx(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
-    """Check one committed transaction, then write its entry: the channel's only state write."""
-    if tx.channel != Channel.GPF:
+    """Check one committed transaction, then write its entry: the channel's only state write.
+
+    Only the PG may write.  An AddPolicy carries a rule with status alive; a
+    RevokePolicy flips an existing rule to status death (a new appended state).
+    """
+    if tx.channel != Channel.GPF or tx.function not in (TxFunction.ADD_POLICY, TxFunction.REVOKE_POLICY):
         raise ContractRejection("wrong-channel")
-    if tx.function == TxFunction.ADD_POLICY:
-        add_policy(gccf_view, tx)
-    elif tx.function == TxFunction.REVOKE_POLICY:
-        revoke_policy(view, gccf_view, tx)
-    else:
-        raise ContractRejection("wrong-channel")
+    if not holds_role(gccf_view, tx.submitter_cert, AuthorityRole.PG):
+        raise NotPG()
+    record = tx.decoded(decode_policy)
+    status = PolicyStatus.ALIVE if tx.function == TxFunction.ADD_POLICY else PolicyStatus.DEATH
+    if record.status != status or tx.key != policy_key(record.entity, record.rule_name):
+        raise ContractRejection("malformed-rule")
+    if status == PolicyStatus.DEATH and view.entry(tx.key) is None:
+        raise ContractRejection("unknown-rule")
     view.world[tx.key] = tx.state_entry(block_number)
 
 

@@ -192,10 +192,7 @@ class OrderingService:
         self.osp = osp
         self.node = node
         self._members = {m.cert.subject_unique_id: m for m in config.members}
-        self._pending: Dict[Channel, Deque[_Pending]] = {
-            Channel.GCCF: deque(),
-            Channel.GPF: deque(),
-        }
+        self._pending: Dict[Channel, Deque[_Pending]] = {channel: deque() for channel in Channel}
         self._next_seq: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
         # Canonical bodies of the queued transactions, not yet on the chain.
         self._pending_bodies: Set[bytes] = set()

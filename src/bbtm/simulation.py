@@ -11,7 +11,6 @@ and re-verifying each one before committing it.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import heapq
 import itertools
 import json
@@ -52,20 +51,41 @@ logger = logging.getLogger(__name__)
 PROLOGUE_START_MS = 10
 PROLOGUE_SPACING_MS = 15
 
+# The workload actions and the string fields each must name.
+ACTION_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "commit_member": ("name", "issuer"), "issue": ("issuer", "subject_name"), "new_root": ("name",),
+    "revoke": ("target",), "validate": ("submitter", "target"), "query": ("node", "target"),
+    "policy_add": ("entity", "rule"), "policy_revoke": ("entity", "rule"),
+    "endorse": ("elector", "type", "target"), "apply_ballot": ("elector", "type", "target"),
+}
+ENDORSEMENT_TYPES = frozenset(t.value for t in EndorsementType)
+
 
 class SimulationError(Exception):
     pass
 
 
-@contextlib.contextmanager
-def _config_errors():
-    """Report a missing or malformed scenario field as config-invalid."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SimulationError(f"config-invalid: missing key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SimulationError(f"config-invalid: {exc}") from exc
+def _check_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SimulationError(f"config-invalid: {what} must be an integer")
+
+
+def _check_action(action: dict) -> None:
+    """A workload action's fields, checked when it runs; its time is checked before the run."""
+    kind = action.get("action")
+    if kind not in ACTION_FIELDS:
+        raise SimulationError(f"config-invalid: unknown workload action {kind!r}")
+    for key in ACTION_FIELDS[kind] + (("by",) if "by" in action else ()):
+        if not isinstance(action.get(key), str):
+            raise SimulationError(f"config-invalid: {kind} action needs a string {key!r}")
+    if "type" in ACTION_FIELDS[kind] and action["type"] not in ENDORSEMENT_TYPES:
+        raise SimulationError(f"config-invalid: unknown endorsement type {action['type']!r}")
+    body = action.get("body", {})
+    if not isinstance(body, dict) or not all(isinstance(v, (int, str, bool)) for v in body.values()):
+        raise SimulationError(f"config-invalid: {kind} action body must map names to scalars")
+    for key in ("not_before", "not_after"):
+        if key in action:
+            _check_int(action[key], f"{kind} action {key}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +155,12 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
         """Parse a scenario; a missing or malformed field is config-invalid."""
-        with _config_errors():
+        try:
             return cls._parse(obj)
+        except KeyError as exc:
+            raise SimulationError(f"config-invalid: missing key {exc.args[0]!r}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SimulationError(f"config-invalid: {exc}") from exc
 
     @classmethod
     def _parse(cls, obj: dict) -> "ScenarioConfig":
@@ -243,8 +267,7 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        with _config_errors():
-            self._validate_config()
+        self._validate_config()
         self._members = expand_node_counts(config.nodes)
         # The default signer of revocations and rules: the first PG.
         self._pg_name = next(name for role, name in self._members if role == AuthorityRole.PG)
@@ -282,8 +305,7 @@ class Simulation:
         self.delay_trace: List[dict] = []
         self._tamper_hooks: Dict[str, Callable[[Block], Block]] = {}
         self._sync_scheduled: Set[str] = set()
-        with _config_errors():
-            self._actions = self._expand_workload()
+        self._actions = self._expand_workload()
         self._ran = False
 
     # ------------------------------------------------------------------ setup
@@ -307,6 +329,10 @@ class Simulation:
         if counts.get("Elector", 0) - deferred_electors < quorum:
             raise SimulationError("config-invalid: fewer electors than the ballot quorum")
         net = self.config.network
+        _check_int(net.latency_min_ms, "network latency_min_ms")
+        _check_int(net.latency_max_ms, "network latency_max_ms")
+        if not isinstance(net.drop_rate, (int, float)):
+            raise SimulationError("config-invalid: network drop_rate must be a number")
         if not 0 <= net.drop_rate <= 1 or net.latency_min_ms < 0 or net.latency_max_ms < net.latency_min_ms:
             raise SimulationError("config-invalid: bad network parameters")
         if any(not 0 <= rate <= 1 for _name, rate in net.link_drop):
@@ -315,6 +341,20 @@ class Simulation:
         for fault in self.config.faults:
             if fault.node not in names:
                 raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
+            _check_int(fault.crash_at_ms, "fault crash_at_ms")
+            if fault.recover_at_ms is not None:
+                _check_int(fault.recover_at_ms, "fault recover_at_ms")
+        for action in self.config.workload:
+            if not isinstance(action, dict):
+                raise SimulationError("config-invalid: a workload action is a JSON object")
+            _check_int(action.get("at_ms"), "workload action at_ms")
+        spec = self.config.generate
+        if spec is not None:
+            if not isinstance(spec, dict):
+                raise SimulationError("config-invalid: generate must be a JSON object")
+            _check_int(spec.get("count"), "generate count")
+            _check_int(spec.get("spacing_ms", 10), "generate spacing_ms")
+            _check_int(spec.get("start_ms") or 0, "generate start_ms")
 
     def _expand_workload(self) -> List[dict]:
         actions: List[dict] = []
@@ -339,27 +379,26 @@ class Simulation:
     def _generate_actions(self, spec: dict, start_ms: int) -> List[dict]:
         """Deterministic mixed workload over the five ledger functions."""
         rng = derive_rng(self.config.seed, "workload")
-        count = int(spec["count"])
-        spacing = int(spec.get("spacing_ms", 10))
+        count = spec["count"]
+        spacing = spec.get("spacing_ms", 10)
         net = self.config.network
         # A target must have been submitted long enough ago that its add
         # cannot arrive at the sequencer after a later revoke of it.
         safety = net.latency_max_ms - net.latency_min_ms + spacing + 1
 
+        # The roles a generated issue may mint.  The RCA's intermediates and
+        # policy generator are the deployment's own members, so it mints MAs only.
+        ica_subjects = sorted(gccf.ISSUANCE_MATRIX[AuthorityRole.ICA], key=gccf.ROLE_ORDER.get)
+        subject_roles = {AuthorityRole.RCA: ["MA"], AuthorityRole.ICA: [r.value for r in ica_subjects]}
         issuers = [
             (name, role)
             for role, name in self._members
-            if role in (AuthorityRole.RCA, AuthorityRole.ICA) and name not in self.config.defer_bootstrap
+            if role in subject_roles and name not in self.config.defer_bootstrap
         ]
         if not issuers:
             raise SimulationError("config-invalid: generated workload needs an RCA or ICA")
-        validators = [
-            name for role, name in self._members if role in (AuthorityRole.RA, AuthorityRole.ICA, AuthorityRole.RCA)
-        ]
-        subject_roles = {
-            AuthorityRole.RCA: ["MA"],
-            AuthorityRole.ICA: ["PCA", "RA", "ECA", "LA"],
-        }
+        # Validation requests come from the issuers and the RA.
+        validators = [name for role, name in self._members if role in subject_roles or role == AuthorityRole.RA]
         actions: List[dict] = []
         # Open targets and alive rules in creation order, with their times
         # alongside: the ones old enough to act on are a prefix, found by
@@ -494,16 +533,17 @@ class Simulation:
         )
 
     def _do_action(self, action: dict) -> None:
-        kind = action.get("action")
+        _check_action(action)
+        kind = action["action"]
         now = self.clock.now_ms
         try:
             if kind == "commit_member":
-                ident = self._identities[action["name"]]
-                issuer = self._identities[action["issuer"]]
+                ident = self._identity(action["name"])
+                issuer = self._identity(action["issuer"])
                 tx = gccf.make_add_cert_tx(ident.cert, issuer.cert, issuer.key, now)
                 self._submit(issuer.name, tx)
             elif kind == "issue":
-                issuer = self._identities[action["issuer"]]
+                issuer = self._identity(action["issuer"])
                 validity = (
                     action.get("not_before", self.config.validity[0]),
                     action.get("not_after", self.config.validity[1]),
@@ -515,22 +555,22 @@ class Simulation:
                 if action["name"] not in self._identities:
                     self._mint(action["name"], None, self.config.validity, self.config.validity[0])
             elif kind == "revoke":
-                by = self._identities[action.get("by", self._pg_name)]
-                target = self._identities[action["target"]].cert
+                by = self._identity(action.get("by", self._pg_name))
+                target = self._identity(action["target"]).cert
                 tx = gccf.make_revoke_cert_tx(target, by.cert, by.key, now)
                 self._submit(by.name, tx)
             elif kind == "validate":
-                submitter = self._identities[action["submitter"]]
-                target = self._identities[action["target"]].cert
+                submitter = self._identity(action["submitter"])
+                target = self._identity(action["target"]).cert
                 tx = gccf.make_validate_tx(target, submitter.cert, submitter.key, now)
                 self._submit(submitter.name, tx)
             elif kind == "query":
-                node = self.nodes[action["node"]]
-                target = self._identities[action["target"]].cert
+                node = self._node(action["node"])
+                target = self._identity(action["target"]).cert
                 result = gccf.validate_cert(node.gccf_view, target, self.clock.now_s)
                 self.queries.append({"time_ms": now, "node": node.name, "target": action["target"], **result.to_json()})
             elif kind == "policy_add":
-                pg = self._identities[action.get("by", self._pg_name)]
+                pg = self._identity(action.get("by", self._pg_name))
                 record = gpf.PolicyRecord(
                     entity=action["entity"],
                     rule_name=action["rule"],
@@ -540,36 +580,41 @@ class Simulation:
                 tx = gpf.make_policy_tx(record, pg.cert, pg.key, now)
                 self._submit(pg.name, tx)
             elif kind == "policy_revoke":
-                pg = self._identities[action.get("by", self._pg_name)]
+                pg = self._identity(action.get("by", self._pg_name))
                 tx = gpf.make_revoke_policy_tx(
-                    self.nodes[pg.name].gpf_view, action["entity"], action["rule"], pg.cert, pg.key, now
+                    self._node(pg.name).gpf_view, action["entity"], action["rule"], pg.cert, pg.key, now
                 )
                 self._submit(pg.name, tx)
             elif kind == "endorse":
-                elector = self._identities[action["elector"]]
+                elector = self._identity(action["elector"])
                 etype = EndorsementType(action["type"])
-                target = self._identities[action["target"]].cert
-                view = self.nodes[elector.name].gccf_view
+                target = self._identity(action["target"]).cert
+                view = self._node(elector.name).gccf_view
                 endorsement = ballot_mod.create_endorsement(elector.key, elector.cert, etype, target, view)
                 tx = ballot_mod.make_endorsement_tx(endorsement, target.serial_number, elector.cert, elector.key, now)
                 self._submit(elector.name, tx)
             elif kind == "apply_ballot":
-                elector = self._identities[action["elector"]]
+                elector = self._identity(action["elector"])
                 etype = EndorsementType(action["type"])
-                target = self._identities[action["target"]].cert
-                node = self.nodes[elector.name]
+                target = self._identity(action["target"]).cert
+                node = self._node(elector.name)
                 quorum = gpf.ballot_quorum(node.gpf_view)
                 tally = ballot_mod.tally_ballot(node.gccf_view, etype, sha256(canonical_encode(target)), quorum)
                 tx = ballot_mod.apply_ballot(node.gccf_view, tally, elector.cert, elector.key, now)
                 self._submit(elector.name, tx)
-            else:
-                raise SimulationError(f"unknown workload action {kind!r}")
         except BallotError as exc:
             self._reject(action.get("elector", "?"), "GCCF", "Ballot", exc.reason, now)
-        except (KeyError, TypeError, ValueError) as exc:
-            # A node or identity the run does not have, a field the action lacks, or a malformed value.
-            detail = f"unknown or missing {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-            raise SimulationError(f"config-invalid: {kind} action at {now} ms: {detail}") from exc
+
+    def _identity(self, name: str) -> Identity:
+        """A workload action's signer or subject; a name the run does not know is config-invalid."""
+        if name not in self._identities:
+            raise SimulationError(f"config-invalid: unknown identity {name!r} at {self.clock.now_ms} ms")
+        return self._identities[name]
+
+    def _node(self, name: str) -> Node:
+        if name not in self.nodes:
+            raise SimulationError(f"config-invalid: unknown node {name!r} at {self.clock.now_ms} ms")
+        return self.nodes[name]
 
     def _submit(self, submitter: str, tx: Transaction) -> None:
         node = self.nodes.get(submitter)
@@ -632,14 +677,10 @@ class Simulation:
             if name == self.osp_name:
                 continue
             if not node.is_live:
-                self.undelivered.append(
-                    {"node": name, "channel": channel.value, "block": block.header.number, "reason": "crashed"}
-                )
+                self._undelivered(name, channel, block, "crashed")
                 continue
             if self._net_rng.random() < self.config.network.drop_for(name):
-                self.undelivered.append(
-                    {"node": name, "channel": channel.value, "block": block.header.number, "reason": "dropped"}
-                )
+                self._undelivered(name, channel, block, "dropped")
                 continue
             delay = self._latency()
             self.delay_trace.append(
@@ -647,12 +688,13 @@ class Simulation:
             )
             self._schedule(now + delay, self._peer_receive, name, channel, block)
 
+    def _undelivered(self, name: str, channel: Channel, block: Block, reason: str) -> None:
+        self.undelivered.append({"node": name, "channel": channel.value, "block": block.header.number, "reason": reason})
+
     def _peer_receive(self, name: str, channel: Channel, block: Block) -> None:
         node = self.nodes[name]
         if not node.is_live:
-            self.undelivered.append(
-                {"node": name, "channel": channel.value, "block": block.header.number, "reason": "crashed"}
-            )
+            self._undelivered(name, channel, block, "crashed")
             return
         expected = node.ledger(channel).height
         if block.header.number < expected:
@@ -836,10 +878,7 @@ class Simulation:
         ]
         # In admission order: the orderer admits each transaction once.
         lifecycles = list(self._lifecycles.values())
-        ledger_sizes = {
-            Channel.GCCF.value: len(encode_chain(osp_node.ledger(Channel.GCCF).blocks)),
-            Channel.GPF.value: len(encode_chain(osp_node.ledger(Channel.GPF).blocks)),
-        }
+        ledger_sizes = {ch.value: len(encode_chain(osp_node.ledger(ch).blocks)) for ch in Channel}
         return SimulationReport(
             seed=self.config.seed,
             config_digest=self.config.digest().hex(),
@@ -883,10 +922,6 @@ class Simulation:
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
     return Simulation(config).run()
-
-
-def inject_fault(sim: Simulation, node_id: str, at_ms: int) -> None:
-    sim.inject_fault(node_id, at_ms)
 
 
 def sync_node(sim: Simulation, node_id: str) -> int:

@@ -202,6 +202,26 @@ class TestPolicyVerbs:
         assert main(["policy", "get", *rule]) == 0
         assert _last_json(capsys)["record"]["status"] == "death"
 
+    def test_repeated_policy_commands_each_commit(self, deployment, capsys):
+        # The same command run again signs the same bytes at submit time 0;
+        # it must still commit as a new transaction, not be taken for a replay.
+        rule = ["--deployment", str(deployment), "--entity", "RA", "--rule", "batch"]
+        for verb, status in [("add", "alive"), ("revoke", "death"), ("add", "alive"), ("revoke", "death")]:
+            assert main(["policy", verb, *rule]) == 0
+            capsys.readouterr()
+            assert main(["policy", "get", *rule]) == 0
+            assert _last_json(capsys)["record"]["status"] == status
+        for body in ['{"limit": 1}', '{"limit": 2}', '{"limit": 1}']:
+            assert main(["policy", "add", *rule, "--body", body]) == 0
+            capsys.readouterr()
+        assert main(["policy", "get", *rule]) == 0
+        assert _last_json(capsys)["record"]["rule_body"] == {"limit": 1}
+        chain = cli.load_deployment(str(deployment)).node.ledger(Channel.GPF)
+        assert chain.height == 8
+        stamps = [block.transactions[0].submit_time_ms for block in chain.blocks[1:]]
+        # A first run keeps time 0; a repeat takes the height it is committed at.
+        assert stamps == [0, 0, 3, 4, 0, 0, 7]
+
     def test_get_absent_rule_fails(self, deployment, capsys):
         assert main(["policy", "get", "--deployment", str(deployment), "--entity", "RA", "--rule", "nope"]) == 1
 
@@ -492,17 +512,32 @@ class TestScenarioErrors:
         ({"seed": 1, "nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]],
           "faults": [{"crash_at_ms": 5}]}, "missing key 'node'"),
         ([1, 2], "a scenario is a JSON object"),
-        ({**SAMPLE_SCENARIO, "generate": {"count": "x"}}, "invalid literal for int() with base 10: 'x'"),
-        ({**SAMPLE_SCENARIO, "generate": {"spacing_ms": 10}}, "missing key 'count'"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": "x"}}, "generate count must be an integer"),
+        ({**SAMPLE_SCENARIO, "generate": {"spacing_ms": 10}}, "generate count must be an integer"),
         ({**SAMPLE_SCENARIO, "workload": [{"action": "query", "node": "RA-1", "target": "RA-1"}]},
-         "missing key 'at_ms'"),
+         "workload action at_ms must be an integer"),
         ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "latency_min_ms": "a"}},
-         "'<' not supported between instances of 'str' and 'int'"),
+         "network latency_min_ms must be an integer"),
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "query", "node": "X-1", "target": "RA-1"}]},
-         "query action at 100 ms: unknown or missing 'X-1'"),
+         "unknown node 'X-1' at 100 ms"),
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-9",
                                            "subject_name": "PCA-w0"}]},
-         "issue action at 100 ms: unknown or missing 'ICA-9'"),
+         "unknown identity 'ICA-9' at 100 ms"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "query", "node": "RA-1"}]},
+         "query action needs a string 'target'"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "endorse", "elector": "Elector-1",
+                                           "type": "AddEveryone", "target": "RCA-1"}]},
+         "unknown endorsement type 'AddEveryone'"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "explode"}]}, "unknown workload action 'explode'"),
+        ({**SAMPLE_SCENARIO, "faults": [{"node": "RA-1", "crash_at_ms": "soon"}]}, "fault crash_at_ms must be an integer"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "policy_add", "entity": "Consortium", "rule": "x",
+                                           "body": {"x": [1]}}]},
+         "policy_add action body must map names to scalars"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "revoke", "target": "RA-1", "by": ["PG-1"]}]},
+         "revoke action needs a string 'by'"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-1",
+                                           "subject_name": "PCA-w0", "not_after": "later"}]},
+         "issue action not_after must be an integer"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"

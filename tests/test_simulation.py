@@ -343,6 +343,18 @@ class TestScenarioMissingKeys:
         with pytest.raises(SimulationError, match="^config-invalid: "):
             ScenarioConfig.from_json(scenario)
 
+    def test_a_defect_inside_an_action_is_not_config_invalid(self, monkeypatch):
+        # Only the scenario's own fields are config errors; a KeyError raised
+        # by contract code is a defect and surfaces as itself.
+        def broken(*_args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(gccf, "validate_cert", broken)
+        query = {"at_ms": 100, "action": "query", "node": "RCA-1", "target": "RCA-1"}
+        sim = Simulation(ScenarioConfig.from_json({**self.BASE, "workload": [query]}))
+        with pytest.raises(KeyError, match="internal"):
+            sim.run()
+
     def test_complete_scenario_still_parses(self):
         assert ScenarioConfig.from_json(self.BASE).nodes == (("Elector", 3), ("RCA", 1), ("PG", 1), ("OSP", 1))
 
