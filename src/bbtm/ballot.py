@@ -80,9 +80,11 @@ class Endorsement:
     def verify(self, elector_public_key: bytes) -> bool:
         if not verify_signature(elector_public_key, self.elector_signature, self.signing_bytes()):
             return False
-        if self.target_cert is not None:
-            return sha256(canonical_encode(self.target_cert)) == self.target_cert_digest
-        return True
+        return self.names_its_target()
+
+    def names_its_target(self) -> bool:
+        """False iff the endorsement carries a target record whose digest is not the one signed."""
+        return self.target_cert is None or sha256(canonical_encode(self.target_cert)) == self.target_cert_digest
 
 
 def encode_endorsement(endorsement: Endorsement) -> bytes:

@@ -31,6 +31,9 @@ from .deployment import (
     derive_bytes,
     derive_identity,
     expand_node_counts,
+    read_checkpoint,
+    verified_block_count,
+    write_chains,
 )
 from .identity import (
     AuthorityRole,
@@ -46,6 +49,7 @@ from .identity import (
     iter_json,
     role_of_name,
     sha256,
+    write_all_atomic,
     write_atomic,
 )
 from .ledger import (
@@ -101,8 +105,7 @@ class CliDeployment:
         return self.identities[name]
 
     def save_chains(self) -> None:
-        for channel, filename in CHAIN_FILES.items():
-            write_atomic(self.path / filename, encode_chain(self.node.ledger(channel).blocks))
+        write_chains(self.path, {channel: self.node.ledger(channel).blocks for channel in CHAIN_FILES})
 
     def register_extra(self, ident: Identity) -> None:
         self.identities[ident.name] = ident
@@ -168,7 +171,9 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
 
     ``chains`` gives blocks to replay instead of the chain file of their
     channel; nothing is written.  Every chain must have been cut by the
-    deployment's ordering service.
+    deployment's ordering service.  Blocks of a chain file that lie wholly
+    in the prefix its checkpoint vouches for replay without their Ed25519
+    checks; every other block, and every given one, is verified in full.
     """
     path = pathlib.Path(path_str)
     try:
@@ -196,12 +201,16 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
 
     node = Node(identities[osp_name])
     chains = dict(chains or {})
+    checkpoint = read_checkpoint(path)
+    verified = dict.fromkeys(CHAIN_FILES, 0)
     for channel, filename in CHAIN_FILES.items():
         if channel not in chains:
             try:
-                chains[channel] = decode_chain((path / filename).read_bytes())
+                data = (path / filename).read_bytes()
+                chains[channel] = decode_chain(data)
             except (OSError, LedgerError) as exc:
                 raise CliError(f"cannot load {filename}: {exc}") from exc
+            verified[channel] = verified_block_count(data, checkpoint.get(channel.value))
         blocks = chains[channel]
         # An empty chain would load as a deployment with no state at all.
         if not blocks:
@@ -210,10 +219,9 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
             raise CliError(f"{channel.value} chain was not cut by this deployment's ordering service")
     # Certificate history first: policy commits authenticate against it.
     try:
-        for block in chains[Channel.GCCF]:
-            node.commit_block(Channel.GCCF, block)
-        for block in chains[Channel.GPF]:
-            node.commit_block(Channel.GPF, block)
+        for channel in (Channel.GCCF, Channel.GPF):
+            for position, block in enumerate(chains[channel]):
+                node.commit_block(channel, block, check_signatures=position >= verified[channel])
     except BlockRefused as exc:
         raise CliError(f"deployment chain does not replay: {exc}") from exc
     orderer = OrderingService(config, identities[osp_name], node)
@@ -355,9 +363,11 @@ def cmd_ledger_import(args) -> int:
     if args.deployment:
         # The deployment's replay of the imported chain is the gate: it runs
         # verify_chain's levels and the contracts, so a refusal is reported as
-        # a deployment error, and the chain file changes only once it passes.
-        ledger = load_deployment(args.deployment, chains={channel: blocks}).node.ledger(channel)
-        write_atomic(pathlib.Path(args.deployment) / CHAIN_FILES[channel], encode_chain(blocks))
+        # a deployment error, and the chain files change only once it passes.
+        # The other channel's file is written back as it was read.
+        dep = load_deployment(args.deployment, chains={channel: blocks})
+        ledger = dep.node.ledger(channel)
+        dep.save_chains()
     else:
         try:
             ledger, fail_at = verify_chain(channel, blocks)
@@ -391,8 +401,9 @@ def cmd_cert_issue(args) -> int:
         raise CliError(str(exc)) from exc
     cert = ident.cert
     out = pathlib.Path(args.out)
-    write_atomic(out, canonical_encode(cert))
-    write_atomic(out.with_suffix(out.suffix + ".json"), dump_json(cert_to_json(cert)))
+    write_all_atomic(
+        [(out, canonical_encode(cert)), (out.with_suffix(out.suffix + ".json"), dump_json(cert_to_json(cert)))]
+    )
     dep.register_extra(ident)
     result = {"cert": args.out, "serial": cert.serial_number.hex(), "submitted": False}
     if args.submit:
@@ -417,8 +428,9 @@ def cmd_gccf_export(args) -> int:
     quorum = gpf.ballot_quorum(dep.node.gpf_view)
     snapshot = gccf.export_gccf(dep.node.gccf_view, dep.node.ledger(Channel.GCCF).tip_number, quorum)
     base = pathlib.Path(args.out)
-    write_atomic(base.with_suffix(".bin"), snapshot.encode())
-    write_atomic(base.with_suffix(".json"), dump_json(snapshot.to_json()))
+    write_all_atomic(
+        [(base.with_suffix(".bin"), snapshot.encode()), (base.with_suffix(".json"), dump_json(snapshot.to_json()))]
+    )
     _print_json(
         {
             "version": snapshot.version,

@@ -4,15 +4,18 @@ From a seed and a member list this derives every key, unique id, serial,
 and certificate, builds the consortium configuration and the three genesis
 blocks, and hands back the full credential set.  Identical inputs always
 produce byte-identical genesis material, which is what makes simulation
-runs and golden-digest tests exact.
+runs and golden-digest tests exact.  It also owns the chain files of a
+deployment directory and the checkpoint written beside them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import pathlib
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gccf import BALLOT_GOVERNED, ISSUANCE_MATRIX, make_add_cert_tx
 from .gpf import KNOWN_RULES, PolicyRecord, PolicyStatus, make_policy_tx
@@ -21,11 +24,14 @@ from .identity import (
     Identity,
     Subject,
     UID_LEN,
+    dump_json,
     generate_keypair,
     issue_certificate,
     role_of_name,
+    sha256,
+    write_all_atomic,
 )
-from .ledger import Channel, Transaction
+from .ledger import Block, Channel, Transaction, blocks_within, encode_chain
 from .ordering import ConsortiumConfig, GenesisBundle, Member, create_genesis
 
 DEFAULT_NOT_BEFORE = 0
@@ -33,6 +39,48 @@ DEFAULT_NOT_AFTER = 10_000_000_000  # far beyond any simulated horizon
 
 # The ledger files of a deployment directory, and of a simulator export.
 CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
+# Beside them: per channel, the length and SHA-256 of a chain file prefix
+# that this program verified in full when it wrote it (FORMAT.md "Checkpoint").
+CHECKPOINT_FILE = "checkpoint.json"
+
+
+def write_chains(directory: pathlib.Path, chains: Dict[Channel, Iterable[Block]]) -> None:
+    """Write the chain files and the checkpoint that vouches for them, all or none.
+
+    Pass only chains whose every block a node has committed: a later load
+    skips the Ed25519 checks on the bytes written here.
+    """
+    images = {channel: encode_chain(blocks) for channel, blocks in chains.items()}
+    checkpoint = {
+        channel.value: {"bytes": len(data), "sha256": sha256(data).hex()} for channel, data in images.items()
+    }
+    files = [(directory / CHAIN_FILES[channel], data) for channel, data in images.items()]
+    write_all_atomic(files + [(directory / CHECKPOINT_FILE, dump_json(checkpoint))])
+
+
+def read_checkpoint(directory: pathlib.Path) -> dict:
+    """The checkpoint written beside the chain files; {} if it is missing or not a JSON object."""
+    try:
+        checkpoint = json.loads((directory / CHECKPOINT_FILE).read_bytes())
+    except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep to parse
+        return {}
+    return checkpoint if isinstance(checkpoint, dict) else {}
+
+
+def verified_block_count(data: bytes, entry) -> int:
+    """How many leading blocks of chain file image data lie wholly in the prefix entry vouches for.
+
+    entry is a channel's checkpoint entry; unless it names a length of at
+    most len(data) and the SHA-256 of data's first that many bytes, no block
+    is vouched for.
+    """
+    if not isinstance(entry, dict):
+        return 0
+    length, digest = entry.get("bytes"), entry.get("sha256")
+    if type(length) is not int or not 0 <= length <= len(data) or sha256(data[:length]).hex() != digest:
+        return 0
+    return blocks_within(data, length)
+
 
 # Issuer role of each member role the two certifying authorities issue: the
 # issuance matrix read from subject to issuer.  Every other member (electors,

@@ -21,7 +21,7 @@ import secrets
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -446,3 +446,25 @@ def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> Non
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_all_atomic(files: Iterable[Tuple[pathlib.Path, Union[bytes, Iterable[bytes]]]]) -> None:
+    """Replace each path's content with its data: every file, or none of them.
+
+    The files are replaced in order, each through write_atomic.  If one
+    fails, every file already replaced gets its previous bytes back, or is
+    removed if it is new, and the failure propagates.
+    """
+    replaced = []
+    try:
+        for path, data in files:
+            previous = path.read_bytes() if path.exists() else None
+            write_atomic(path, data)
+            replaced.append((path, previous))
+    except BaseException:
+        for path, previous in reversed(replaced):
+            if previous is None:
+                path.unlink(missing_ok=True)
+            else:
+                write_atomic(path, previous)
+        raise

@@ -31,6 +31,7 @@ from .deployment import (
     derive_identity,
     derive_rng,
     expand_node_counts,
+    write_chains,
 )
 from .identity import (
     AuthorityRole,
@@ -39,7 +40,6 @@ from .identity import (
     dump_json,
     role_of_name,
     sha256,
-    write_atomic,
 )
 from .ledger import Block, Channel, Transaction, encode_chain
 from .metrics import TxLifecycle
@@ -896,28 +896,17 @@ class Simulation:
         )
 
     def export_ledgers(self, directory) -> Dict[str, str]:
-        """Write the sequencer's chains as ledger files; returns the paths.
+        """Write the sequencer's chains as ledger files, with their checkpoint; returns the paths.
 
-        The pair is written whole or not at all: if the second file fails,
-        the first gets its previous bytes back, or goes if it is new.
+        The files are written whole or not at all (deployment.write_chains).
         """
         import pathlib
 
         base = pathlib.Path(directory)
         base.mkdir(parents=True, exist_ok=True)
-        first, second = base / CHAIN_FILES[Channel.GCCF], base / CHAIN_FILES[Channel.GPF]
-        previous = first.read_bytes() if first.exists() else None
         osp = self.nodes[self.osp_name]
-        write_atomic(first, encode_chain(osp.ledger(Channel.GCCF).blocks))
-        try:
-            write_atomic(second, encode_chain(osp.ledger(Channel.GPF).blocks))
-        except BaseException:
-            if previous is None:
-                first.unlink(missing_ok=True)
-            else:
-                write_atomic(first, previous)
-            raise
-        return {Channel.GCCF.value: str(first), Channel.GPF.value: str(second)}
+        write_chains(base, {channel: osp.ledger(channel).blocks for channel in CHAIN_FILES})
+        return {channel.value: str(base / name) for channel, name in CHAIN_FILES.items()}
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationReport:

@@ -1,0 +1,202 @@
+"""Verified-prefix checkpoint: a load skips Ed25519 only on bytes bbtm wrote, and never changes an outcome."""
+
+import json
+import pathlib
+
+import pytest
+
+from bbtm import cli, identity
+from bbtm.cli import main
+from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE
+from bbtm.ledger import Block, Channel, decode_chain, encode_chain
+from bbtm.simulation import ScenarioConfig, Simulation
+
+NODES = [("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)]
+CONFIG = {"seed": 77, "nodes": [{"role": r, "count": c} for r, c in NODES], "policies": {"ballot_quorum": 2}}
+
+
+def _init(tmp_path: pathlib.Path, config: dict) -> pathlib.Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    dep = tmp_path / "dep"
+    assert main(["network", "init", "--config", str(path), "--out", str(dep)]) == 0
+    return dep
+
+
+@pytest.fixture
+def deployment(tmp_path):
+    return _init(tmp_path, CONFIG)
+
+
+def _real_verifications(run) -> int:
+    """Ed25519 verifications run(), started with cold caches, actually makes."""
+    identity._verify_raw.cache_clear()
+    identity.decode_certificate.cache_clear()
+    run()
+    return identity._verify_raw.cache_info().misses
+
+
+def _signatures(chain: pathlib.Path) -> int:
+    """Distinct creator and submitter signatures in a chain file."""
+    blocks = decode_chain(chain.read_bytes())
+    return len(blocks) + sum(len(block.transactions) for block in blocks)
+
+
+def _policy_add(dep: pathlib.Path, rule: str) -> None:
+    assert main(["policy", "add", "--deployment", str(dep), "--entity", "RA", "--rule", rule]) == 0
+
+
+class TestWorkCounts:
+    def test_network_init_writes_no_checkpoint(self, deployment):
+        assert not (deployment / CHECKPOINT_FILE).exists()
+        assert _real_verifications(lambda: cli.load_deployment(str(deployment))) > 1
+
+    def test_loads_after_each_write_trust_the_whole_chain(self, deployment, tmp_path):
+        _policy_add(deployment, "r0")
+        for _ in range(2):
+            assert _real_verifications(lambda: cli.load_deployment(str(deployment))) <= 1
+        assert main(["cert", "issue", "--deployment", str(deployment), "--issuer", "RCA-1", "--subject", "ICA-9",
+                     "--out", str(tmp_path / "ica9.bin"), "--submit"]) == 0
+        assert _real_verifications(lambda: cli.load_deployment(str(deployment))) <= 1
+        heights = {c: cli.load_deployment(str(deployment)).node.ledger(c).height for c in CHAIN_FILES}
+        assert heights == {Channel.GCCF: 2, Channel.GPF: 2}
+
+    def test_a_simulator_export_loads_trusted(self, deployment):
+        scenario = {"seed": CONFIG["seed"], "nodes": [list(n) for n in NODES], "policies": CONFIG["policies"],
+                    "generate": {"count": 20, "spacing_ms": 10}}
+        sim = Simulation(ScenarioConfig.from_json(scenario))
+        sim.run()
+        sim.export_ledgers(deployment)
+        assert cli.load_deployment(str(deployment)).node.ledger(Channel.GCCF).height > 1
+        assert _real_verifications(lambda: cli.load_deployment(str(deployment))) <= 1
+
+    def test_ledger_verify_and_import_verify_in_full(self, deployment, tmp_path, capsys):
+        for i in range(3):
+            _policy_add(deployment, f"r{i}")
+        exported = tmp_path / "gpf.export"
+        assert main(["ledger", "export", "--deployment", str(deployment), "--channel", "GPF",
+                     "--out", str(exported)]) == 0
+        assert (deployment / CHECKPOINT_FILE).exists()
+        for chain in (deployment / "gccf.chain", deployment / "gpf.chain"):
+            assert _real_verifications(lambda: main(["ledger", "verify", str(chain)])) >= _signatures(chain)
+        signatures = _signatures(exported)
+        assert _real_verifications(lambda: main(["ledger", "import", str(exported)])) >= signatures
+        # Under --deployment the certificate channel is trusted and the
+        # imported channel is verified: its signatures, plus the ordering
+        # service's self-signature.
+        imported = _real_verifications(
+            lambda: main(["ledger", "import", str(exported), "--channel", "GPF", "--deployment", str(deployment)])
+        )
+        assert imported == signatures + 1
+        capsys.readouterr()
+
+    def test_cert_validate_verifies_the_presented_certificate(self, deployment, tmp_path, capsys):
+        cert = tmp_path / "ica9.bin"
+        assert main(["cert", "issue", "--deployment", str(deployment), "--issuer", "RCA-1", "--subject", "ICA-9",
+                     "--out", str(cert), "--submit"]) == 0
+        capsys.readouterr()
+        real = _real_verifications(lambda: main(["cert", "validate", "--deployment", str(deployment),
+                                                 "--cert", str(cert)]))
+        path = json.loads(capsys.readouterr().out)["path"]
+        # ICA-9 under RCA-1's key and RCA-1 under its own, after a trusted load.
+        assert len(path) == 2 and real >= 1 + len(path)
+
+
+def _outcome(dep: pathlib.Path):
+    """What load_deployment makes of a directory: its error, or its heights and world-state digest."""
+    try:
+        loaded = cli.load_deployment(str(dep))
+    except Exception as exc:  # any failure is an outcome to compare, whatever its type
+        return type(exc).__name__, str(exc)
+    return tuple(loaded.node.ledger(c).height for c in CHAIN_FILES), loaded.node.world_state_digest()
+
+
+def _flips(data: bytes):
+    for pos in range(len(data)):
+        yield pos, data[:pos] + bytes([data[pos] ^ 0x01]) + data[pos + 1:]
+
+
+class TestTamper:
+    """A checkpoint never changes what a load makes of a deployment, however its files are tampered with."""
+
+    @pytest.fixture
+    def dep(self, tmp_path):
+        """A small deployment whose checkpoint is stale: it vouches for the
+        certificate chain's genesis block only, and the chain has one more."""
+        dep = _init(tmp_path, {"seed": 55, "nodes": [{"role": "RCA", "count": 1}, {"role": "OSP", "count": 1}]})
+        cli.load_deployment(str(dep)).save_chains()
+        stale = (dep / CHECKPOINT_FILE).read_bytes()
+        assert main(["cert", "issue", "--deployment", str(dep), "--issuer", "RCA-1", "--subject", "ICA-9",
+                     "--out", str(tmp_path / "ica9.bin"), "--submit"]) == 0
+        (dep / CHECKPOINT_FILE).write_bytes(stale)
+        return dep
+
+    @pytest.fixture
+    def files(self, dep, monkeypatch):
+        """The deployment's files, read from memory: the sweep loads thousands of variants of them."""
+        files = {path: path.read_bytes() for path in dep.iterdir()}
+
+        def read_bytes(path):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return files[path]
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+        monkeypatch.setattr(pathlib.Path, "read_text", lambda path: read_bytes(path).decode("utf-8"))
+        return files
+
+    @staticmethod
+    def _without_checkpoint(dep: pathlib.Path, files: dict):
+        kept = files.pop(dep / CHECKPOINT_FILE)
+        try:
+            return _outcome(dep)
+        finally:
+            files[dep / CHECKPOINT_FILE] = kept
+
+    def test_stale_checkpoint_trusts_its_prefix_only(self, dep, files):
+        expected = self._without_checkpoint(dep, files)
+        assert expected[0] == (2, 1)
+        # The ordering service's self-signature, then the block past the
+        # prefix: its creator's and its submitter's signatures, and the
+        # issuer's signature on the record it adds.
+        assert _real_verifications(lambda: cli.load_deployment(str(dep))) == 1 + 3
+        assert _outcome(dep) == expected
+
+    def test_every_single_byte_flip_loads_as_without_checkpoint(self, dep, files):
+        for name in CHAIN_FILES.values():
+            original = files[dep / name]
+            for pos, flipped in _flips(original):
+                files[dep / name] = flipped
+                assert _outcome(dep) == self._without_checkpoint(dep, files), f"{name} byte {pos}"
+            files[dep / name] = original
+        expected = self._without_checkpoint(dep, files)
+        for pos, flipped in _flips(files[dep / CHECKPOINT_FILE]):
+            files[dep / CHECKPOINT_FILE] = flipped
+            assert _outcome(dep) == expected, f"{CHECKPOINT_FILE} byte {pos}"
+
+    @pytest.mark.parametrize("text", [
+        "", "[]", "[" * 100_000, '{"GCCF": 1}', '{"GCCF": {"bytes": 1e3, "sha256": "00"}}',
+        '{"GCCF": {"bytes": 1000000000, "sha256": "00"}}',
+    ], ids=["empty", "array", "deep", "not-an-entry", "float-length", "length-past-the-file"])
+    def test_malformed_checkpoint_verifies_in_full(self, dep, text):
+        (dep / CHECKPOINT_FILE).write_text(text)
+        real = _real_verifications(lambda: cli.load_deployment(str(dep)))
+        (dep / CHECKPOINT_FILE).unlink()
+        assert real == _real_verifications(lambda: cli.load_deployment(str(dep))) > 1
+
+    def test_forged_creator_signature_is_refused(self, dep):
+        """The creator signature lies outside the header hash; the checkpoint covers it."""
+        chain = dep / "gccf.chain"
+        honest = chain.read_bytes()
+        blocks = decode_chain(honest)
+        genesis = blocks[0]
+        forged = Block(genesis.header, genesis.transactions, genesis.creator_cert,
+                       bytes(b ^ 0xFF for b in genesis.creator_signature))
+        image = encode_chain([forged] + blocks[1:])
+        assert len(image) == len(honest)
+        cli.load_deployment(str(dep)).save_chains()  # the checkpoint now covers the honest bytes
+        chain.write_bytes(image)
+        refused = ("CliError", "deployment chain does not replay: block 0 refused: block 0 creator signature invalid")
+        assert _outcome(dep) == refused
+        (dep / CHECKPOINT_FILE).unlink()
+        assert _outcome(dep) == refused

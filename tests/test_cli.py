@@ -391,6 +391,31 @@ def _fail_replace(src, dst):
     raise OSError("disk full")
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["cert", "issue", "--issuer", "RCA-1", "--subject", "ICA-9", "--out", "ica9.bin"], ["ica9.bin", "ica9.bin.json"]),
+    (["gccf", "export", "--out", "snapshot"], ["snapshot.bin", "snapshot.json"]),
+], ids=["cert-issue", "gccf-export"])
+def test_failed_second_replace_keeps_the_old_pair(deployment, tmp_path, monkeypatch, argv, names):
+    files = [tmp_path / name for name in names]
+    for path in files:
+        path.write_bytes(b"old " + path.name.encode())
+    real_replace = os.replace
+    calls = []
+
+    def fail_second(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second)
+    with pytest.raises(OSError, match="disk full"):
+        main([*argv[:2], "--deployment", str(deployment), *argv[2:-1], str(tmp_path / argv[-1])])
+    assert [path.read_bytes() for path in files] == [b"old " + name.encode() for name in names]
+    stem = names[0].split(".")[0]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(stem)) == names
+
+
 class TestMetricsReportFile:
     @pytest.fixture
     def report_path(self, tmp_path):
