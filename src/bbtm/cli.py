@@ -12,28 +12,24 @@ Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
 import json
 import pathlib
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
-from .deployment import (
+from .deployment import (  # CHAIN_FILES: re-exported
     CHAIN_FILES,
     DEFAULT_NOT_AFTER,
     DEFAULT_NOT_BEFORE,
-    Deployment,
+    CliDeployment,
+    CliError,
     build_deployment,
     derive_bytes,
     derive_identity,
     expand_node_counts,
-    read_checkpoint,
-    verified_block_count,
-    write_chains,
+    load_deployment,
+    write_deployment,
 )
 from .identity import (
     AuthorityRole,
@@ -45,196 +41,22 @@ from .identity import (
     cert_to_json,
     decode_certificate,
     dump_json,
-    generate_keypair,
     iter_json,
     role_of_name,
     sha256,
     write_all_atomic,
     write_atomic,
 )
-from .ledger import (
-    Block,
-    Channel,
-    LedgerError,
-    Transaction,
-    decode_chain,
-    encode_chain,
-    infer_channel,
-    verify_chain,
-)
-from .node import BlockRefused, Node
-from .ordering import ConsortiumConfig, OrderingService, Rejected
+from .ledger import Channel, LedgerError, decode_chain, infer_channel, verify_chain
 from .simulation import ScenarioConfig, Simulation, SimulationError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-CONSORTIUM_FILE = "consortium.json"
-KEYS_FILE = "keys.json"
-SYSTEM_BLOCK_FILE = "system.block"
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_FAIL):
-        super().__init__(message)
-        self.code = code
-
 
 def _print_json(obj) -> None:
     sys.stdout.write(dump_json(obj).decode("utf-8"))
-
-
-# ---------------------------------------------------------------- deployment
-
-
-@dataclass
-class CliDeployment:
-    path: pathlib.Path
-    seed: int
-    consortium: ConsortiumConfig
-    identities: Dict[str, Identity]
-    osp_name: str
-    node: Node
-    orderer: OrderingService
-    validity: tuple
-
-    def identity(self, name: str) -> Identity:
-        if name not in self.identities:
-            raise CliError(f"unknown identity {name!r} in deployment")
-        return self.identities[name]
-
-    def save_chains(self) -> None:
-        write_chains(self.path, {channel: self.node.ledger(channel).blocks for channel in CHAIN_FILES})
-
-    def register_extra(self, ident: Identity) -> None:
-        self.identities[ident.name] = ident
-        keys_path = self.path / KEYS_FILE
-        payload = json.loads(keys_path.read_text())
-        payload.setdefault("extras", {})[ident.name] = {
-            "role": ident.role.value,
-            "private": ident.key.private_bytes().hex(),
-            "cert": cert_to_json(ident.cert),
-        }
-        write_atomic(keys_path, dump_json(payload))
-
-    def submit_and_commit(self, submitter: str, tx) -> int:
-        """One-node network turn: admit, force-cut, commit, persist."""
-        try:
-            self.orderer.submit_tx(tx, now_ms=0)
-        except Rejected as exc:
-            raise CliError(f"rejected: {exc.reason}") from exc
-        block = self.orderer.cut_block(tx.channel, now_ms=0, force=True)
-        assert block is not None
-        try:
-            self.orderer.commit_own(tx.channel, block)
-        except BlockRefused as exc:  # pragma: no cover - admission prevents this
-            raise CliError(f"commit refused: {exc.reason}") from exc
-        self.save_chains()
-        return block.header.number
-
-    def submit_command(self, signer: Identity, build: Callable[..., Transaction], *args) -> int:
-        """Commit ``build(*args, signer cert, signer key, submit_time_ms)`` with the time 0
-        or, when that exact transaction is already on the chain (the same command run
-        again: its signature is deterministic), with the first channel height that makes it new."""
-        sign = functools.partial(build, *args, signer.cert, signer.key)
-        tx = sign(0)
-        ledger = self.node.ledger(tx.channel)
-        stamps = itertools.count(ledger.height)
-        while ledger.has_tx(tx):
-            tx = sign(next(stamps))
-        return self.submit_and_commit(signer.name, tx)
-
-
-def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "seed": dep.seed,
-        "validity": list(dep.validity),
-        "bootstrap": list(dep.gccf_bootstrap_names),
-        "deferred": sorted(dep.deferred),
-        "config": dep.consortium.to_json(),
-    }
-    write_atomic(out_dir / CONSORTIUM_FILE, dump_json(meta))
-    keys = {
-        "keys": {name: ident.key.private_bytes().hex() for name, ident in dep.identities.items()},
-        "extras": {},
-    }
-    write_atomic(out_dir / KEYS_FILE, dump_json(keys))
-    write_atomic(out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode())
-    write_atomic(out_dir / CHAIN_FILES[Channel.GCCF], encode_chain([dep.genesis.gccf_genesis]))
-    write_atomic(out_dir / CHAIN_FILES[Channel.GPF], encode_chain([dep.genesis.gpf_genesis]))
-
-
-def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:
-    """Read a deployment directory and replay its chains on one node.
-
-    ``chains`` gives blocks to replay instead of the chain file of their
-    channel; nothing is written.  Every chain must have been cut by the
-    deployment's ordering service.  Blocks of a chain file that lie wholly
-    in the prefix its checkpoint vouches for replay without their Ed25519
-    checks; every other block, and every given one, is verified in full.
-    """
-    path = pathlib.Path(path_str)
-    try:
-        meta = json.loads((path / CONSORTIUM_FILE).read_text())
-        key_data = json.loads((path / KEYS_FILE).read_text())
-        seed = meta["seed"]
-        config = ConsortiumConfig.from_json(meta["config"])
-        osp_name = config.osp_cert.subject_name
-        keys = key_data["keys"]
-        # (name, role, private key hex, certificate): the OSP, the members, then the extras.
-        holders = [(osp_name, AuthorityRole.OSP, keys[osp_name], config.osp_cert)]
-        holders += [(m.name, m.role, keys[m.name], m.cert) for m in config.members]
-        holders += [
-            (name, AuthorityRole(extra["role"]), extra["private"], cert_from_json(extra["cert"]))
-            for name, extra in key_data.get("extras", {}).items()
-        ]
-        identities = {
-            name: Identity(name=name, role=role, key=generate_keypair(bytes.fromhex(private)), cert=cert)
-            for name, role, private, cert in holders
-        }
-    except KeyError as exc:
-        raise CliError(f"not a deployment directory: missing key {exc.args[0]!r}") from exc
-    except (OSError, ValueError) as exc:
-        raise CliError(f"not a deployment directory: {exc}") from exc
-
-    node = Node(identities[osp_name])
-    chains = dict(chains or {})
-    checkpoint = read_checkpoint(path)
-    verified = dict.fromkeys(CHAIN_FILES, 0)
-    for channel, filename in CHAIN_FILES.items():
-        if channel not in chains:
-            try:
-                data = (path / filename).read_bytes()
-                chains[channel] = decode_chain(data)
-            except (OSError, LedgerError) as exc:
-                raise CliError(f"cannot load {filename}: {exc}") from exc
-            verified[channel] = verified_block_count(data, checkpoint.get(channel.value))
-        blocks = chains[channel]
-        # An empty chain would load as a deployment with no state at all.
-        if not blocks:
-            raise CliError(f"{channel.value} chain has no genesis block")
-        if blocks[0].creator_cert != config.osp_cert:
-            raise CliError(f"{channel.value} chain was not cut by this deployment's ordering service")
-    # Certificate history first: policy commits authenticate against it.
-    try:
-        for channel in (Channel.GCCF, Channel.GPF):
-            for position, block in enumerate(chains[channel]):
-                node.commit_block(channel, block, check_signatures=position >= verified[channel])
-    except BlockRefused as exc:
-        raise CliError(f"deployment chain does not replay: {exc}") from exc
-    orderer = OrderingService(config, identities[osp_name], node)
-    return CliDeployment(
-        path=path,
-        seed=seed,
-        consortium=config,
-        identities=identities,
-        osp_name=osp_name,
-        node=node,
-        orderer=orderer,
-        validity=tuple(meta.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
-    )
 
 
 def read_cert_file(path_str: str) -> CertificateRecord:
@@ -347,7 +169,7 @@ def cmd_ledger_verify(args) -> int:
 def cmd_ledger_export(args) -> int:
     dep = load_deployment(args.deployment)
     channel = Channel(args.channel)
-    data = encode_chain(dep.node.ledger(channel).blocks)
+    data = dep.node.ledger(channel).chain_image()
     write_atomic(pathlib.Path(args.out), data)
     _print_json({"channel": channel.value, "bytes": len(data), "height": dep.node.ledger(channel).height})
     return EXIT_OK

@@ -1,61 +1,185 @@
-"""Deterministic consortium construction.
+"""Deterministic consortium construction, and the deployment directory.
 
 From a seed and a member list this derives every key, unique id, serial,
 and certificate, builds the consortium configuration and the three genesis
 blocks, and hands back the full credential set.  Identical inputs always
 produce byte-identical genesis material, which is what makes simulation
-runs and golden-digest tests exact.  It also owns the chain files of a
-deployment directory and the checkpoint written beside them.
+runs and golden-digest tests exact.
+
+It also owns every file of a deployment directory (FORMAT.md): it writes
+one (``write_deployment``), loads one as a one-node network
+(``load_deployment``), and writes its chain files together with the
+checkpoint and the world-state savepoint that let the next load skip the
+replay (``write_chains``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import pathlib
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from . import wire
+from .ballot import BallotError, decode_endorsement, encode_endorsement
 from .gccf import BALLOT_GOVERNED, ISSUANCE_MATRIX, make_add_cert_tx
 from .gpf import KNOWN_RULES, PolicyRecord, PolicyStatus, make_policy_tx
 from .identity import (
     AuthorityRole,
     Identity,
+    SERIAL_LEN,
     Subject,
     UID_LEN,
+    canonical_encode,
+    cert_from_json,
+    cert_to_json,
     dump_json,
     generate_keypair,
     issue_certificate,
     role_of_name,
     sha256,
     write_all_atomic,
+    write_atomic,
 )
-from .ledger import Block, Channel, Transaction, blocks_within, encode_chain
-from .ordering import ConsortiumConfig, GenesisBundle, Member, create_genesis
+from .ledger import (
+    Block,
+    Channel,
+    LedgerError,
+    StateEntry,
+    Transaction,
+    blocks_within,
+    decode_chain,
+    encode_chain,
+)
+from .node import BlockRefused, Node
+from .ordering import ConsortiumConfig, GenesisBundle, Member, OrderingService, Rejected, create_genesis
 
 DEFAULT_NOT_BEFORE = 0
 DEFAULT_NOT_AFTER = 10_000_000_000  # far beyond any simulated horizon
 
+CONSORTIUM_FILE = "consortium.json"
+KEYS_FILE = "keys.json"
+SYSTEM_BLOCK_FILE = "system.block"
 # The ledger files of a deployment directory, and of a simulator export.
 CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
 # Beside them: per channel, the length and SHA-256 of a chain file prefix
-# that this program verified in full when it wrote it (FORMAT.md "Checkpoint").
+# that this program verified in full when it wrote it, and the SHA-256 of
+# the savepoint (FORMAT.md "Checkpoint").
 CHECKPOINT_FILE = "checkpoint.json"
+# The committed state of the node that wrote the chain files (FORMAT.md "Savepoint").
+SAVEPOINT_FILE = "state.bin"
+SAVEPOINT_MAGIC = b"BBTS"
+SAVEPOINT_FORMAT_VERSION = 1
+TX_ID_LEN = 32  # a SHA-256 digest
 
 
-def write_chains(directory: pathlib.Path, chains: Dict[Channel, Iterable[Block]]) -> None:
-    """Write the chain files and the checkpoint that vouches for them, all or none.
+class CliError(Exception):
+    """A failure a command reports: its message and its exit code (1 failure, 2 usage error)."""
 
-    Pass only chains whose every block a node has committed: a later load
-    skips the Ed25519 checks on the bytes written here.
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
+
+
+# ----------------------------------------------------------------- savepoint
+
+
+def encode_savepoint(node: Node) -> bytes:
+    """The node's committed state: per channel its chain facts and world state, then the GCCF indexes."""
+    parts = [SAVEPOINT_MAGIC, bytes([SAVEPOINT_FORMAT_VERSION])]
+    for channel in CHAIN_FILES:
+        ledger = node.ledger(channel)
+        world = ledger.world_state
+        parts += [
+            wire.field(channel.value.encode("utf-8")),
+            wire.field(wire.u64(ledger.height)),
+            wire.field(ledger.head_hash()),
+            wire.field(ledger.creator_cert_bytes),
+            wire.field(wire.u32(len(world))),
+        ]
+        parts += [wire.field(key.encode("utf-8")) + world[key].digest_framing for key in sorted(world)]
+        parts.append(wire.field(b"".join(sorted(ledger.tx_ids))))
+    view = node.gccf_view
+    parts.append(wire.field(b"".join(sorted(view.serials))))
+    parts.append(wire.field(wire.u32(len(view.endorsement_log))))
+    for number, endorsement in view.endorsement_log:
+        parts += [wire.field(wire.u64(number)), wire.field(encode_endorsement(endorsement))]
+    return b"".join(parts)
+
+
+def _split(data: bytes, width: int) -> Set[bytes]:
+    if len(data) % width:
+        raise wire.WireError(f"{len(data)} bytes is not a whole number of {width}-byte values")
+    return {data[i:i + width] for i in range(0, len(data), width)}
+
+
+def restore_savepoint(node: Node, data: bytes, images: Dict[Channel, bytes], creator_cert_bytes: bytes) -> bool:
+    """Fill a new node with the state savepoint data holds, over the chain file images it stands for.
+
+    Returns False, and leaves the node as it was, if data does not decode
+    or names a chain creator other than the certificate encoding
+    creator_cert_bytes.
     """
-    images = {channel: encode_chain(blocks) for channel, blocks in chains.items()}
+    try:
+        channels, serials, log = _decode_savepoint(data, creator_cert_bytes)
+    except (ValueError, BallotError):
+        return False
+    for channel, height, head, world, tx_ids in channels:
+        ledger = node.ledger(channel)
+        ledger.restore(images[channel], height, head, creator_cert_bytes, tx_ids)
+        ledger.world_state.update(world)
+        node.committed_txs[channel] = len(tx_ids)
+    node.gccf_view.serials.update(serials)
+    node.gccf_view.endorsement_log.extend(log)
+    return True
+
+
+def _decode_savepoint(data: bytes, creator_cert_bytes: bytes):
+    header = SAVEPOINT_MAGIC + bytes([SAVEPOINT_FORMAT_VERSION])
+    if data[: len(header)] != header:
+        raise ValueError("not a savepoint of this format")
+    r = wire.Reader(data[len(header):])
+    channels = []
+    for channel in CHAIN_FILES:
+        if r.str_field() != channel.value:
+            raise ValueError(f"savepoint channels out of order at {channel.value}")
+        height, head = r.u64_field(), r.field()
+        if r.field() != creator_cert_bytes:
+            raise ValueError(f"the {channel.value} chain was cut by another ordering service")
+        world = {}
+        for _ in range(r.u32_field()):
+            key = r.str_field()
+            world[key] = StateEntry.read(r)
+        channels.append((channel, height, head, world, _split(r.field(), TX_ID_LEN)))
+    serials = _split(r.field(), SERIAL_LEN)
+    log = [(r.u64_field(), decode_endorsement(r.field())) for _ in range(r.u32_field())]
+    r.expect_end()
+    return channels, serials, log
+
+
+# ------------------------------------------------------- chains on the disk
+
+
+def write_chains(directory: pathlib.Path, node: Node) -> None:
+    """Write the node's chain files, its savepoint and the checkpoint that vouches for them, all or none.
+
+    Pass only a node that has committed every block of its chains: a later
+    load skips the Ed25519 checks on the chain bytes written here, and
+    restores the savepoint instead of replaying them.
+    """
+    images = {channel: node.ledger(channel).chain_image() for channel in CHAIN_FILES}
+    state = encode_savepoint(node)
     checkpoint = {
         channel.value: {"bytes": len(data), "sha256": sha256(data).hex()} for channel, data in images.items()
     }
+    checkpoint["state"] = {"sha256": sha256(state).hex(), **{ch.value: len(data) for ch, data in images.items()}}
     files = [(directory / CHAIN_FILES[channel], data) for channel, data in images.items()]
-    write_all_atomic(files + [(directory / CHECKPOINT_FILE, dump_json(checkpoint))])
+    files += [(directory / SAVEPOINT_FILE, state), (directory / CHECKPOINT_FILE, dump_json(checkpoint))]
+    write_all_atomic(files)
 
 
 def read_checkpoint(directory: pathlib.Path) -> dict:
@@ -67,19 +191,35 @@ def read_checkpoint(directory: pathlib.Path) -> dict:
     return checkpoint if isinstance(checkpoint, dict) else {}
 
 
-def verified_block_count(data: bytes, entry) -> int:
-    """How many leading blocks of chain file image data lie wholly in the prefix entry vouches for.
+def vouched_length(data: bytes, entry) -> int:
+    """The length of the prefix of chain file image data that checkpoint entry vouches for.
 
     entry is a channel's checkpoint entry; unless it names a length of at
-    most len(data) and the SHA-256 of data's first that many bytes, no block
-    is vouched for.
+    most len(data) and the SHA-256 of data's first that many bytes, it
+    vouches for nothing (0).
     """
     if not isinstance(entry, dict):
         return 0
     length, digest = entry.get("bytes"), entry.get("sha256")
     if type(length) is not int or not 0 <= length <= len(data) or sha256(data[:length]).hex() != digest:
         return 0
-    return blocks_within(data, length)
+    return length
+
+
+def _matching_savepoint(directory: pathlib.Path, images: Dict[Channel, bytes], checkpoint: dict,
+                        vouched: Dict[Channel, int]) -> Optional[bytes]:
+    """The savepoint's bytes if they and every whole chain file image match the checkpoint; else None."""
+    entry = checkpoint.get("state")
+    if not isinstance(entry, dict):
+        return None
+    for channel, data in images.items():
+        if not vouched[channel] == entry.get(channel.value) == len(data):
+            return None
+    try:
+        state = (directory / SAVEPOINT_FILE).read_bytes()
+    except OSError:
+        return None
+    return state if sha256(state).hex() == entry.get("sha256") else None
 
 
 # Issuer role of each member role the two certifying authorities issue: the
@@ -268,3 +408,180 @@ def build_deployment(
         validity=validity,
         deferred=frozenset(defer_bootstrap),
     )
+
+
+# ------------------------------------------------------ deployment directory
+
+
+@dataclass
+class CliDeployment:
+    """A loaded deployment directory: its members and one node, with the node's ordering service."""
+
+    path: pathlib.Path
+    seed: int
+    consortium: ConsortiumConfig
+    identities: Dict[str, Identity]
+    osp_name: str
+    node: Node
+    orderer: OrderingService
+    validity: tuple
+
+    def identity(self, name: str) -> Identity:
+        if name not in self.identities:
+            raise CliError(f"unknown identity {name!r} in deployment")
+        return self.identities[name]
+
+    def save_chains(self) -> None:
+        write_chains(self.path, self.node)
+
+    def register_extra(self, ident: Identity) -> None:
+        self.identities[ident.name] = ident
+        keys_path = self.path / KEYS_FILE
+        try:
+            payload = json.loads(keys_path.read_text())
+            extras = payload.setdefault("extras", {})
+            extras[ident.name] = {
+                "role": ident.role.value,
+                "private": ident.key.private_bytes().hex(),
+                "cert": cert_to_json(ident.cert),
+            }
+        except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
+            raise CliError(f"not a deployment directory: {exc}") from exc
+        write_atomic(keys_path, dump_json(payload))
+
+    def submit_and_commit(self, submitter: str, tx) -> int:
+        """One-node network turn: admit, force-cut, commit, persist."""
+        try:
+            self.orderer.submit_tx(tx, now_ms=0)
+        except Rejected as exc:
+            raise CliError(f"rejected: {exc.reason}") from exc
+        block = self.orderer.cut_block(tx.channel, now_ms=0, force=True)
+        assert block is not None
+        try:
+            self.orderer.commit_own(tx.channel, block)
+        except BlockRefused as exc:  # pragma: no cover - admission prevents this
+            raise CliError(f"commit refused: {exc.reason}") from exc
+        self.save_chains()
+        return block.header.number
+
+    def submit_command(self, signer: Identity, build: Callable[..., Transaction], *args) -> int:
+        """Commit ``build(*args, signer cert, signer key, submit_time_ms)`` with the time 0
+        or, when that exact transaction is already on the chain (the same command run
+        again: its signature is deterministic), with the first channel height that makes it new."""
+        sign = functools.partial(build, *args, signer.cert, signer.key)
+        tx = sign(0)
+        ledger = self.node.ledger(tx.channel)
+        stamps = itertools.count(ledger.height)
+        while ledger.has_tx(tx):
+            tx = sign(next(stamps))
+        return self.submit_and_commit(signer.name, tx)
+
+
+def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    meta = {
+        "seed": dep.seed,
+        "validity": list(dep.validity),
+        "bootstrap": list(dep.gccf_bootstrap_names),
+        "deferred": sorted(dep.deferred),
+        "config": dep.consortium.to_json(),
+    }
+    write_atomic(out_dir / CONSORTIUM_FILE, dump_json(meta))
+    keys = {
+        "keys": {name: ident.key.private_bytes().hex() for name, ident in dep.identities.items()},
+        "extras": {},
+    }
+    write_atomic(out_dir / KEYS_FILE, dump_json(keys))
+    write_atomic(out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode())
+    write_atomic(out_dir / CHAIN_FILES[Channel.GCCF], encode_chain([dep.genesis.gccf_genesis]))
+    write_atomic(out_dir / CHAIN_FILES[Channel.GPF], encode_chain([dep.genesis.gpf_genesis]))
+
+
+def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:
+    """Read a deployment directory and bring one node to the state of its chains.
+
+    When the savepoint and both whole chain files match the checkpoint, the
+    node restores the savepoint and no block is decoded or replayed.
+    Otherwise the chains replay on the node.  ``chains`` gives blocks to
+    replay instead of the chain file of their channel; nothing is written.
+    Every chain must have been cut by the deployment's ordering service.
+    Blocks of a chain file that lie wholly in the prefix its checkpoint
+    vouches for replay without their Ed25519 checks; every other block, and
+    every given one, is verified in full.
+    """
+    path = pathlib.Path(path_str)
+    try:
+        meta = json.loads((path / CONSORTIUM_FILE).read_text())
+        key_data = json.loads((path / KEYS_FILE).read_text())
+        seed = meta["seed"]
+        config = ConsortiumConfig.from_json(meta["config"])
+        osp_name = config.osp_cert.subject_name
+        keys = key_data["keys"]
+        # (name, role, private key hex, certificate): the OSP, the members, then the extras.
+        holders = [(osp_name, AuthorityRole.OSP, keys[osp_name], config.osp_cert)]
+        holders += [(m.name, m.role, keys[m.name], m.cert) for m in config.members]
+        holders += [
+            (name, AuthorityRole(extra["role"]), extra["private"], cert_from_json(extra["cert"]))
+            for name, extra in key_data.get("extras", {}).items()
+        ]
+        identities = {
+            name: Identity(name=name, role=role, key=generate_keypair(bytes.fromhex(private)), cert=cert)
+            for name, role, private, cert in holders
+        }
+    except KeyError as exc:
+        raise CliError(f"not a deployment directory: missing key {exc.args[0]!r}") from exc
+    except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep to parse.
+        raise CliError(f"not a deployment directory: {exc}") from exc
+
+    node = Node(identities[osp_name])
+    chains = dict(chains or {})
+    images = {}
+    for channel, filename in CHAIN_FILES.items():
+        if channel not in chains:
+            try:
+                images[channel] = (path / filename).read_bytes()
+            except OSError as exc:
+                raise CliError(f"cannot load {filename}: {exc}") from exc
+    checkpoint = read_checkpoint(path)
+    vouched = {channel: vouched_length(data, checkpoint.get(channel.value)) for channel, data in images.items()}
+    state = None if chains else _matching_savepoint(path, images, checkpoint, vouched)
+    if state is None or not restore_savepoint(node, state, images, canonical_encode(config.osp_cert)):
+        _replay(node, config, chains, images, vouched)
+    orderer = OrderingService(config, identities[osp_name], node)
+    return CliDeployment(
+        path=path,
+        seed=seed,
+        consortium=config,
+        identities=identities,
+        osp_name=osp_name,
+        node=node,
+        orderer=orderer,
+        validity=tuple(meta.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
+    )
+
+
+def _replay(node: Node, config: ConsortiumConfig, chains: Dict[Channel, List[Block]],
+            images: Dict[Channel, bytes], vouched: Dict[Channel, int]) -> None:
+    """Commit every chain on the new node: the given blocks, else the decoded chain file image."""
+    verified = dict.fromkeys(CHAIN_FILES, 0)
+    for channel, filename in CHAIN_FILES.items():
+        if channel not in chains:
+            try:
+                chains[channel] = decode_chain(images[channel])
+            except LedgerError as exc:
+                raise CliError(f"cannot load {filename}: {exc}") from exc
+            verified[channel] = blocks_within(images[channel], vouched[channel])
+        blocks = chains[channel]
+        # An empty chain would load as a deployment with no state at all.
+        if not blocks:
+            raise CliError(f"{channel.value} chain has no genesis block")
+        if blocks[0].creator_cert != config.osp_cert:
+            raise CliError(f"{channel.value} chain was not cut by this deployment's ordering service")
+    # Certificate history first: policy commits authenticate against it.
+    try:
+        for channel in (Channel.GCCF, Channel.GPF):
+            for position, block in enumerate(chains[channel]):
+                node.commit_block(channel, block, check_signatures=position >= verified[channel])
+    except BlockRefused as exc:
+        raise CliError(f"deployment chain does not replay: {exc}") from exc

@@ -451,20 +451,33 @@ def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> Non
 def write_all_atomic(files: Iterable[Tuple[pathlib.Path, Union[bytes, Iterable[bytes]]]]) -> None:
     """Replace each path's content with its data: every file, or none of them.
 
-    The files are replaced in order, each through write_atomic.  If one
-    fails, every file already replaced gets its previous bytes back, or is
-    removed if it is new, and the failure propagates.
+    The files are replaced in order, each through write_atomic.  Before a
+    path is replaced, its old file is hard-linked aside (``<name>.old``), so
+    nothing is read.  If one fails, every file already replaced gets its old
+    file renamed back, or is removed if it is new, and the failure
+    propagates.  No aside link outlives the call.
     """
-    replaced = []
+    kept = []  # (path, its aside link, or None for a new file), in order
+    written = 0
     try:
         for path, data in files:
-            previous = path.read_bytes() if path.exists() else None
+            aside = path.with_name(path.name + ".old")
+            aside.unlink(missing_ok=True)
+            try:
+                os.link(path, aside)
+            except FileNotFoundError:
+                aside = None
+            kept.append((path, aside))
             write_atomic(path, data)
-            replaced.append((path, previous))
+            written += 1
     except BaseException:
-        for path, previous in reversed(replaced):
-            if previous is None:
+        for path, aside in reversed(kept[:written]):
+            if aside is None:
                 path.unlink(missing_ok=True)
             else:
-                write_atomic(path, previous)
+                os.replace(aside, path)
         raise
+    finally:
+        for _path, aside in kept:
+            if aside is not None:
+                aside.unlink(missing_ok=True)

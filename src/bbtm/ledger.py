@@ -332,6 +332,14 @@ class StateEntry:
             + wire.field(wire.u64(self.block_number))
         )
 
+    @classmethod
+    def read(cls, r: wire.Reader) -> "StateEntry":
+        """The entry whose digest framing r reads next; it keeps the bytes read as its framing."""
+        start = r.position
+        entry = cls(r.field(), TxFunction(r.str_field()), r.u64_field())
+        entry.__dict__["digest_framing"] = r.since(start)
+        return entry
+
     def decoded(self, decode: Callable[[bytes], T]) -> T:
         """The record the payload decodes to, shared like Transaction.decoded."""
         return _kept_decode(self, decode)
@@ -348,28 +356,57 @@ class Ledger:
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.blocks: List[Block] = []
+        # Number of committed blocks (tip number + 1) and the tip's header
+        # hash, both kept by _link.
+        self.height = 0
+        self._head = ZERO_HASH
+        # The committed blocks not held as _image, in chain order.
+        self._blocks: List[Block] = []
+        # A restored ledger's chain file image of its first blocks, decoded
+        # only when a reader asks for the blocks themselves.
+        self._image: Optional[bytes] = None
         self.world_state: Dict[str, StateEntry] = {}
-        self._creator_cert_bytes: Optional[bytes] = None
-        # The canonical body of every chained transaction: each is committed once.
-        self._tx_bodies: Set[bytes] = set()
+        # The genesis creator's certificate encoding: every later block is cut by it.
+        self.creator_cert_bytes: Optional[bytes] = None
+        # The id of every chained transaction: each is committed once.
+        self.tx_ids: Set[bytes] = set()
 
     @property
-    def height(self) -> int:
-        """Number of committed blocks (tip number + 1)."""
-        return len(self.blocks)
+    def blocks(self) -> List[Block]:
+        """The committed blocks; a restored ledger decodes its image on first use."""
+        if self._image is not None:
+            self._blocks[:0] = decode_chain(self._image)
+            self._image = None
+        return self._blocks
 
     @property
     def tip_number(self) -> int:
-        return len(self.blocks) - 1
+        return self.height - 1
 
     def head_hash(self) -> bytes:
-        if not self.blocks:
-            return ZERO_HASH
-        return self.blocks[-1].header.hash()
+        return self._head
 
     def has_tx(self, tx: Transaction) -> bool:
-        return tx.canonical_body() in self._tx_bodies
+        return tx.tx_id in self.tx_ids
+
+    def chain_image(self) -> bytes:
+        """The ledger file image of the chain, encode_chain(self.blocks), without decoding a restored image."""
+        if self._image is None:
+            return encode_chain(self._blocks)
+        return self._image + b"".join(wire.field(block.encode()) for block in self._blocks)
+
+    def restore(self, image: bytes, height: int, head: bytes, creator_cert_bytes: bytes, tx_ids: Set[bytes]) -> None:
+        """Become, without decoding it, the ledger that committing the chain file image made.
+
+        Only for an empty ledger, and for an image and facts this program
+        wrote from a node that had committed every block of it (a savepoint).
+        The world state is the caller's to fill, as on a commit.
+        """
+        self._image = image
+        self.height = height
+        self._head = head
+        self.creator_cert_bytes = creator_cert_bytes
+        self.tx_ids = tx_ids
 
     def check_block(self, block: Block, *, check_signatures: bool = True) -> None:
         """Structure, creator, then submitter signatures; raises without mutating anything.
@@ -380,18 +417,16 @@ class Ledger:
         submitters' signatures): only for a block whose bytes were verified
         before.
         """
-        if block.header.number != len(self.blocks):
-            raise NonMonotoneNumber(
-                f"expected block {len(self.blocks)}, got {block.header.number}"
-            )
+        if block.header.number != self.height:
+            raise NonMonotoneNumber(f"expected block {self.height}, got {block.header.number}")
         if block.header.prev_header_hash != self.head_hash():
             raise BrokenLinkage(f"block {block.header.number} does not extend the tip")
         if block.header.data_hash != data_hash_of(block.transactions):
             raise BrokenLinkage(f"block {block.header.number} data hash mismatch")
         if block.header.number > 0 and not block.transactions:
             raise LedgerError("non-genesis block carries no transactions")
-        bodies = {tx.canonical_body() for tx in block.transactions}
-        if len(bodies) != len(block.transactions) or not self._tx_bodies.isdisjoint(bodies):
+        ids = {tx.tx_id for tx in block.transactions}
+        if len(ids) != len(block.transactions) or not self.tx_ids.isdisjoint(ids):
             raise LedgerError(f"block {block.header.number} repeats a transaction")
         for tx in block.transactions:
             if tx.channel != self.channel:
@@ -406,7 +441,7 @@ class Ledger:
 
     def _check_creator(self, block: Block, check_signatures: bool) -> None:
         cert_bytes = canonical_encode(block.creator_cert)
-        if self._creator_cert_bytes is None:
+        if self.creator_cert_bytes is None:
             # Genesis registers the ordering service: the creator record must
             # be a valid self-signed OSP certificate.
             if block.creator_cert.subject_role != AuthorityRole.OSP:
@@ -416,7 +451,7 @@ class Ledger:
                 and not verify_certificate_signature(block.creator_cert, block.creator_cert.subject_public_key)
             ):
                 raise BadCreatorSignature("genesis creator certificate does not self-verify")
-        elif cert_bytes != self._creator_cert_bytes:
+        elif cert_bytes != self.creator_cert_bytes:
             raise BadCreatorSignature("creator certificate differs from the genesis registration")
         if check_signatures and not verify_signature(
             block.creator_cert.subject_public_key,
@@ -432,10 +467,12 @@ class Ledger:
 
     def _link(self, block: Block) -> None:
         """Chain a block that check_block has just passed; checks nothing."""
-        if self._creator_cert_bytes is None:
-            self._creator_cert_bytes = canonical_encode(block.creator_cert)
-        self.blocks.append(block)
-        self._tx_bodies.update(tx.canonical_body() for tx in block.transactions)
+        if self.creator_cert_bytes is None:
+            self.creator_cert_bytes = canonical_encode(block.creator_cert)
+        self._blocks.append(block)
+        self.height += 1
+        self._head = block.header.hash()
+        self.tx_ids.update(tx.tx_id for tx in block.transactions)
 
     def world_state_digest(self) -> bytes:
         world = self.world_state

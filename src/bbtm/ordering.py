@@ -194,8 +194,8 @@ class OrderingService:
         self._members = {m.cert.subject_unique_id: m for m in config.members}
         self._pending: Dict[Channel, Deque[_Pending]] = {channel: deque() for channel in Channel}
         self._next_seq: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
-        # Canonical bodies of the queued transactions, not yet on the chain.
-        self._pending_bodies: Set[bytes] = set()
+        # Ids of the queued transactions, not yet on the chain.
+        self._pending_ids: Set[bytes] = set()
         # Speculative state = committed state plus the pending queues applied
         # in admission order; kept in lockstep so admission checks see what
         # commit will see.
@@ -216,8 +216,7 @@ class OrderingService:
         if member.role not in policy.writers:
             raise Rejected("policy-denied")
         # A replay can pass its contract again (an AddPolicy after a revocation): admit each once.
-        body = tx.canonical_body()
-        if body in self._pending_bodies or self.node.ledger(tx.channel).has_tx(tx):
+        if tx.tx_id in self._pending_ids or self.node.ledger(tx.channel).has_tx(tx):
             raise Rejected("duplicate-tx")
         next_number = self.node.ledger(tx.channel).height
         try:
@@ -235,7 +234,7 @@ class OrderingService:
         seq = self._next_seq[tx.channel]
         self._next_seq[tx.channel] = seq + 1
         self._pending[tx.channel].append(_Pending(seq=seq, arrival_ms=now_ms, tx=tx))
-        self._pending_bodies.add(body)
+        self._pending_ids.add(tx.tx_id)
         return seq
 
     def cut_block(self, channel: Channel, *, now_ms: int, force: bool = False) -> Optional[Block]:
@@ -251,7 +250,7 @@ class OrderingService:
         if not (force or len(q) >= max_txs or now_ms - q[0].arrival_ms >= timeout):
             return None
         batch = [q.popleft() for _ in range(min(max_txs, len(q)))]
-        self._pending_bodies.difference_update(p.tx.canonical_body() for p in batch)
+        self._pending_ids.difference_update(p.tx.tx_id for p in batch)
         ledger = self.node.ledger(channel)
         return make_block(
             number=ledger.height,

@@ -896,7 +896,7 @@ class Simulation:
         )
 
     def export_ledgers(self, directory) -> Dict[str, str]:
-        """Write the sequencer's chains as ledger files, with their checkpoint; returns the paths.
+        """Write the sequencer's chains as ledger files, with its savepoint and their checkpoint; returns the paths.
 
         The files are written whole or not at all (deployment.write_chains).
         """
@@ -904,8 +904,7 @@ class Simulation:
 
         base = pathlib.Path(directory)
         base.mkdir(parents=True, exist_ok=True)
-        osp = self.nodes[self.osp_name]
-        write_chains(base, {channel: osp.ledger(channel).blocks for channel in CHAIN_FILES})
+        write_chains(base, self.nodes[self.osp_name])
         return {channel.value: str(base / name) for channel, name in CHAIN_FILES.items()}
 
 

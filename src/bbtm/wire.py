@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 
 MAX_FIELD_LEN = 0xFFFFFFFF
+_U32 = struct.Struct(">I")
 
 
 class WireError(ValueError):
@@ -47,6 +48,15 @@ class Reader:
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
+    @property
+    def position(self) -> int:
+        """How many bytes have been read."""
+        return self._pos
+
+    def since(self, position: int) -> bytes:
+        """The bytes read from position on."""
+        return self._data[position:self._pos]
+
     def take(self, n: int) -> bytes:
         if n < 0 or n > self.remaining:
             raise WireError(f"need {n} bytes, have {self.remaining}")
@@ -55,8 +65,15 @@ class Reader:
         return out
 
     def field(self) -> bytes:
-        (length,) = struct.unpack(">I", self.take(4))
-        return self.take(length)
+        data, start = self._data, self._pos + 4
+        if start > len(data):
+            raise WireError(f"need 4 bytes, have {self.remaining}")
+        (length,) = _U32.unpack_from(data, self._pos)
+        end = start + length
+        if end > len(data):
+            raise WireError(f"need {length} bytes, have {len(data) - start}")
+        self._pos = end
+        return data[start:end]
 
     def u32_field(self) -> int:
         raw = self.field()

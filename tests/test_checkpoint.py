@@ -1,4 +1,4 @@
-"""Verified-prefix checkpoint: a load skips Ed25519 only on bytes bbtm wrote, and never changes an outcome."""
+"""Verified-prefix checkpoint and savepoint: a load skips work only on bytes bbtm wrote, and never changes an outcome."""
 
 import json
 import pathlib
@@ -7,7 +7,7 @@ import pytest
 
 from bbtm import cli, identity
 from bbtm.cli import main
-from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE
+from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE, SAVEPOINT_FILE
 from bbtm.ledger import Block, Channel, decode_chain, encode_chain
 from bbtm.simulation import ScenarioConfig, Simulation
 
@@ -103,12 +103,21 @@ class TestWorkCounts:
 
 
 def _outcome(dep: pathlib.Path):
-    """What load_deployment makes of a directory: its error, or its heights and world-state digest."""
+    """What load_deployment makes of a directory: its error, or its heights, world-state digest,
+    heads, GCCF indexes and tx-id indexes."""
     try:
-        loaded = cli.load_deployment(str(dep))
+        node = cli.load_deployment(str(dep)).node
     except Exception as exc:  # any failure is an outcome to compare, whatever its type
         return type(exc).__name__, str(exc)
-    return tuple(loaded.node.ledger(c).height for c in CHAIN_FILES), loaded.node.world_state_digest()
+    ledgers = [node.ledger(c) for c in CHAIN_FILES]
+    return (
+        tuple(ledger.height for ledger in ledgers),
+        node.world_state_digest(),
+        tuple(ledger.head_hash() for ledger in ledgers),
+        frozenset(node.gccf_view.serials),
+        tuple(node.gccf_view.endorsement_log),
+        tuple(frozenset(ledger.tx_ids) for ledger in ledgers),
+    )
 
 
 def _flips(data: bytes):
@@ -173,6 +182,18 @@ class TestTamper:
         for pos, flipped in _flips(files[dep / CHECKPOINT_FILE]):
             files[dep / CHECKPOINT_FILE] = flipped
             assert _outcome(dep) == expected, f"{CHECKPOINT_FILE} byte {pos}"
+
+    def test_every_single_byte_flip_of_the_savepoint_loads_as_without_it(self, dep, files):
+        cli.load_deployment(str(dep)).save_chains()  # the checkpoint now vouches for the savepoint
+        for name in (CHECKPOINT_FILE, SAVEPOINT_FILE):
+            with (dep / name).open("rb") as fh:
+                files[dep / name] = fh.read()
+        state = files.pop(dep / SAVEPOINT_FILE)
+        expected = _outcome(dep)
+        assert expected[0] == (2, 1)
+        for pos, flipped in [(None, state), *_flips(state)]:
+            files[dep / SAVEPOINT_FILE] = flipped
+            assert _outcome(dep) == expected, f"{SAVEPOINT_FILE} byte {pos}"
 
     @pytest.mark.parametrize("text", [
         "", "[]", "[" * 100_000, '{"GCCF": 1}', '{"GCCF": {"bytes": 1e3, "sha256": "00"}}',

@@ -1,0 +1,275 @@
+"""World-state savepoint: a matched load restores the node instead of replaying, and reaches the same state."""
+
+import builtins
+import json
+import os
+import pathlib
+
+import pytest
+
+from bbtm import deployment, identity
+from bbtm import ledger as ledger_mod
+from bbtm.cli import main
+from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE, SAVEPOINT_FILE, CliError, load_deployment
+from bbtm.ledger import Channel, decode_chain, encode_chain
+from bbtm.node import Node
+from bbtm.simulation import ScenarioConfig, Simulation
+
+NODES = [("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)]
+CONFIG = {"seed": 77, "nodes": [{"role": r, "count": c} for r, c in NODES], "policies": {"ballot_quorum": 2}}
+GROUP = [*CHAIN_FILES.values(), SAVEPOINT_FILE, CHECKPOINT_FILE]
+
+
+@pytest.fixture
+def dep(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "dep"
+    assert main(["network", "init", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def _run(*argv) -> None:
+    assert main(list(argv)) == 0
+
+
+def _policy_add(dep: pathlib.Path, rule: str) -> None:
+    _run("policy", "add", "--deployment", str(dep), "--entity", "RA", "--rule", rule)
+
+
+class _Work:
+    """Counts the block commits and chain decodes a load makes."""
+
+    def __init__(self, monkeypatch):
+        self.commits = 0
+        self.decodes = 0
+        commit = Node.commit_block
+
+        def counted_commit(node, *args, **kwargs):
+            self.commits += 1
+            return commit(node, *args, **kwargs)
+
+        def counted_decode(data):
+            self.decodes += 1
+            return decode_chain(data)
+
+        monkeypatch.setattr(Node, "commit_block", counted_commit)
+        for module in (deployment, ledger_mod):
+            monkeypatch.setattr(module, "decode_chain", counted_decode)
+
+    def load(self, dep: pathlib.Path):
+        self.commits = self.decodes = 0
+        return load_deployment(str(dep))
+
+
+@pytest.fixture
+def work(monkeypatch):
+    return _Work(monkeypatch)
+
+
+def _facts(node: Node) -> dict:
+    """Everything a restore must reproduce of a replayed node."""
+    return {
+        "world_state_digest": node.world_state_digest(),
+        "chains": {c: (node.ledger(c).height, node.ledger(c).head_hash()) for c in CHAIN_FILES},
+        "serials": set(node.gccf_view.serials),
+        "endorsement_log": list(node.gccf_view.endorsement_log),
+        "tx_ids": {c: set(node.ledger(c).tx_ids) for c in CHAIN_FILES},
+        "committed_txs": dict(node.committed_txs),
+    }
+
+
+def _assert_restore_equals_replay(dep: pathlib.Path, work: _Work) -> dict:
+    restored = work.load(dep)
+    assert (work.commits, work.decodes) == (0, 0), "a matched savepoint must restore"
+    state = (dep / SAVEPOINT_FILE).read_bytes()
+    (dep / SAVEPOINT_FILE).unlink()
+    try:
+        replayed = work.load(dep)
+        assert work.commits == sum(replayed.node.ledger(c).height for c in CHAIN_FILES)
+    finally:
+        (dep / SAVEPOINT_FILE).write_bytes(state)
+    facts = _facts(restored.node)
+    assert facts == _facts(replayed.node)
+    for channel, name in CHAIN_FILES.items():
+        image = (dep / name).read_bytes()
+        assert restored.node.ledger(channel).chain_image() == image == encode_chain(replayed.node.ledger(channel).blocks)
+        assert restored.node.ledger(channel).blocks == replayed.node.ledger(channel).blocks
+    return facts
+
+
+class TestRestoreEqualsReplay:
+    def test_network_init_writes_no_savepoint(self, dep, work):
+        assert not (dep / SAVEPOINT_FILE).exists()
+        work.load(dep)
+        assert work.commits == 2
+
+    def test_policy_add(self, dep, work):
+        _policy_add(dep, "r0")
+        _policy_add(dep, "r1")
+        facts = _assert_restore_equals_replay(dep, work)
+        assert facts["chains"][Channel.GPF][0] == 3
+
+    def test_cert_issue_submit(self, dep, work, tmp_path):
+        _run("cert", "issue", "--deployment", str(dep), "--issuer", "RCA-1", "--subject", "ICA-9",
+             "--out", str(tmp_path / "ica9.bin"), "--submit")
+        facts = _assert_restore_equals_replay(dep, work)
+        assert len(facts["serials"]) == 6
+
+    def test_ballot_endorse_and_apply(self, dep, work, tmp_path):
+        target = tmp_path / "elector4.bin"
+        _run("cert", "issue", "--deployment", str(dep), "--issuer", "Elector-4", "--subject", "Elector-4",
+             "--out", str(target))
+        ballot = ["--deployment", str(dep), "--type", "AddElectorCert", "--target-cert", str(target)]
+        for elector in ("Elector-1", "Elector-2"):
+            _run("ballot", "endorse", *ballot, "--elector", elector)
+        assert len(_assert_restore_equals_replay(dep, work)["endorsement_log"]) == 2
+        _run("ballot", "apply", *ballot, "--elector", "Elector-1")
+        facts = _assert_restore_equals_replay(dep, work)
+        assert facts["chains"][Channel.GCCF][0] == 4
+        _run("cert", "validate", "--deployment", str(dep), "--cert", str(target))
+
+    def test_ledger_import_deployment(self, dep, work, tmp_path):
+        for i in range(3):
+            _policy_add(dep, f"r{i}")
+        exported = tmp_path / "gpf.export"
+        _run("ledger", "export", "--deployment", str(dep), "--channel", "GPF", "--out", str(exported))
+        _policy_add(dep, "r3")
+        _run("ledger", "import", str(exported), "--channel", "GPF", "--deployment", str(dep))
+        facts = _assert_restore_equals_replay(dep, work)
+        assert facts["chains"][Channel.GPF][0] == 4
+
+    def test_simulator_export(self, dep, work):
+        scenario = {"seed": CONFIG["seed"], "nodes": [list(n) for n in NODES], "policies": CONFIG["policies"],
+                    "generate": {"count": 20, "spacing_ms": 10}}
+        sim = Simulation(ScenarioConfig.from_json(scenario))
+        sim.run()
+        sim.export_ledgers(dep)
+        facts = _assert_restore_equals_replay(dep, work)
+        osp = sim.nodes[sim.osp_name]
+        assert facts == _facts(osp)
+
+
+class TestWorkCounts:
+    def test_matched_load_commits_and_decodes_nothing(self, dep, work):
+        _policy_add(dep, "r0")
+        identity._verify_raw.cache_clear()
+        identity.decode_certificate.cache_clear()
+        work.load(dep)
+        assert (work.commits, work.decodes) == (0, 0)
+        assert identity._verify_raw.cache_info().misses <= 1
+
+    def test_stale_savepoint_replays(self, dep, work):
+        _policy_add(dep, "r0")
+        stale = {name: (dep / name).read_bytes() for name in (SAVEPOINT_FILE, CHECKPOINT_FILE)}
+        _policy_add(dep, "r1")
+        expected = _facts(work.load(dep).node)
+        # The old savepoint beside the new checkpoint, then the old pair: both replay.
+        (dep / SAVEPOINT_FILE).write_bytes(stale[SAVEPOINT_FILE])
+        assert _facts(work.load(dep).node) == expected
+        assert work.commits == 1 + 3 and work.decodes == 2
+        (dep / CHECKPOINT_FILE).write_bytes(stale[CHECKPOINT_FILE])
+        assert _facts(work.load(dep).node) == expected
+        assert work.commits == 1 + 3
+
+    def test_savepoint_of_another_ordering_service_replays(self, dep, work, tmp_path):
+        """A savepoint whose chains another ordering service cut is not restored: the replay refuses them."""
+        other = tmp_path / "other"
+        config = tmp_path / "other.json"
+        config.write_text(json.dumps({**CONFIG, "seed": 78}))
+        _run("network", "init", "--config", str(config), "--out", str(other))
+        _policy_add(other, "r0")
+        for name in GROUP:
+            (dep / name).write_bytes((other / name).read_bytes())
+        with pytest.raises(CliError, match="not cut by this deployment's ordering service"):
+            work.load(dep)
+
+    def test_ledger_export_writes_the_chain_file_bytes(self, dep, work, tmp_path, capsys):
+        _policy_add(dep, "r0")
+        for channel, name in CHAIN_FILES.items():
+            out = tmp_path / f"{name}.export"
+            work.decodes = 0
+            _run("ledger", "export", "--deployment", str(dep), "--channel", channel.value, "--out", str(out))
+            assert work.decodes == 0
+            assert out.read_bytes() == (dep / name).read_bytes()
+        capsys.readouterr()
+
+
+def _listing(dep: pathlib.Path) -> dict:
+    return {path.name: path.read_bytes() for path in dep.iterdir()}
+
+
+class TestGroupWrite:
+    """The chain files, the savepoint and the checkpoint are written as one group."""
+
+    @pytest.mark.parametrize("position", range(len(GROUP)), ids=GROUP)
+    def test_failure_at_each_position_restores_every_file(self, dep, monkeypatch, position):
+        _policy_add(dep, "r0")
+        before = _listing(dep)
+        real_replace = os.replace
+        calls = []
+
+        def failing(src, dst):
+            calls.append(pathlib.Path(dst).name)
+            if len(calls) == position + 1:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            main(["policy", "add", "--deployment", str(dep), "--entity", "RA", "--rule", "r1"])
+        assert calls[: position + 1] == GROUP[: position + 1]
+        assert _listing(dep) == before
+
+    def test_failure_on_new_files_removes_them(self, tmp_path, monkeypatch):
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.write_bytes(b"old")
+        real_replace = os.replace
+
+        def failing(src, dst):
+            if pathlib.Path(dst) == old:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            identity.write_all_atomic([(new, b"new"), (old, b"replaced")])
+        assert _listing(tmp_path) == {"old": b"old"}
+
+    def test_no_target_is_read_and_no_sibling_is_left(self, tmp_path, monkeypatch):
+        targets = [tmp_path / name for name in ("a", "b", "c")]
+        for path in targets[:2]:
+            path.write_bytes(b"old " + path.name.encode())
+        (tmp_path / "a.old").write_bytes(b"left by an interrupted write")
+        reads = []
+        real_open = builtins.open
+
+        def watched_open(file, mode="r", *args, **kwargs):
+            if "r" in mode or "+" in mode:
+                reads.append(pathlib.Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", watched_open)
+        monkeypatch.setattr(pathlib.Path, "read_bytes", lambda path: reads.append(path.name))
+        identity.write_all_atomic([(path, b"new " + path.name.encode()) for path in targets])
+        monkeypatch.undo()
+        assert reads == []
+        assert _listing(tmp_path) == {path.name: b"new " + path.name.encode() for path in targets}
+
+
+class TestUnreadableDeployment:
+    """Deeply nested JSON in a deployment's own files is a refusal, not a traceback."""
+
+    @pytest.mark.parametrize("name", ["consortium.json", "keys.json"])
+    def test_deep_json_is_not_a_deployment(self, dep, capsys, name):
+        (dep / name).write_text("[" * 100_000)
+        assert main(["policy", "get", "--deployment", str(dep), "--entity", "RA", "--rule", "x"]) == 1
+        assert "not a deployment directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[]"], ids=["deep", "array"])
+    def test_register_extra_refuses_an_unreadable_keys_file(self, dep, text):
+        loaded = load_deployment(str(dep))
+        (dep / "keys.json").write_text(text)
+        with pytest.raises(CliError, match="not a deployment directory"):
+            loaded.register_extra(loaded.identity("RCA-1"))
+        assert (dep / "keys.json").read_text() == text
