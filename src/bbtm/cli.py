@@ -15,6 +15,7 @@ import argparse
 import json
 import pathlib
 import sys
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
@@ -368,117 +369,147 @@ def cmd_metrics_report(args) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Verb(NamedTuple):
+    """One ``bbtm <group> <verb>`` command: its help, its handler and its arguments."""
+
+    group: str
+    name: str
+    help: Optional[str]
+    handler: Callable[[argparse.Namespace], int]
+    arguments: Tuple[Tuple[Tuple[str, ...], dict], ...]
+
+
+def arg(*flags: str, **kwargs) -> Tuple[Tuple[str, ...], dict]:
+    """One add_argument call of a verb: its flags and keyword arguments."""
+    return flags, kwargs
+
+
+# Each group's help, in the order `bbtm -h` lists the groups.
+GROUPS = {
+    "network": "deployment setup",
+    "sim": "simulator",
+    "ledger": "ledger files",
+    "cert": "certificates",
+    "gccf": "certificate chain file",
+    "policy": "policy rules",
+    "ballot": "elector ballots",
+    "metrics": "performance reports",
+}
+
+_DEPLOYMENT = arg("--deployment", required=True)
+_CHANNELS = [c.value for c in Channel]
+_BALLOT = (
+    _DEPLOYMENT,
+    arg("--type", required=True, choices=[t.value for t in ballot_mod.EndorsementType]),
+    arg("--target-cert", required=True, dest="target_cert"),
+)
+_ELECTOR = arg("--elector", required=True)
+
+# Every verb, in the order `bbtm <group> -h` lists them.
+VERBS = (
+    Verb("network", "init", "create a deployment directory from a genesis config", cmd_network_init, (
+        arg("--config", required=True),
+        arg("--out", required=True),
+    )),
+    Verb("sim", "run", "run a scenario file", cmd_sim_run, (
+        arg("--scenario", required=True),
+        arg("--seed", type=int),
+        arg("--report", help="write the full simulation report JSON here"),
+        arg("--out", help="export the sequencer's ledger files to this directory"),
+        arg("--lifecycles", help="write per-transaction lifecycle CSV here"),
+    )),
+    Verb("ledger", "verify", "verify a ledger file end to end", cmd_ledger_verify, (arg("file"),)),
+    Verb("ledger", "export", "export a deployment channel to a ledger file", cmd_ledger_export, (
+        _DEPLOYMENT,
+        arg("--channel", required=True, choices=_CHANNELS),
+        arg("--out", required=True),
+    )),
+    Verb("ledger", "import", "verify a ledger file and optionally install it", cmd_ledger_import, (
+        arg("file"),
+        arg("--deployment"),
+        arg("--channel", choices=_CHANNELS),
+    )),
+    Verb("cert", "issue", "issue a certificate from a deployment identity", cmd_cert_issue, (
+        _DEPLOYMENT,
+        arg("--issuer", required=True),
+        arg("--subject", required=True, help="subject name with role prefix, e.g. ICA-9"),
+        arg("--not-before", type=int, dest="not_before"),
+        arg("--not-after", type=int, dest="not_after"),
+        arg("--out", required=True),
+        arg("--submit", action="store_true", help="also commit the record on the chain"),
+    )),
+    Verb("cert", "validate", "validate a certificate against the chain of trust", cmd_cert_validate, (
+        _DEPLOYMENT,
+        arg("--cert", required=True),
+        arg("--at", type=float, help="virtual time in seconds (default: the record's not_before)"),
+    )),
+    Verb("gccf", "export", "export the chain-file snapshot (binary + JSON)", cmd_gccf_export, (
+        _DEPLOYMENT,
+        arg("--out", required=True, help="output base path; .bin and .json are appended"),
+    )),
+    Verb("policy", "add", None, cmd_policy_add, (
+        _DEPLOYMENT,
+        arg("--entity", required=True),
+        arg("--rule", required=True),
+        arg("--body", help="rule body as a JSON object"),
+        arg("--by", help="submitting identity (defaults to the PG)"),
+    )),
+    Verb("policy", "revoke", None, cmd_policy_revoke, (
+        _DEPLOYMENT,
+        arg("--entity", required=True),
+        arg("--rule", required=True),
+        arg("--by"),
+    )),
+    Verb("policy", "get", None, cmd_policy_get, (
+        _DEPLOYMENT,
+        arg("--entity", required=True),
+        arg("--rule", required=True),
+    )),
+    Verb("ballot", "endorse", None, cmd_ballot_endorse, (*_BALLOT, _ELECTOR)),
+    Verb("ballot", "tally", None, cmd_ballot_tally, _BALLOT),
+    Verb("ballot", "apply", None, cmd_ballot_apply, (*_BALLOT, _ELECTOR)),
+    Verb("metrics", "report", "compute metrics from a simulation report", cmd_metrics_report, (
+        arg("--report", required=True),
+        arg("--format", choices=["csv", "json"], default="json"),
+        arg("--out"),
+    )),
+)
+
+
+def build_parser(verbs: Sequence[Verb] = VERBS) -> argparse.ArgumentParser:
+    """The ``bbtm`` parser, with a branch for each of verbs."""
     parser = argparse.ArgumentParser(prog="bbtm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    network = sub.add_parser("network", help="deployment setup").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = network.add_parser("init", help="create a deployment directory from a genesis config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_network_init)
-
-    sim = sub.add_parser("sim", help="simulator").add_subparsers(dest="subcommand", required=True)
-    p = sim.add_parser("run", help="run a scenario file")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--report", help="write the full simulation report JSON here")
-    p.add_argument("--out", help="export the sequencer's ledger files to this directory")
-    p.add_argument("--lifecycles", help="write per-transaction lifecycle CSV here")
-    p.set_defaults(func=cmd_sim_run)
-
-    ledger = sub.add_parser("ledger", help="ledger files").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = ledger.add_parser("verify", help="verify a ledger file end to end")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_ledger_verify)
-    p = ledger.add_parser("export", help="export a deployment channel to a ledger file")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--channel", required=True, choices=[c.value for c in Channel])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ledger_export)
-    p = ledger.add_parser("import", help="verify a ledger file and optionally install it")
-    p.add_argument("file")
-    p.add_argument("--deployment")
-    p.add_argument("--channel", choices=[c.value for c in Channel])
-    p.set_defaults(func=cmd_ledger_import)
-
-    cert = sub.add_parser("cert", help="certificates").add_subparsers(dest="subcommand", required=True)
-    p = cert.add_parser("issue", help="issue a certificate from a deployment identity")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--issuer", required=True)
-    p.add_argument("--subject", required=True, help="subject name with role prefix, e.g. ICA-9")
-    p.add_argument("--not-before", type=int, dest="not_before")
-    p.add_argument("--not-after", type=int, dest="not_after")
-    p.add_argument("--out", required=True)
-    p.add_argument("--submit", action="store_true", help="also commit the record on the chain")
-    p.set_defaults(func=cmd_cert_issue)
-    p = cert.add_parser("validate", help="validate a certificate against the chain of trust")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--cert", required=True)
-    p.add_argument("--at", type=float, help="virtual time in seconds (default: the record's not_before)")
-    p.set_defaults(func=cmd_cert_validate)
-
-    gccf_cmd = sub.add_parser("gccf", help="certificate chain file").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = gccf_cmd.add_parser("export", help="export the chain-file snapshot (binary + JSON)")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--out", required=True, help="output base path; .bin and .json are appended")
-    p.set_defaults(func=cmd_gccf_export)
-
-    policy = sub.add_parser("policy", help="policy rules").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = policy.add_parser("add")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--entity", required=True)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--body", help="rule body as a JSON object")
-    p.add_argument("--by", help="submitting identity (defaults to the PG)")
-    p.set_defaults(func=cmd_policy_add)
-    p = policy.add_parser("revoke")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--entity", required=True)
-    p.add_argument("--rule", required=True)
-    p.add_argument("--by")
-    p.set_defaults(func=cmd_policy_revoke)
-    p = policy.add_parser("get")
-    p.add_argument("--deployment", required=True)
-    p.add_argument("--entity", required=True)
-    p.add_argument("--rule", required=True)
-    p.set_defaults(func=cmd_policy_get)
-
-    ballot = sub.add_parser("ballot", help="elector ballots").add_subparsers(
-        dest="subcommand", required=True
-    )
-    for verb, func in (("endorse", cmd_ballot_endorse), ("tally", cmd_ballot_tally), ("apply", cmd_ballot_apply)):
-        p = ballot.add_parser(verb)
-        p.add_argument("--deployment", required=True)
-        p.add_argument("--type", required=True, choices=[t.value for t in ballot_mod.EndorsementType])
-        p.add_argument("--target-cert", required=True, dest="target_cert")
-        if verb != "tally":
-            p.add_argument("--elector", required=True)
-        p.set_defaults(func=func)
-
-    met = sub.add_parser("metrics", help="performance reports").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = met.add_parser("report", help="compute metrics from a simulation report")
-    p.add_argument("--report", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics_report)
-
+    # A tree of fewer verbs names every group in its usage line all the same,
+    # so that its usage errors read as the whole tree's.  The whole tree
+    # leaves that to argparse, which then also names a missing or unknown
+    # group "command" in its errors.
+    every_group = "{" + ",".join(GROUPS) + "}" if len(verbs) < len(VERBS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every_group)
+    groups = {}
+    for verb in verbs:
+        if verb.group not in groups:
+            groups[verb.group] = sub.add_parser(verb.group, help=GROUPS[verb.group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        # Without help a verb is listed only in its group's choices.
+        p = groups[verb.group].add_parser(verb.name, **({"help": verb.help} if verb.help else {}))
+        for flags, kwargs in verb.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=verb.handler)
     return parser
 
 
+def parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: only the verb it names, or the whole tree for help and usage errors."""
+    head = tuple(argv[:2])
+    verbs = [verb for verb in VERBS if (verb.group, verb.name) == head]
+    return build_parser(verbs or VERBS)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser_for(argv).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -150,10 +150,7 @@ def _decode_savepoint(data: bytes, creator_cert_bytes: bytes):
         height, head = r.u64_field(), r.field()
         if r.field() != creator_cert_bytes:
             raise ValueError(f"the {channel.value} chain was cut by another ordering service")
-        world = {}
-        for _ in range(r.u32_field()):
-            key = r.str_field()
-            world[key] = StateEntry.read(r)
+        world = dict(StateEntry.read(r) for _ in range(r.u32_field()))
         channels.append((channel, height, head, world, _split(r.field(), TX_ID_LEN)))
     serials = _split(r.field(), SERIAL_LEN)
     log = [(r.u64_field(), decode_endorsement(r.field())) for _ in range(r.u32_field())]

@@ -377,11 +377,18 @@ def validate_cert(view: GccfView, cert: CertificateRecord, now_s: float) -> Vali
 
 @dataclass(frozen=True)
 class GccfSnapshot:
-    """The exported certificate chain file: version, ballots, active records."""
+    """The exported certificate chain file: version, ballots, active records.
+
+    ``encodings`` holds each record's committed AddCert payload, in the order
+    of ``certificates``.  A payload is the record's canonical encoding (the
+    contract committed the bytes it decoded), so encode() frames the bytes
+    as committed instead of encoding every record again.
+    """
 
     version: int
     ballots: Tuple[Ballot, ...]
     certificates: Tuple[CertificateRecord, ...]
+    encodings: Tuple[bytes, ...]
 
     def encode(self) -> bytes:
         parts = [wire.field(wire.u64(self.version)), wire.field(wire.u32(len(self.ballots)))]
@@ -393,7 +400,7 @@ class GccfSnapshot:
             parts.append(wire.field(wire.u32(len(elector_ids))))
             parts.extend(wire.field(eid) for eid in elector_ids)
         parts.append(wire.field(wire.u32(len(self.certificates))))
-        parts.extend(wire.field(canonical_encode(c)) for c in self.certificates)
+        parts.extend(wire.field(encoding) for encoding in self.encodings)
         return b"".join(parts)
 
     def to_json(self) -> dict:
@@ -415,11 +422,9 @@ def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QU
     excluded; records sort by (role, serial) so converged nodes export
     byte-identical files.
     """
-    active: List[CertificateRecord] = []
-    for _uid, record, entry in view.iter_certs():
-        if entry.function == TxFunction.ADD_CERT:
-            active.append(record)
-    active.sort(key=lambda c: (ROLE_ORDER.get(c.subject_role, len(ROLE_ORDER)), c.serial_number))
+    active = [(record, entry.payload) for _uid, record, entry in view.iter_certs()
+              if entry.function == TxFunction.ADD_CERT]
+    active.sort(key=lambda pair: (ROLE_ORDER.get(pair[0].subject_role, len(ROLE_ORDER)), pair[0].serial_number))
 
     seen = []
     for _number, endorsement in view.endorsement_log:
@@ -430,7 +435,12 @@ def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QU
         tally_ballot(view, etype, digest, quorum)
         for etype, digest in sorted(seen, key=lambda g: (g[0].value, g[1]))
     )
-    return GccfSnapshot(version=tip_number, ballots=ballots, certificates=tuple(active))
+    return GccfSnapshot(
+        version=tip_number,
+        ballots=ballots,
+        certificates=tuple(record for record, _payload in active),
+        encodings=tuple(payload for _record, payload in active),
+    )
 
 
 def make_add_cert_tx(

@@ -12,6 +12,7 @@ import struct
 
 MAX_FIELD_LEN = 0xFFFFFFFF
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 
 
 class WireError(ValueError):
@@ -35,6 +36,13 @@ def u64(value: int) -> bytes:
     if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
         raise WireError(f"value {value} out of u64 range")
     return struct.pack(">Q", value)
+
+
+def unpack_u64(raw: bytes) -> int:
+    """The integer a u64 field's value bytes hold."""
+    if len(raw) != 8:
+        raise WireError(f"u64 field has {len(raw)} bytes")
+    return _U64.unpack(raw)[0]
 
 
 class Reader:
@@ -75,6 +83,21 @@ class Reader:
         self._pos = end
         return data[start:end]
 
+    def fields(self, n: int) -> list:
+        """The next n fields, as n calls of field() would read them."""
+        data, pos, out = self._data, self._pos, []
+        for _ in range(n):
+            start = pos + 4
+            if start > len(data):
+                raise WireError(f"need 4 bytes, have {len(data) - pos}")
+            (length,) = _U32.unpack_from(data, pos)
+            pos = start + length
+            if pos > len(data):
+                raise WireError(f"need {length} bytes, have {len(data) - start}")
+            out.append(data[start:pos])
+        self._pos = pos
+        return out
+
     def u32_field(self) -> int:
         raw = self.field()
         if len(raw) != 4:
@@ -82,10 +105,7 @@ class Reader:
         return struct.unpack(">I", raw)[0]
 
     def u64_field(self) -> int:
-        raw = self.field()
-        if len(raw) != 8:
-            raise WireError(f"u64 field has {len(raw)} bytes")
-        return struct.unpack(">Q", raw)[0]
+        return unpack_u64(self.field())
 
     def str_field(self) -> str:
         try:

@@ -1,12 +1,18 @@
 """CLI verbs, file outputs, and exit codes."""
 
+import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from bbtm import cli, gccf, metrics
+from bbtm import cli, gccf, gpf, identity, metrics, wire
 from bbtm import ledger as ledger_mod
 from bbtm.cli import main
 from bbtm.deployment import derive_identity
@@ -341,6 +347,57 @@ class TestGccfExport:
         ]
 
 
+def _grown_for_export(tmp_path: pathlib.Path) -> pathlib.Path:
+    """A deployment grown by a 60-transaction simulation, then one CLI endorsement of a new elector."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BASE_CONFIG))
+    dep = tmp_path / "dep"
+    assert main(["network", "init", "--config", str(config), "--out", str(dep)]) == 0
+    nodes = [[n["role"], n["count"]] for n in BASE_CONFIG["nodes"]]
+    scenario = {"seed": BASE_CONFIG["seed"], "nodes": nodes, "policies": BASE_CONFIG["policies"],
+                "generate": {"count": 60, "spacing_ms": 10}}
+    sim = Simulation(ScenarioConfig.from_json(scenario))
+    sim.run()
+    sim.export_ledgers(dep)
+    target = tmp_path / "elector4.bin"
+    assert main(["cert", "issue", "--deployment", str(dep), "--issuer", "Elector-4", "--subject", "Elector-4",
+                 "--out", str(target)]) == 0
+    assert main(["ballot", "endorse", "--deployment", str(dep), "--type", "AddElectorCert",
+                 "--target-cert", str(target), "--elector", "Elector-1"]) == 0
+    return dep
+
+
+class TestGccfExportOfAGrownDeployment:
+    def test_files_keep_their_digests(self, tmp_path, capsys):
+        dep = _grown_for_export(tmp_path)
+        capsys.readouterr()
+        base = tmp_path / "snapshot"
+        assert main(["gccf", "export", "--deployment", str(dep), "--out", str(base)]) == 0
+        summary = _last_json(capsys)
+        assert (summary["certificates"], summary["ballots"], summary["version"]) == (23, 1, 6)
+        digests = {suffix: hashlib.sha256(base.with_suffix(suffix).read_bytes()).hexdigest()
+                   for suffix in (".bin", ".json")}
+        assert digests == {
+            ".bin": "2b7444141d93b8f11d841b5dc111179c9e8d81e0144efd8550fdac40b423ff90",
+            ".json": "0351ba733fc1e7b199c6c4573f2b55704e5d1f3a34c8f15ee54b1d1b8527f056",
+        }
+
+    def test_encode_frames_the_committed_bytes(self, tmp_path, monkeypatch):
+        dep = _grown_for_export(tmp_path)
+        node = cli.load_deployment(str(dep)).node
+        snapshot = gccf.export_gccf(node.gccf_view, node.ledger(Channel.GCCF).tip_number,
+                                    gpf.ballot_quorum(node.gpf_view))
+        calls = []
+        for module in (identity, gccf):
+            original = module.canonical_encode
+            monkeypatch.setattr(module, "canonical_encode", lambda cert, f=original: calls.append(cert) or f(cert))
+        data = snapshot.encode()
+        assert calls == []
+        monkeypatch.undo()
+        assert snapshot.encodings == tuple(identity.canonical_encode(c) for c in snapshot.certificates)
+        assert data.endswith(b"".join(map(wire.field, snapshot.encodings)))
+
+
 class TestSimAndMetrics:
     def test_sim_run_and_metrics_report(self, tmp_path, capsys):
         scenario = {
@@ -528,6 +585,100 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["cert", "validate", "--cert", "x"])
         assert exc.value.code == 2
+
+
+def _parsed(parse, argv):
+    """What parse(argv) writes and exits with: (exit code or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _usage_argvs(verb):
+    """-h and usage errors of one verb: no arguments, an unknown flag, an extra argument, each bad choice."""
+    head = [verb.group, verb.name]
+    required = []
+    for flags, kwargs in verb.arguments:
+        if not flags[0].startswith("-"):
+            required.append("x")
+        elif kwargs.get("required"):
+            required += [flags[0], kwargs.get("choices", ["x"])[0]]
+    yield head + ["-h"]
+    yield head
+    yield head + required + ["--no-such-flag"]
+    yield head + required + ["extra"]
+    for flags, kwargs in verb.arguments:
+        if "choices" in kwargs:
+            yield head + required + [flags[0], "bogus"]
+
+
+class TestOneVerbParser:
+    """main builds only the parser of the verb argv names, and it reads exactly as the whole tree's."""
+
+    @pytest.mark.parametrize("verb", cli.VERBS, ids=[f"{v.group}-{v.name}" for v in cli.VERBS])
+    def test_help_and_usage_errors_match_the_whole_tree(self, verb):
+        for argv in _usage_argvs(verb):
+            whole = _parsed(cli.build_parser().parse_args, argv)
+            assert whole[0] is not None, argv
+            assert _parsed(main, argv) == whole, argv
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["ledger", "explode"], ["cert"],
+                                      *([group, "-h"] for group in cli.GROUPS)])
+    def test_help_and_usage_errors_outside_a_verb_match_the_whole_tree(self, argv):
+        whole = _parsed(cli.build_parser().parse_args, argv)
+        assert whole[0] is not None
+        assert _parsed(main, argv) == whole
+
+    def test_every_verb_is_in_the_whole_tree(self):
+        groups = cli.build_parser()._subparsers._group_actions[0].choices
+        listed = [(g, v) for g, p in groups.items() for v in p._subparsers._group_actions[0].choices]
+        assert listed == [(v.group, v.name) for v in cli.VERBS]
+        assert list(groups) == list(cli.GROUPS)
+
+    @pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+    def test_a_restored_policy_get_builds_three_parsers(self, deployment, monkeypatch, capsys, from_sys_argv):
+        assert main(["policy", "add", "--deployment", str(deployment), "--entity", "RA", "--rule", "r0"]) == 0
+        capsys.readouterr()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = ["policy", "get", "--deployment", str(deployment), "--entity", "RA", "--rule", "r0"]
+        if from_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["bbtm", *argv])
+        assert (main() if from_sys_argv else main(argv)) == 0
+        assert _last_json(capsys)["found"] is True
+        assert len(built) <= 3
+
+    def test_console_entry_reads_its_own_arguments(self, deployment, tmp_path):
+        """``python -m bbtm.cli``, like the ``bbtm`` script, calls main() with no argv."""
+        meta = json.loads((deployment / "consortium.json").read_text())
+        rca = next(m for m in meta["config"]["members"] if m["name"] == "RCA-1")
+        cert = tmp_path / "rca.json"
+        cert.write_text(json.dumps(rca["cert"]))
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-m", "bbtm.cli", *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            return done.returncode, json.loads(done.stdout) if done.returncode in (0, 1) else done.stderr
+
+        assert run("cert", "validate", "--deployment", str(deployment), "--cert", str(cert))[1]["result"] == "Success"
+        code, out = run("policy", "get", "--deployment", str(deployment), "--entity", "Elector",
+                        "--rule", "ballot_quorum")
+        assert code == 0 and out["record"]["rule_body"] == {"min_endorsements": 2}
+        code, err = run("policy", "get", "--deployment", str(deployment))
+        assert code == 2 and "the following arguments are required: --entity, --rule" in err
 
 
 class TestScenarioErrors:

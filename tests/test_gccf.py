@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbtm import gccf
+from bbtm import gccf, wire
 from bbtm.gccf import (
     ContractRejection,
     GccfView,
@@ -21,6 +21,7 @@ from bbtm.gccf import (
 )
 from bbtm.identity import (
     AuthorityRole,
+    CertFunction,
     Subject,
     canonical_encode,
     decode_certificate,
@@ -401,6 +402,65 @@ class TestExportSnapshot:
             for c in snapshot.certificates
         ]
         assert keys == sorted(keys)
+
+
+def _framed_certificate(version, serial, subject, issuer, key, subject_uid, issuer_uid, not_before, span,
+                        hash_id, sign_id, function, signature) -> bytes:
+    """A certificate's bytes framed field by field as FORMAT.md lays them out, without canonical_encode."""
+    fields = [
+        version.to_bytes(4, "big"), serial, subject.encode("utf-8"), issuer.encode("utf-8"), key, subject_uid,
+        issuer_uid, not_before.to_bytes(8, "big") + (not_before + span).to_bytes(8, "big"),
+        wire.field(hash_id.encode("utf-8")) + wire.field(sign_id.encode("utf-8")),
+        function.value.encode("utf-8"), signature,
+    ]
+    return b"".join(len(f).to_bytes(4, "big") + f for f in fields)
+
+
+_names = st.text(min_size=1, max_size=24)
+framed_certificates = st.builds(
+    _framed_certificate,
+    version=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    serial=st.binary(min_size=16, max_size=16),
+    subject=_names,
+    issuer=_names,
+    key=st.binary(min_size=32, max_size=32),
+    subject_uid=st.binary(min_size=16, max_size=16),
+    issuer_uid=st.binary(min_size=16, max_size=16),
+    not_before=st.integers(min_value=0, max_value=2**63),
+    span=st.integers(min_value=1, max_value=2**63 - 1),
+    hash_id=_names,
+    sign_id=_names,
+    function=st.sampled_from(list(CertFunction)),
+    signature=st.binary(min_size=64, max_size=64),
+)
+
+
+class TestCommittedPayloadIsTheEncoding:
+    """export_gccf frames each active record's committed AddCert payload instead of encoding the record.
+
+    That gives the same bytes because a payload that decodes re-encodes to
+    itself, and the contract commits an AddCert payload only if it decodes.
+    """
+
+    @given(payload=framed_certificates)
+    @settings(max_examples=200, deadline=None)
+    def test_a_payload_that_decodes_encodes_to_itself(self, payload):
+        assert canonical_encode(decode_certificate(payload)) == payload
+
+    def test_every_committed_add_cert_payload_encodes_to_itself(self):
+        sim = Simulation(ScenarioConfig.from_json({
+            "seed": 5, "nodes": [["Elector", 3], ["RCA", 1], ["ICA", 1], ["PG", 1], ["OSP", 1]],
+            "generate": {"count": 40, "spacing_ms": 10},
+        }))
+        sim.run()
+        view = sim.nodes[sim.osp_name].gccf_view
+        payloads = [entry.payload for _uid, _record, entry in view.iter_certs()
+                    if entry.function == TxFunction.ADD_CERT]
+        assert len(payloads) > 10
+        decode_certificate.cache_clear()
+        assert [canonical_encode(decode_certificate(p)) for p in payloads] == payloads
+        snapshot = export_gccf(view, tip_number=0)
+        assert sorted(snapshot.encodings) == sorted(payloads)
 
 
 def _issue_with_uid(name, issuer, unique_id, rng):
