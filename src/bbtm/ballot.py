@@ -80,11 +80,9 @@ class Endorsement:
     def verify(self, elector_public_key: bytes) -> bool:
         if not verify_signature(elector_public_key, self.elector_signature, self.signing_bytes()):
             return False
-        return self.names_its_target()
-
-    def names_its_target(self) -> bool:
-        """False iff the endorsement carries a target record whose digest is not the one signed."""
-        return self.target_cert is None or sha256(canonical_encode(self.target_cert)) == self.target_cert_digest
+        if self.target_cert is not None:
+            return sha256(canonical_encode(self.target_cert)) == self.target_cert_digest
+        return True
 
 
 def encode_endorsement(endorsement: Endorsement) -> bytes:
@@ -250,9 +248,9 @@ def tally_ballot(
 
 
 def _find_committed_by_digest(view, digest: bytes):
-    for uid_hex, record, entry in view.iter_certs():
+    for entry in view.cert_entries():
         if sha256(entry.payload) == digest:
-            return record, entry
+            return entry.decoded(decode_certificate), entry
     return None
 
 

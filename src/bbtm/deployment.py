@@ -51,7 +51,6 @@ from .ledger import (
     LedgerError,
     StateEntry,
     Transaction,
-    blocks_within,
     decode_chain,
     encode_chain,
 )
@@ -66,9 +65,8 @@ KEYS_FILE = "keys.json"
 SYSTEM_BLOCK_FILE = "system.block"
 # The ledger files of a deployment directory, and of a simulator export.
 CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
-# Beside them: per channel, the length and SHA-256 of a chain file prefix
-# that this program verified in full when it wrote it, and the SHA-256 of
-# the savepoint (FORMAT.md "Checkpoint").
+# Beside them: per channel, the length and SHA-256 of the chain file this
+# program wrote, and the SHA-256 of the savepoint (FORMAT.md "Checkpoint").
 CHECKPOINT_FILE = "checkpoint.json"
 # The committed state of the node that wrote the chain files (FORMAT.md "Savepoint").
 SAVEPOINT_FILE = "state.bin"
@@ -162,11 +160,11 @@ def _decode_savepoint(data: bytes, creator_cert_bytes: bytes):
 
 
 def write_chains(directory: pathlib.Path, node: Node) -> None:
-    """Write the node's chain files, its savepoint and the checkpoint that vouches for them, all or none.
+    """Write the node's chain files, its savepoint and the checkpoint that keys one to the other, all or none.
 
     Pass only a node that has committed every block of its chains: a later
-    load skips the Ed25519 checks on the chain bytes written here, and
-    restores the savepoint instead of replaying them.
+    load of exactly these chain bytes restores the savepoint instead of
+    replaying them.
     """
     images = {channel: node.ledger(channel).chain_image() for channel in CHAIN_FILES}
     state = encode_savepoint(node)
@@ -179,44 +177,27 @@ def write_chains(directory: pathlib.Path, node: Node) -> None:
     write_all_atomic(files)
 
 
-def read_checkpoint(directory: pathlib.Path) -> dict:
-    """The checkpoint written beside the chain files; {} if it is missing or not a JSON object."""
+def _matching_savepoint(directory: pathlib.Path, images: Dict[Channel, bytes]) -> Optional[bytes]:
+    """The savepoint's bytes if they and both whole chain file images match the checkpoint; else None.
+
+    Each channel's checkpoint entry must name the whole file's length and
+    SHA-256; an entry for any other bytes, a shorter prefix included,
+    matches nothing.
+    """
     try:
         checkpoint = json.loads((directory / CHECKPOINT_FILE).read_bytes())
-    except (OSError, ValueError, RecursionError):  # RecursionError: nesting too deep to parse
-        return {}
-    return checkpoint if isinstance(checkpoint, dict) else {}
-
-
-def vouched_length(data: bytes, entry) -> int:
-    """The length of the prefix of chain file image data that checkpoint entry vouches for.
-
-    entry is a channel's checkpoint entry; unless it names a length of at
-    most len(data) and the SHA-256 of data's first that many bytes, it
-    vouches for nothing (0).
-    """
-    if not isinstance(entry, dict):
-        return 0
-    length, digest = entry.get("bytes"), entry.get("sha256")
-    if type(length) is not int or not 0 <= length <= len(data) or sha256(data[:length]).hex() != digest:
-        return 0
-    return length
-
-
-def _matching_savepoint(directory: pathlib.Path, images: Dict[Channel, bytes], checkpoint: dict,
-                        vouched: Dict[Channel, int]) -> Optional[bytes]:
-    """The savepoint's bytes if they and every whole chain file image match the checkpoint; else None."""
-    entry = checkpoint.get("state")
-    if not isinstance(entry, dict):
-        return None
-    for channel, data in images.items():
-        if not vouched[channel] == entry.get(channel.value) == len(data):
-            return None
-    try:
+        state_entry = checkpoint["state"]
+        for channel, data in images.items():
+            entry = checkpoint[channel.value]
+            length = entry["bytes"]
+            if not (type(length) is int and length == state_entry[channel.value] == len(data)
+                    and entry["sha256"] == sha256(data).hex()):
+                return None
         state = (directory / SAVEPOINT_FILE).read_bytes()
-    except OSError:
+        return state if sha256(state).hex() == state_entry["sha256"] else None
+    except (OSError, ValueError, RecursionError, LookupError, TypeError):
+        # Unreadable, not JSON (or nested too deep to parse), or not shaped as written.
         return None
-    return state if sha256(state).hex() == entry.get("sha256") else None
 
 
 # Issuer role of each member role the two certifying authorities issue: the
@@ -499,12 +480,10 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
 
     When the savepoint and both whole chain files match the checkpoint, the
     node restores the savepoint and no block is decoded or replayed.
-    Otherwise the chains replay on the node.  ``chains`` gives blocks to
-    replay instead of the chain file of their channel; nothing is written.
-    Every chain must have been cut by the deployment's ordering service.
-    Blocks of a chain file that lie wholly in the prefix its checkpoint
-    vouches for replay without their Ed25519 checks; every other block, and
-    every given one, is verified in full.
+    Otherwise every block of the chains replays on the node with every
+    check.  ``chains`` gives blocks to replay instead of the chain file of
+    their channel; nothing is written.  Every chain must have been cut by
+    the deployment's ordering service.
     """
     path = pathlib.Path(path_str)
     try:
@@ -540,11 +519,9 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
                 images[channel] = (path / filename).read_bytes()
             except OSError as exc:
                 raise CliError(f"cannot load {filename}: {exc}") from exc
-    checkpoint = read_checkpoint(path)
-    vouched = {channel: vouched_length(data, checkpoint.get(channel.value)) for channel, data in images.items()}
-    state = None if chains else _matching_savepoint(path, images, checkpoint, vouched)
+    state = None if chains else _matching_savepoint(path, images)
     if state is None or not restore_savepoint(node, state, images, canonical_encode(config.osp_cert)):
-        _replay(node, config, chains, images, vouched)
+        _replay(node, config, chains, images)
     orderer = OrderingService(config, identities[osp_name], node)
     return CliDeployment(
         path=path,
@@ -559,16 +536,14 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
 
 
 def _replay(node: Node, config: ConsortiumConfig, chains: Dict[Channel, List[Block]],
-            images: Dict[Channel, bytes], vouched: Dict[Channel, int]) -> None:
+            images: Dict[Channel, bytes]) -> None:
     """Commit every chain on the new node: the given blocks, else the decoded chain file image."""
-    verified = dict.fromkeys(CHAIN_FILES, 0)
     for channel, filename in CHAIN_FILES.items():
         if channel not in chains:
             try:
                 chains[channel] = decode_chain(images[channel])
             except LedgerError as exc:
                 raise CliError(f"cannot load {filename}: {exc}") from exc
-            verified[channel] = blocks_within(images[channel], vouched[channel])
         blocks = chains[channel]
         # An empty chain would load as a deployment with no state at all.
         if not blocks:
@@ -578,7 +553,7 @@ def _replay(node: Node, config: ConsortiumConfig, chains: Dict[Channel, List[Blo
     # Certificate history first: policy commits authenticate against it.
     try:
         for channel in (Channel.GCCF, Channel.GPF):
-            for position, block in enumerate(chains[channel]):
-                node.commit_block(channel, block, check_signatures=position >= verified[channel])
+            for block in chains[channel]:
+                node.commit_block(channel, block)
     except BlockRefused as exc:
         raise CliError(f"deployment chain does not replay: {exc}") from exc

@@ -111,12 +111,11 @@ class GccfView:
             return None
         return entry.decoded(decode_certificate), entry
 
-    def iter_certs(self) -> Iterator[Tuple[str, CertificateRecord, StateEntry]]:
+    def cert_entries(self) -> Iterator[StateEntry]:
+        """The certificate entries in key order, undecoded: a caller decodes only those it keeps."""
         for key in sorted(self.world):
-            if not key.startswith("cert/"):
-                continue
-            entry = self.world[key]
-            yield key[len("cert/"):], entry.decoded(decode_certificate), entry
+            if key.startswith("cert/"):
+                yield self.world[key]
 
 
 def _decoded_cert(tx: Transaction, exc_type, reason: str) -> CertificateRecord:
@@ -140,19 +139,12 @@ def holds_role(view: GccfView, cert: CertificateRecord, role: AuthorityRole) -> 
     return entry is not None and entry.function == TxFunction.ADD_CERT and cert.subject_role == role
 
 
-def add_cert(
-    view: GccfView,
-    tx: Transaction,
-    *,
-    block_number: int,
-    quorum: int = DEFAULT_BALLOT_QUORUM,
-    check_signatures: bool = True,
-) -> None:
+def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
     """Check an addition and record its serial, or raise NotAddingVerify.
 
     Root and elector subjects are ballot-governed: outside the genesis
     bootstrap they commit only when an accepted add ballot for the exact
-    payload bytes exists in prior state.  check_signatures: see apply_tx.
+    payload bytes exists in prior state.
     """
     cert = _decoded_cert(tx, NotAddingVerify, "bad-signature")
     if cert.function_type != CertFunction.ADD or tx.key != cert.state_key:
@@ -187,7 +179,7 @@ def add_cert(
             tally = tally_ballot(view, etype, sha256(tx.payload), quorum)
             if tally.status != BallotStatus.ACCEPTED:
                 raise NotAddingVerify("role-violation")
-        if check_signatures and not verify_certificate_signature(cert, cert.subject_public_key):
+        if not verify_certificate_signature(cert, cert.subject_public_key):
             raise NotAddingVerify("bad-signature")
     else:
         issuer_entry = view.cert_entry(cert.issuer_unique_id)
@@ -203,20 +195,18 @@ def add_cert(
             raise NotAddingVerify("role-violation")
         if canonical_encode(submitter) != issuer_entry.payload:
             raise NotAddingVerify("bad-signature")
-        if check_signatures and not verify_certificate_signature(cert, issuer.subject_public_key):
+        if not verify_certificate_signature(cert, issuer.subject_public_key):
             raise NotAddingVerify("bad-signature")
 
     view.serials.add(cert.serial_number)
 
 
-def revoke_cert(
-    view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT_QUORUM, check_signatures: bool = True
-) -> None:
+def revoke_cert(view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
     """Check a revocation, or raise NotRevokingVerify.
 
     Ordinary authority certificates are revoked by the policy generator;
     root and elector certificates only through an accepted revoke ballot
-    submitted by an elector.  check_signatures: see apply_tx.
+    submitted by an elector.
     """
     cert = _decoded_cert(tx, NotRevokingVerify, "unknown-target")
     if cert.function_type != CertFunction.REVOKE or tx.key != cert.state_key:
@@ -245,11 +235,11 @@ def revoke_cert(
             raise NotRevokingVerify("not-PG")
     elif not holds_role(view, submitter, AuthorityRole.PG):
         raise NotRevokingVerify("not-PG")
-    if check_signatures and not verify_certificate_signature(cert, submitter.subject_public_key):
+    if not verify_certificate_signature(cert, submitter.subject_public_key):
         raise NotRevokingVerify("not-PG")
 
 
-def _apply_endorse(view: GccfView, tx: Transaction, block_number: int, check_signatures: bool) -> None:
+def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
     try:
         endorsement = tx.decoded(decode_endorsement)
     except Exception:
@@ -262,8 +252,7 @@ def _apply_endorse(view: GccfView, tx: Transaction, block_number: int, check_sig
         raise ContractRejection("revoked-elector")
     if endorsement.elector_id != submitter.subject_unique_id:
         raise ContractRejection("bad-endorsement")
-    valid = endorsement.verify(submitter.subject_public_key) if check_signatures else endorsement.names_its_target()
-    if not valid:
+    if not endorsement.verify(submitter.subject_public_key):
         raise ContractRejection("bad-endorsement")
     if not tx.key.startswith(f"ballot/{endorsement.endorsement_type.value}/"):
         raise ContractRejection("bad-endorsement")
@@ -279,31 +268,20 @@ def _check_validate(tx: Transaction) -> None:
         raise ContractRejection("bad-payload")
 
 
-def apply_tx(
-    view: GccfView,
-    tx: Transaction,
-    *,
-    block_number: int,
-    quorum: int = DEFAULT_BALLOT_QUORUM,
-    check_signatures: bool = True,
-) -> None:
+def apply_tx(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
     """Check one committed transaction against the view, then write its entry.
 
     The function's own check raises ContractRejection before anything is
     written; the entry written here is the channel's only state write.
-    With check_signatures false the Ed25519 checks whose failure would
-    refuse the transaction are skipped, and every other check runs: only for
-    a transaction whose block bytes were verified before.  A ballot tally's
-    votes are verified either way, since a bad vote is dropped, not refused.
     """
     if tx.channel != Channel.GCCF:
         raise ContractRejection("wrong-channel")
     if tx.function == TxFunction.ADD_CERT:
-        add_cert(view, tx, block_number=block_number, quorum=quorum, check_signatures=check_signatures)
+        add_cert(view, tx, block_number=block_number, quorum=quorum)
     elif tx.function == TxFunction.REVOKE_CERT:
-        revoke_cert(view, tx, quorum=quorum, check_signatures=check_signatures)
+        revoke_cert(view, tx, quorum=quorum)
     elif tx.function == TxFunction.BALLOT_ENDORSE:
-        _apply_endorse(view, tx, block_number, check_signatures)
+        _apply_endorse(view, tx, block_number)
     elif tx.function == TxFunction.VALIDATE_CERT:
         _check_validate(tx)
     else:
@@ -422,7 +400,7 @@ def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QU
     excluded; records sort by (role, serial) so converged nodes export
     byte-identical files.
     """
-    active = [(record, entry.payload) for _uid, record, entry in view.iter_certs()
+    active = [(entry.decoded(decode_certificate), entry.payload) for entry in view.cert_entries()
               if entry.function == TxFunction.ADD_CERT]
     active.sort(key=lambda pair: (ROLE_ORDER.get(pair[0].subject_role, len(ROLE_ORDER)), pair[0].serial_number))
 

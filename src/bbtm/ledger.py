@@ -424,14 +424,10 @@ class Ledger:
         self.creator_cert_bytes = creator_cert_bytes
         self.tx_ids = tx_ids
 
-    def check_block(self, block: Block, *, check_signatures: bool = True) -> None:
+    def check_block(self, block: Block) -> None:
         """Structure, creator, then submitter signatures; raises without mutating anything.
 
         BadTxSignature comes last, so it means every other check has passed.
-        With check_signatures false every check runs except the Ed25519 ones
-        (the genesis creator's self-signature, the creator's and the
-        submitters' signatures): only for a block whose bytes were verified
-        before.
         """
         if block.header.number != self.height:
             raise NonMonotoneNumber(f"expected block {self.height}, got {block.header.number}")
@@ -449,27 +445,25 @@ class Ledger:
                 raise WrongChannel(
                     f"transaction for {tx.channel.value} in a {self.channel.value} block"
                 )
-        self._check_creator(block, check_signatures)
-        if check_signatures:
-            for tx in block.transactions:
-                if not tx.verify_submitter_signature():
-                    raise BadTxSignature("bad-tx-signature")
+        self._check_creator(block)
+        for tx in block.transactions:
+            if not tx.verify_submitter_signature():
+                raise BadTxSignature("bad-tx-signature")
 
-    def _check_creator(self, block: Block, check_signatures: bool) -> None:
+    def _check_creator(self, block: Block) -> None:
         cert_bytes = canonical_encode(block.creator_cert)
         if self.creator_cert_bytes is None:
             # Genesis registers the ordering service: the creator record must
             # be a valid self-signed OSP certificate.
             if block.creator_cert.subject_role != AuthorityRole.OSP:
                 raise BadCreatorSignature("genesis creator is not an ordering service")
-            if not block.creator_cert.is_self_signed or (
-                check_signatures
-                and not verify_certificate_signature(block.creator_cert, block.creator_cert.subject_public_key)
+            if not block.creator_cert.is_self_signed or not verify_certificate_signature(
+                block.creator_cert, block.creator_cert.subject_public_key
             ):
                 raise BadCreatorSignature("genesis creator certificate does not self-verify")
         elif cert_bytes != self.creator_cert_bytes:
             raise BadCreatorSignature("creator certificate differs from the genesis registration")
-        if check_signatures and not verify_signature(
+        if not verify_signature(
             block.creator_cert.subject_public_key,
             block.creator_signature,
             block.header.encode(),
@@ -541,21 +535,6 @@ def decode_chain(data: bytes) -> List[Block]:
         except wire.WireError as exc:
             raise LedgerError(f"truncated ledger file: {exc}") from exc
     return blocks
-
-
-def blocks_within(data: bytes, length: int) -> int:
-    """How many leading blocks of ledger file image data end within its first length bytes.
-
-    Reads only the blocks' length prefixes; decode_chain checks the rest.
-    """
-    end = len(LEDGER_MAGIC) + 1
-    count = 0
-    while end + 4 <= length:
-        end += 4 + int.from_bytes(data[end : end + 4], "big")
-        if end > length:
-            break
-        count += 1
-    return count
 
 
 def infer_channel(blocks: List[Block]) -> Channel:

@@ -56,7 +56,7 @@ class Node:
     def head(self, channel: Channel) -> bytes:
         return self.ledgers[channel].head_hash()
 
-    def commit_block(self, channel: Channel, block: Block, *, check_signatures: bool = True) -> None:
+    def commit_block(self, channel: Channel, block: Block) -> None:
         """Verify and commit, or raise BlockRefused leaving state untouched.
 
         The ledger's check (structure, creator and submitter signatures)
@@ -64,15 +64,10 @@ class Node:
         in place; if one refuses, the journal taken beforehand (the entry
         each of the block's keys held, the endorsement log's length) and the
         serials of the additions already applied undo the block.
-
-        check_signatures is false only for a block whose bytes this
-        deployment verified before (a verified-prefix checkpoint): then the
-        Ed25519 checks whose failure would refuse the block are skipped, and
-        every other check and every state write still runs.
         """
         ledger = self.ledgers[channel]
         try:
-            ledger.check_block(block, check_signatures=check_signatures)
+            ledger.check_block(block)
         except LedgerError as exc:
             raise BlockRefused(str(exc), block.header.number) from exc
         number = block.header.number
@@ -84,9 +79,7 @@ class Node:
             if channel == Channel.GCCF:
                 quorum = gpf.ballot_quorum(self.gpf_view)
                 for tx in block.transactions:
-                    gccf.apply_tx(
-                        self.gccf_view, tx, block_number=number, quorum=quorum, check_signatures=check_signatures
-                    )
+                    gccf.apply_tx(self.gccf_view, tx, block_number=number, quorum=quorum)
                     applied += 1
             else:
                 for tx in block.transactions:

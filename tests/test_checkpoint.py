@@ -1,5 +1,8 @@
-"""Verified-prefix checkpoint and savepoint: a load skips work only on bytes bbtm wrote, and never changes an outcome."""
+"""Checkpoint and savepoint: a load restores only the savepoint written with exactly its whole chain files,
+replays anything else with every check, and never changes an outcome."""
 
+import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -7,8 +10,8 @@ import pytest
 
 from bbtm import cli, identity
 from bbtm.cli import main
-from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE, SAVEPOINT_FILE
-from bbtm.ledger import Block, Channel, decode_chain, encode_chain
+from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE, SAVEPOINT_FILE, CliError
+from bbtm.ledger import Block, Channel, data_hash_of, decode_chain, encode_chain
 from bbtm.simulation import ScenarioConfig, Simulation
 
 NODES = [("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)]
@@ -81,13 +84,15 @@ class TestWorkCounts:
             assert _real_verifications(lambda: main(["ledger", "verify", str(chain)])) >= _signatures(chain)
         signatures = _signatures(exported)
         assert _real_verifications(lambda: main(["ledger", "import", str(exported)])) >= signatures
-        # Under --deployment the certificate channel is trusted and the
-        # imported channel is verified: its signatures, plus the ordering
-        # service's self-signature.
+        # Under --deployment both channels replay in full: the imported one and
+        # the certificate channel read from its file, as on a load without a
+        # savepoint.
         imported = _real_verifications(
             lambda: main(["ledger", "import", str(exported), "--channel", "GPF", "--deployment", str(deployment)])
         )
-        assert imported == signatures + 1
+        (deployment / SAVEPOINT_FILE).unlink()
+        replayed = _real_verifications(lambda: cli.load_deployment(str(deployment)))
+        assert imported == replayed >= _signatures(deployment / "gccf.chain") + signatures
         capsys.readouterr()
 
     def test_cert_validate_verifies_the_presented_certificate(self, deployment, tmp_path, capsys):
@@ -162,13 +167,12 @@ class TestTamper:
         finally:
             files[dep / CHECKPOINT_FILE] = kept
 
-    def test_stale_checkpoint_trusts_its_prefix_only(self, dep, files):
+    def test_stale_checkpoint_trusts_nothing(self, dep, files):
+        """The checkpoint names the certificate chain's first block only: the load replays it all."""
         expected = self._without_checkpoint(dep, files)
         assert expected[0] == (2, 1)
-        # The ordering service's self-signature, then the block past the
-        # prefix: its creator's and its submitter's signatures, and the
-        # issuer's signature on the record it adds.
-        assert _real_verifications(lambda: cli.load_deployment(str(dep))) == 1 + 3
+        without = _real_verifications(lambda: self._without_checkpoint(dep, files))
+        assert _real_verifications(lambda: cli.load_deployment(str(dep))) == without > 1
         assert _outcome(dep) == expected
 
     def test_every_single_byte_flip_loads_as_without_checkpoint(self, dep, files):
@@ -221,3 +225,25 @@ class TestTamper:
         assert _outcome(dep) == refused
         (dep / CHECKPOINT_FILE).unlink()
         assert _outcome(dep) == refused
+
+    def test_forged_submitter_signature_is_refused_whatever_the_checkpoint_says(self, deployment):
+        """A checkpoint rewritten to name forged chain bytes does not spare them a check."""
+        _policy_add(deployment, "r0")
+        (deployment / SAVEPOINT_FILE).unlink()
+        chain = deployment / CHAIN_FILES[Channel.GPF]
+        blocks = decode_chain(chain.read_bytes())
+        last = blocks[-1]
+        tx = last.transactions[-1]
+        signature = bytes([tx.submitter_signature[0] ^ 0x01]) + tx.submitter_signature[1:]
+        transactions = last.transactions[:-1] + (dataclasses.replace(tx, submitter_signature=signature),)
+        header = dataclasses.replace(last.header, data_hash=data_hash_of(transactions))
+        image = encode_chain(blocks[:-1] + [Block(header, transactions, last.creator_cert, last.creator_signature)])
+        chain.write_bytes(image)
+        checkpoint = json.loads((deployment / CHECKPOINT_FILE).read_text())
+        checkpoint[Channel.GPF.value] = {"bytes": len(image), "sha256": hashlib.sha256(image).hexdigest()}
+        (deployment / CHECKPOINT_FILE).write_text(json.dumps(checkpoint))
+        with pytest.raises(CliError, match="^deployment chain does not replay: "):
+            cli.load_deployment(str(deployment))
+        (deployment / CHECKPOINT_FILE).unlink()
+        with pytest.raises(CliError, match="^deployment chain does not replay: "):
+            cli.load_deployment(str(deployment))

@@ -30,7 +30,7 @@ from bbtm.identity import (
     role_of_name,
     verify_certificate_signature,
 )
-from bbtm.ledger import Channel, TxFunction, make_block
+from bbtm.ledger import Channel, StateEntry, TxFunction, make_block
 from bbtm.node import BlockRefused
 from bbtm.ordering import Rejected
 from bbtm.simulation import ScenarioConfig, Simulation
@@ -165,7 +165,8 @@ def brute_force_validate(view: GccfView, cert, now_s: float) -> bool:
     self-signed anchor-role record, checking the full rule set on each path.
     """
     committed = {}
-    for _uid_hex, record, entry in view.iter_certs():
+    for entry in view.cert_entries():
+        record = decode_certificate(entry.payload)
         committed[record.subject_unique_id] = (record, entry)
 
     start = committed.get(cert.subject_unique_id)
@@ -388,6 +389,21 @@ class TestExportSnapshot:
         after = export_gccf(bed.view, tip_number=bed.next_block - 1)
         assert not any(c.subject_name == "ICA-1" for c in after.certificates)
 
+    def test_only_the_exported_records_are_decoded(self, monkeypatch):
+        bed = Bed()
+        bed.revoke(bed.ica.cert)
+        # Fresh entries, as a restored load holds them: none has been decoded yet.
+        view = GccfView({key: StateEntry(e.payload, e.function, e.block_number) for key, e in bed.view.world.items()})
+        decoded = []
+
+        def counting(payload):
+            decoded.append(payload)
+            return decode_certificate(payload)
+
+        monkeypatch.setattr(gccf, "decode_certificate", counting)
+        snapshot = export_gccf(view, tip_number=bed.next_block - 1)
+        assert sorted(decoded) == sorted(snapshot.encodings)
+
     def test_snapshot_is_pure_function_of_state(self):
         a, b = Bed(), Bed()
         snap_a = export_gccf(a.view, tip_number=3)
@@ -454,8 +470,7 @@ class TestCommittedPayloadIsTheEncoding:
         }))
         sim.run()
         view = sim.nodes[sim.osp_name].gccf_view
-        payloads = [entry.payload for _uid, _record, entry in view.iter_certs()
-                    if entry.function == TxFunction.ADD_CERT]
+        payloads = [entry.payload for entry in view.cert_entries() if entry.function == TxFunction.ADD_CERT]
         assert len(payloads) > 10
         decode_certificate.cache_clear()
         assert [canonical_encode(decode_certificate(p)) for p in payloads] == payloads
