@@ -223,16 +223,16 @@ def cmd_cert_issue(args) -> int:
     except CertificateError as exc:
         raise CliError(str(exc)) from exc
     cert = ident.cert
+    result = {"cert": args.out, "serial": cert.serial_number.hex(), "submitted": False}
+    if args.submit:
+        # Before any file is written: a refused submission leaves none behind.
+        block = dep.submit_command(ident if issuer is None else issuer, gccf.make_add_cert_tx, cert)
+        result.update({"submitted": True, "block": block})
     out = pathlib.Path(args.out)
     write_all_atomic(
         [(out, canonical_encode(cert)), (out.with_suffix(out.suffix + ".json"), dump_json(cert_to_json(cert)))]
     )
     dep.register_extra(ident)
-    result = {"cert": args.out, "serial": cert.serial_number.hex(), "submitted": False}
-    if args.submit:
-        submitter = dep.identity(args.issuer)
-        block = dep.submit_command(submitter, gccf.make_add_cert_tx, cert)
-        result.update({"submitted": True, "block": block})
     _print_json(result)
     return EXIT_OK
 

@@ -9,8 +9,8 @@ runs and golden-digest tests exact.
 It also owns every file of a deployment directory (FORMAT.md): it writes
 one (``write_deployment``), loads one as a one-node network
 (``load_deployment``), and writes its chain files together with the
-checkpoint and the world-state savepoint that let the next load skip the
-replay (``write_chains``).
+world-state savepoint, keyed to their bytes, that lets the next load skip
+the replay (``write_chains``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .ledger import (
     StateEntry,
     Transaction,
     decode_chain,
-    encode_chain,
 )
 from .node import BlockRefused, Node
 from .ordering import ConsortiumConfig, GenesisBundle, Member, OrderingService, Rejected, create_genesis
@@ -65,14 +64,13 @@ KEYS_FILE = "keys.json"
 SYSTEM_BLOCK_FILE = "system.block"
 # The ledger files of a deployment directory, and of a simulator export.
 CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
-# Beside them: per channel, the length and SHA-256 of the chain file this
-# program wrote, and the SHA-256 of the savepoint (FORMAT.md "Checkpoint").
-CHECKPOINT_FILE = "checkpoint.json"
-# The committed state of the node that wrote the chain files (FORMAT.md "Savepoint").
+# The committed state of the node that wrote the chain files, keyed to
+# their SHA-256 digests (FORMAT.md "Savepoint").
 SAVEPOINT_FILE = "state.bin"
 SAVEPOINT_MAGIC = b"BBTS"
-SAVEPOINT_FORMAT_VERSION = 1
-TX_ID_LEN = 32  # a SHA-256 digest
+SAVEPOINT_FORMAT_VERSION = 2
+DIGEST_LEN = 32  # a SHA-256 digest
+TX_ID_LEN = DIGEST_LEN
 
 
 class CliError(Exception):
@@ -86,14 +84,16 @@ class CliError(Exception):
 # ----------------------------------------------------------------- savepoint
 
 
-def encode_savepoint(node: Node) -> bytes:
-    """The node's committed state: per channel its chain facts and world state, then the GCCF indexes."""
+def encode_savepoint(node: Node, images: Dict[Channel, bytes]) -> bytes:
+    """The node's committed state over its chain file images: per channel the image's SHA-256, its
+    chain facts and world state, then the GCCF indexes, then the SHA-256 of all that."""
     parts = [SAVEPOINT_MAGIC, bytes([SAVEPOINT_FORMAT_VERSION])]
     for channel in CHAIN_FILES:
         ledger = node.ledger(channel)
         world = ledger.world_state
         parts += [
             wire.field(channel.value.encode("utf-8")),
+            wire.field(sha256(images[channel])),
             wire.field(wire.u64(ledger.height)),
             wire.field(ledger.head_hash()),
             wire.field(ledger.creator_cert_bytes),
@@ -106,7 +106,8 @@ def encode_savepoint(node: Node) -> bytes:
     parts.append(wire.field(wire.u32(len(view.endorsement_log))))
     for number, endorsement in view.endorsement_log:
         parts += [wire.field(wire.u64(number)), wire.field(encode_endorsement(endorsement))]
-    return b"".join(parts)
+    body = b"".join(parts)
+    return body + sha256(body)
 
 
 def _split(data: bytes, width: int) -> Set[bytes]:
@@ -116,14 +117,15 @@ def _split(data: bytes, width: int) -> Set[bytes]:
 
 
 def restore_savepoint(node: Node, data: bytes, images: Dict[Channel, bytes], creator_cert_bytes: bytes) -> bool:
-    """Fill a new node with the state savepoint data holds, over the chain file images it stands for.
+    """Fill a new node with the state savepoint data holds, if it stands for exactly the chain file images.
 
-    Returns False, and leaves the node as it was, if data does not decode
-    or names a chain creator other than the certificate encoding
+    Returns False, and leaves the node as it was, if data is not an intact
+    savepoint of this format, names other chain bytes than images, or
+    names a chain creator other than the certificate encoding
     creator_cert_bytes.
     """
     try:
-        channels, serials, log = _decode_savepoint(data, creator_cert_bytes)
+        channels, serials, log = _decode_savepoint(data, images, creator_cert_bytes)
     except (ValueError, BallotError):
         return False
     for channel, height, head, world, tx_ids in channels:
@@ -136,15 +138,18 @@ def restore_savepoint(node: Node, data: bytes, images: Dict[Channel, bytes], cre
     return True
 
 
-def _decode_savepoint(data: bytes, creator_cert_bytes: bytes):
+def _decode_savepoint(data: bytes, images: Dict[Channel, bytes], creator_cert_bytes: bytes):
     header = SAVEPOINT_MAGIC + bytes([SAVEPOINT_FORMAT_VERSION])
-    if data[: len(header)] != header:
-        raise ValueError("not a savepoint of this format")
-    r = wire.Reader(data[len(header):])
+    body, digest = data[:-DIGEST_LEN], data[-DIGEST_LEN:]
+    if not body.startswith(header) or sha256(body) != digest:
+        raise ValueError("not an intact savepoint of this format")
+    r = wire.Reader(body[len(header):])
     channels = []
     for channel in CHAIN_FILES:
         if r.str_field() != channel.value:
             raise ValueError(f"savepoint channels out of order at {channel.value}")
+        if r.field() != sha256(images[channel]):
+            raise ValueError(f"the savepoint stands for other {channel.value} chain bytes")
         height, head = r.u64_field(), r.field()
         if r.field() != creator_cert_bytes:
             raise ValueError(f"the {channel.value} chain was cut by another ordering service")
@@ -160,44 +165,17 @@ def _decode_savepoint(data: bytes, creator_cert_bytes: bytes):
 
 
 def write_chains(directory: pathlib.Path, node: Node) -> None:
-    """Write the node's chain files, its savepoint and the checkpoint that keys one to the other, all or none.
+    """Write the node's chain files and then the savepoint keyed to them, all or none.
 
     Pass only a node that has committed every block of its chains: a later
     load of exactly these chain bytes restores the savepoint instead of
-    replaying them.
+    replaying them.  The savepoint is written last, so a group cut short
+    leaves one that names older chain bytes, which no load restores.
     """
     images = {channel: node.ledger(channel).chain_image() for channel in CHAIN_FILES}
-    state = encode_savepoint(node)
-    checkpoint = {
-        channel.value: {"bytes": len(data), "sha256": sha256(data).hex()} for channel, data in images.items()
-    }
-    checkpoint["state"] = {"sha256": sha256(state).hex(), **{ch.value: len(data) for ch, data in images.items()}}
     files = [(directory / CHAIN_FILES[channel], data) for channel, data in images.items()]
-    files += [(directory / SAVEPOINT_FILE, state), (directory / CHECKPOINT_FILE, dump_json(checkpoint))]
+    files.append((directory / SAVEPOINT_FILE, encode_savepoint(node, images)))
     write_all_atomic(files)
-
-
-def _matching_savepoint(directory: pathlib.Path, images: Dict[Channel, bytes]) -> Optional[bytes]:
-    """The savepoint's bytes if they and both whole chain file images match the checkpoint; else None.
-
-    Each channel's checkpoint entry must name the whole file's length and
-    SHA-256; an entry for any other bytes, a shorter prefix included,
-    matches nothing.
-    """
-    try:
-        checkpoint = json.loads((directory / CHECKPOINT_FILE).read_bytes())
-        state_entry = checkpoint["state"]
-        for channel, data in images.items():
-            entry = checkpoint[channel.value]
-            length = entry["bytes"]
-            if not (type(length) is int and length == state_entry[channel.value] == len(data)
-                    and entry["sha256"] == sha256(data).hex()):
-                return None
-        state = (directory / SAVEPOINT_FILE).read_bytes()
-        return state if sha256(state).hex() == state_entry["sha256"] else None
-    except (OSError, ValueError, RecursionError, LookupError, TypeError):
-        # Unreadable, not JSON (or nested too deep to parse), or not shaped as written.
-        return None
 
 
 # Issuer role of each member role the two certifying authorities issue: the
@@ -456,6 +434,15 @@ class CliDeployment:
 
 
 def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
+    """Write a new deployment directory, with the chains of the genesis its ordering service's node commits.
+
+    A genesis that node refuses is config-invalid: nothing is written, since no load could replay it.
+    """
+    node = Node(dep.osp)
+    try:
+        node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
+    except BlockRefused as exc:
+        raise CliError(f"config-invalid: genesis does not commit: {exc}", 2) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "seed": dep.seed,
@@ -471,19 +458,19 @@ def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
     }
     write_atomic(out_dir / KEYS_FILE, dump_json(keys))
     write_atomic(out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode())
-    write_atomic(out_dir / CHAIN_FILES[Channel.GCCF], encode_chain([dep.genesis.gccf_genesis]))
-    write_atomic(out_dir / CHAIN_FILES[Channel.GPF], encode_chain([dep.genesis.gpf_genesis]))
+    write_chains(out_dir, node)
 
 
 def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:
     """Read a deployment directory and bring one node to the state of its chains.
 
-    When the savepoint and both whole chain files match the checkpoint, the
-    node restores the savepoint and no block is decoded or replayed.
-    Otherwise every block of the chains replays on the node with every
-    check.  ``chains`` gives blocks to replay instead of the chain file of
-    their channel; nothing is written.  Every chain must have been cut by
-    the deployment's ordering service.
+    When ``state.bin`` is an intact savepoint keyed to both whole chain
+    files, the node restores it and no block is decoded or replayed.
+    Otherwise (no savepoint, or a stale, damaged or older-format one) every
+    block of the chains replays on the node with every check.  ``chains``
+    gives blocks to replay instead of the chain file of their channel;
+    nothing is written.  Every chain must have been cut by the
+    deployment's ordering service.
     """
     path = pathlib.Path(path_str)
     try:
@@ -519,7 +506,12 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
                 images[channel] = (path / filename).read_bytes()
             except OSError as exc:
                 raise CliError(f"cannot load {filename}: {exc}") from exc
-    state = None if chains else _matching_savepoint(path, images)
+    state = None
+    if not chains:
+        try:
+            state = (path / SAVEPOINT_FILE).read_bytes()
+        except OSError:
+            pass  # missing or unreadable: replay
     if state is None or not restore_savepoint(node, state, images, canonical_encode(config.osp_cert)):
         _replay(node, config, chains, images)
     orderer = OrderingService(config, identities[osp_name], node)

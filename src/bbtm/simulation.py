@@ -896,7 +896,7 @@ class Simulation:
         )
 
     def export_ledgers(self, directory) -> Dict[str, str]:
-        """Write the sequencer's chains as ledger files, with its savepoint and their checkpoint; returns the paths.
+        """Write the sequencer's chains as ledger files, then its savepoint keyed to them; returns the paths.
 
         The files are written whole or not at all (deployment.write_chains).
         """

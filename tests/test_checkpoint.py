@@ -1,4 +1,4 @@
-"""Checkpoint and savepoint: a load restores only the savepoint written with exactly its whole chain files,
+"""Savepoint keys: a load restores only the savepoint written with exactly its whole chain files,
 replays anything else with every check, and never changes an outcome."""
 
 import dataclasses
@@ -10,7 +10,7 @@ import pytest
 
 from bbtm import cli, identity
 from bbtm.cli import main
-from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE, SAVEPOINT_FILE, CliError
+from bbtm.deployment import CHAIN_FILES, SAVEPOINT_FILE, CliError
 from bbtm.ledger import Block, Channel, data_hash_of, decode_chain, encode_chain
 from bbtm.simulation import ScenarioConfig, Simulation
 
@@ -50,9 +50,8 @@ def _policy_add(dep: pathlib.Path, rule: str) -> None:
 
 
 class TestWorkCounts:
-    def test_network_init_writes_no_checkpoint(self, deployment):
-        assert not (deployment / CHECKPOINT_FILE).exists()
-        assert _real_verifications(lambda: cli.load_deployment(str(deployment))) > 1
+    def test_a_load_right_after_init_is_trusted(self, deployment):
+        assert _real_verifications(lambda: cli.load_deployment(str(deployment))) <= 1
 
     def test_loads_after_each_write_trust_the_whole_chain(self, deployment, tmp_path):
         _policy_add(deployment, "r0")
@@ -79,7 +78,7 @@ class TestWorkCounts:
         exported = tmp_path / "gpf.export"
         assert main(["ledger", "export", "--deployment", str(deployment), "--channel", "GPF",
                      "--out", str(exported)]) == 0
-        assert (deployment / CHECKPOINT_FILE).exists()
+        assert (deployment / SAVEPOINT_FILE).exists()
         for chain in (deployment / "gccf.chain", deployment / "gpf.chain"):
             assert _real_verifications(lambda: main(["ledger", "verify", str(chain)])) >= _signatures(chain)
         signatures = _signatures(exported)
@@ -131,18 +130,17 @@ def _flips(data: bytes):
 
 
 class TestTamper:
-    """A checkpoint never changes what a load makes of a deployment, however its files are tampered with."""
+    """A savepoint never changes what a load makes of a deployment, however its files are tampered with."""
 
     @pytest.fixture
     def dep(self, tmp_path):
-        """A small deployment whose checkpoint is stale: it vouches for the
+        """A small deployment whose savepoint is stale: it stands for the
         certificate chain's genesis block only, and the chain has one more."""
         dep = _init(tmp_path, {"seed": 55, "nodes": [{"role": "RCA", "count": 1}, {"role": "OSP", "count": 1}]})
-        cli.load_deployment(str(dep)).save_chains()
-        stale = (dep / CHECKPOINT_FILE).read_bytes()
+        stale = (dep / SAVEPOINT_FILE).read_bytes()
         assert main(["cert", "issue", "--deployment", str(dep), "--issuer", "RCA-1", "--subject", "ICA-9",
                      "--out", str(tmp_path / "ica9.bin"), "--submit"]) == 0
-        (dep / CHECKPOINT_FILE).write_bytes(stale)
+        (dep / SAVEPOINT_FILE).write_bytes(stale)
         return dep
 
     @pytest.fixture
@@ -160,57 +158,75 @@ class TestTamper:
         return files
 
     @staticmethod
-    def _without_checkpoint(dep: pathlib.Path, files: dict):
-        kept = files.pop(dep / CHECKPOINT_FILE)
+    def _without_savepoint(dep: pathlib.Path, files: dict):
+        kept = files.pop(dep / SAVEPOINT_FILE)
         try:
             return _outcome(dep)
         finally:
-            files[dep / CHECKPOINT_FILE] = kept
+            files[dep / SAVEPOINT_FILE] = kept
 
-    def test_stale_checkpoint_trusts_nothing(self, dep, files):
-        """The checkpoint names the certificate chain's first block only: the load replays it all."""
-        expected = self._without_checkpoint(dep, files)
+    @staticmethod
+    def _refresh(dep: pathlib.Path, files: dict) -> bytes:
+        """Write a savepoint that stands for the chain files as they are, and return it."""
+        cli.load_deployment(str(dep)).save_chains()
+        with (dep / SAVEPOINT_FILE).open("rb") as fh:
+            files[dep / SAVEPOINT_FILE] = fh.read()
+        return files[dep / SAVEPOINT_FILE]
+
+    def test_stale_savepoint_trusts_nothing(self, dep, files):
+        """The savepoint names the certificate chain's first block only: the load replays it all."""
+        expected = self._without_savepoint(dep, files)
         assert expected[0] == (2, 1)
-        without = _real_verifications(lambda: self._without_checkpoint(dep, files))
+        without = _real_verifications(lambda: self._without_savepoint(dep, files))
         assert _real_verifications(lambda: cli.load_deployment(str(dep))) == without > 1
         assert _outcome(dep) == expected
 
-    def test_every_single_byte_flip_loads_as_without_checkpoint(self, dep, files):
+    def test_every_single_byte_flip_of_a_chain_loads_as_without_savepoint(self, dep, files):
+        self._refresh(dep, files)
         for name in CHAIN_FILES.values():
             original = files[dep / name]
             for pos, flipped in _flips(original):
                 files[dep / name] = flipped
-                assert _outcome(dep) == self._without_checkpoint(dep, files), f"{name} byte {pos}"
+                assert _outcome(dep) == self._without_savepoint(dep, files), f"{name} byte {pos}"
             files[dep / name] = original
-        expected = self._without_checkpoint(dep, files)
-        for pos, flipped in _flips(files[dep / CHECKPOINT_FILE]):
-            files[dep / CHECKPOINT_FILE] = flipped
-            assert _outcome(dep) == expected, f"{CHECKPOINT_FILE} byte {pos}"
 
     def test_every_single_byte_flip_of_the_savepoint_loads_as_without_it(self, dep, files):
-        cli.load_deployment(str(dep)).save_chains()  # the checkpoint now vouches for the savepoint
-        for name in (CHECKPOINT_FILE, SAVEPOINT_FILE):
-            with (dep / name).open("rb") as fh:
-                files[dep / name] = fh.read()
-        state = files.pop(dep / SAVEPOINT_FILE)
-        expected = _outcome(dep)
+        state = self._refresh(dep, files)
+        expected = self._without_savepoint(dep, files)
         assert expected[0] == (2, 1)
         for pos, flipped in [(None, state), *_flips(state)]:
             files[dep / SAVEPOINT_FILE] = flipped
             assert _outcome(dep) == expected, f"{SAVEPOINT_FILE} byte {pos}"
 
-    @pytest.mark.parametrize("text", [
-        "", "[]", "[" * 100_000, '{"GCCF": 1}', '{"GCCF": {"bytes": 1e3, "sha256": "00"}}',
-        '{"GCCF": {"bytes": 1000000000, "sha256": "00"}}',
-    ], ids=["empty", "array", "deep", "not-an-entry", "float-length", "length-past-the-file"])
-    def test_malformed_checkpoint_verifies_in_full(self, dep, text):
-        (dep / CHECKPOINT_FILE).write_text(text)
+    @pytest.mark.parametrize("case", ["empty", "truncated", "format-1", "magic", "trailing-digest",
+                                      "other-chain-bytes"])
+    def test_malformed_savepoint_verifies_in_full(self, dep, case):
+        cli.load_deployment(str(dep)).save_chains()
+        state = (dep / SAVEPOINT_FILE).read_bytes()
+        body = state[:-32]
+        if case == "empty":
+            state = b""
+        elif case == "truncated":
+            state = state[:-1]
+        elif case == "format-1":
+            state = _sealed(body[:4] + bytes([1]) + body[5:])
+        elif case == "magic":
+            state = _sealed(b"BBTX" + body[4:])
+        elif case == "trailing-digest":
+            state = state[:-1] + bytes([state[-1] ^ 0x01])
+        else:  # intact, but keyed to other certificate chain bytes
+            gccf_digest = hashlib.sha256((dep / CHAIN_FILES[Channel.GCCF]).read_bytes()).digest()
+            assert body.count(gccf_digest) == 1
+            state = _sealed(body.replace(gccf_digest, bytes(32)))
+        (dep / SAVEPOINT_FILE).write_bytes(state)
         real = _real_verifications(lambda: cli.load_deployment(str(dep)))
-        (dep / CHECKPOINT_FILE).unlink()
+        outcome = _outcome(dep)
+        (dep / SAVEPOINT_FILE).unlink()
         assert real == _real_verifications(lambda: cli.load_deployment(str(dep))) > 1
+        assert outcome == _outcome(dep)
 
     def test_forged_creator_signature_is_refused(self, dep):
-        """The creator signature lies outside the header hash; the checkpoint covers it."""
+        """The creator signature lies outside the header hash; the savepoint's chain digest covers it."""
         chain = dep / "gccf.chain"
         honest = chain.read_bytes()
         blocks = decode_chain(honest)
@@ -219,17 +235,16 @@ class TestTamper:
                        bytes(b ^ 0xFF for b in genesis.creator_signature))
         image = encode_chain([forged] + blocks[1:])
         assert len(image) == len(honest)
-        cli.load_deployment(str(dep)).save_chains()  # the checkpoint now covers the honest bytes
+        cli.load_deployment(str(dep)).save_chains()  # the savepoint now names the honest bytes
         chain.write_bytes(image)
         refused = ("CliError", "deployment chain does not replay: block 0 refused: block 0 creator signature invalid")
         assert _outcome(dep) == refused
-        (dep / CHECKPOINT_FILE).unlink()
+        (dep / SAVEPOINT_FILE).unlink()
         assert _outcome(dep) == refused
 
-    def test_forged_submitter_signature_is_refused_whatever_the_checkpoint_says(self, deployment):
-        """A checkpoint rewritten to name forged chain bytes does not spare them a check."""
+    def test_forged_submitter_signature_is_refused_whatever_the_savepoint_says(self, deployment):
+        """A savepoint that names the honest chain bytes does not spare forged ones a check."""
         _policy_add(deployment, "r0")
-        (deployment / SAVEPOINT_FILE).unlink()
         chain = deployment / CHAIN_FILES[Channel.GPF]
         blocks = decode_chain(chain.read_bytes())
         last = blocks[-1]
@@ -239,11 +254,13 @@ class TestTamper:
         header = dataclasses.replace(last.header, data_hash=data_hash_of(transactions))
         image = encode_chain(blocks[:-1] + [Block(header, transactions, last.creator_cert, last.creator_signature)])
         chain.write_bytes(image)
-        checkpoint = json.loads((deployment / CHECKPOINT_FILE).read_text())
-        checkpoint[Channel.GPF.value] = {"bytes": len(image), "sha256": hashlib.sha256(image).hexdigest()}
-        (deployment / CHECKPOINT_FILE).write_text(json.dumps(checkpoint))
         with pytest.raises(CliError, match="^deployment chain does not replay: "):
             cli.load_deployment(str(deployment))
-        (deployment / CHECKPOINT_FILE).unlink()
+        (deployment / SAVEPOINT_FILE).unlink()
         with pytest.raises(CliError, match="^deployment chain does not replay: "):
             cli.load_deployment(str(deployment))
+
+
+def _sealed(body: bytes) -> bytes:
+    """A savepoint of body: body and its trailing SHA-256."""
+    return body + hashlib.sha256(body).digest()

@@ -51,10 +51,41 @@ def _last_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+DEPLOYMENT_FILES = {"consortium.json", "keys.json", "system.block", "gccf.chain", "gpf.chain", "state.bin"}
+
+
 class TestNetworkInit:
     def test_creates_expected_files(self, deployment):
-        names = {p.name for p in deployment.iterdir()}
-        assert {"consortium.json", "keys.json", "system.block", "gccf.chain", "gpf.chain"} <= names
+        assert {p.name for p in deployment.iterdir()} == DEPLOYMENT_FILES
+
+    def test_each_committing_verb_keeps_exactly_the_deployment_files(self, deployment, tmp_path, capsys):
+        d = ["--deployment", str(deployment)]
+        target = str(tmp_path / "elector4.bin")
+        ballot = [*d, "--type", "AddElectorCert", "--target-cert", target]
+        exported = str(tmp_path / "gpf.export")
+        for argv in (
+            ["cert", "issue", *d, "--issuer", "RCA-1", "--subject", "ICA-9", "--out", str(tmp_path / "ica9.bin"),
+             "--submit"],
+            ["cert", "issue", *d, "--issuer", "Elector-4", "--subject", "Elector-4", "--out", target],
+            ["ballot", "endorse", *ballot, "--elector", "Elector-1"],
+            ["ballot", "endorse", *ballot, "--elector", "Elector-2"],
+            ["ballot", "apply", *ballot, "--elector", "Elector-1"],
+            ["policy", "add", *d, "--entity", "RA", "--rule", "r0"],
+            ["policy", "revoke", *d, "--entity", "RA", "--rule", "r0"],
+            ["ledger", "export", *d, "--channel", "GPF", "--out", exported],
+            ["ledger", "import", exported, "--channel", "GPF", *d],
+        ):
+            assert main(argv) == 0, argv
+            assert {p.name for p in deployment.iterdir()} == DEPLOYMENT_FILES, argv
+        capsys.readouterr()
+
+    def test_a_genesis_that_does_not_commit_is_config_invalid(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**BASE_CONFIG, "defer_bootstrap": ["PG-1"]}))
+        out = tmp_path / "dep"
+        assert main(["network", "init", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: config-invalid: genesis does not commit: block 0 refused: not-PG\n"
+        assert not out.exists()
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["network", "init", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]) == 2
@@ -124,6 +155,23 @@ class TestCertVerbs:
         assert rc == 1
         verdict = _last_json(capsys)
         assert verdict["result"] == "NotVerify" and verdict["reason"] == "missing-link"
+
+    @pytest.mark.parametrize("issuer, subject, reason", [
+        ("ICA-9", "RA-9", "unknown-member"),
+        ("Elector-4", "Elector-4", "unknown-member"),
+        ("RCA-1", "RCA-1", "duplicate-subject"),
+    ], ids=["issuer-not-a-member", "self-signed", "self-signed-member"])
+    def test_refused_submission_writes_no_file(self, deployment, tmp_path, capsys, issuer, subject, reason):
+        assert main(["cert", "issue", "--deployment", str(deployment), "--issuer", "RCA-1", "--subject", "ICA-9",
+                     "--out", str(tmp_path / "ica9.bin"), "--submit"]) == 0
+        before = {p.name: p.read_bytes() for p in deployment.iterdir()}
+        out = tmp_path / "refused.bin"
+        capsys.readouterr()
+        assert main(["cert", "issue", "--deployment", str(deployment), "--issuer", issuer, "--subject", subject,
+                     "--out", str(out), "--submit"]) == 1
+        assert capsys.readouterr().err == f"error: rejected: {reason}\n"
+        assert not out.exists() and not out.with_suffix(".bin.json").exists()
+        assert {p.name: p.read_bytes() for p in deployment.iterdir()} == before
 
     def test_self_issue_of_a_member_keeps_its_key(self, deployment, tmp_path, capsys):
         # Every stored key is the one its name derives to, so a member that

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from bbtm import deployment, identity, wire
 from bbtm import ledger as ledger_mod
 from bbtm.cli import main
-from bbtm.deployment import CHAIN_FILES, CHECKPOINT_FILE, SAVEPOINT_FILE, CliError, load_deployment
+from bbtm.deployment import CHAIN_FILES, SAVEPOINT_FILE, CliError, load_deployment
 from bbtm.ledger import Channel, decode_chain, encode_chain
 from bbtm.node import Node
 from bbtm.simulation import ScenarioConfig, Simulation
 
 NODES = [("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)]
 CONFIG = {"seed": 77, "nodes": [{"role": r, "count": c} for r, c in NODES], "policies": {"ballot_quorum": 2}}
-GROUP = [*CHAIN_FILES.values(), SAVEPOINT_FILE, CHECKPOINT_FILE]
+GROUP = [*CHAIN_FILES.values(), SAVEPOINT_FILE]
 
 
 @pytest.fixture
@@ -102,10 +102,9 @@ def _assert_restore_equals_replay(dep: pathlib.Path, work: _Work) -> dict:
 
 
 class TestRestoreEqualsReplay:
-    def test_network_init_writes_no_savepoint(self, dep, work):
-        assert not (dep / SAVEPOINT_FILE).exists()
-        work.load(dep)
-        assert work.commits == 2
+    def test_network_init_writes_a_savepoint(self, dep, work):
+        facts = _assert_restore_equals_replay(dep, work)
+        assert facts["chains"][Channel.GCCF][0] == facts["chains"][Channel.GPF][0] == 1
 
     def test_policy_add(self, dep, work):
         _policy_add(dep, "r0")
@@ -164,16 +163,13 @@ class TestWorkCounts:
 
     def test_stale_savepoint_replays(self, dep, work):
         _policy_add(dep, "r0")
-        stale = {name: (dep / name).read_bytes() for name in (SAVEPOINT_FILE, CHECKPOINT_FILE)}
+        stale = (dep / SAVEPOINT_FILE).read_bytes()
         _policy_add(dep, "r1")
         expected = _facts(work.load(dep).node)
-        # The old savepoint beside the new checkpoint, then the old pair: both replay.
-        (dep / SAVEPOINT_FILE).write_bytes(stale[SAVEPOINT_FILE])
+        # The old savepoint beside the new chain files replays.
+        (dep / SAVEPOINT_FILE).write_bytes(stale)
         assert _facts(work.load(dep).node) == expected
         assert work.commits == 1 + 3 and work.decodes == 2
-        (dep / CHECKPOINT_FILE).write_bytes(stale[CHECKPOINT_FILE])
-        assert _facts(work.load(dep).node) == expected
-        assert work.commits == 1 + 3
 
     def test_savepoint_of_another_ordering_service_replays(self, dep, work, tmp_path):
         """A savepoint whose chains another ordering service cut is not restored: the replay refuses them."""
@@ -203,7 +199,7 @@ def _listing(dep: pathlib.Path) -> dict:
 
 
 class TestGroupWrite:
-    """The chain files, the savepoint and the checkpoint are written as one group."""
+    """The chain files and the savepoint are written as one group, the savepoint last."""
 
     @pytest.mark.parametrize("position", range(len(GROUP)), ids=GROUP)
     def test_failure_at_each_position_restores_every_file(self, dep, monkeypatch, position):
@@ -279,11 +275,9 @@ class TestUnreadableDeployment:
 
 
 def _vouch_for(dep: pathlib.Path, state: bytes) -> None:
-    """Make state the savepoint, with a checkpoint that vouches for it, so that a load decodes it."""
-    (dep / SAVEPOINT_FILE).write_bytes(state)
-    checkpoint = json.loads((dep / CHECKPOINT_FILE).read_bytes())
-    checkpoint["state"]["sha256"] = hashlib.sha256(state).hexdigest()
-    (dep / CHECKPOINT_FILE).write_text(json.dumps(checkpoint))
+    """Make state the savepoint, with its trailing digest recomputed, so that a load decodes it."""
+    body = state[:-32]
+    (dep / SAVEPOINT_FILE).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def _tampered(state: bytes, world: dict, case: str) -> bytes:
@@ -326,7 +320,7 @@ def test_fields_reads_as_many_field_calls(values, cut):
 
 
 class TestMalformedSavepoint:
-    """A vouched-for savepoint that does not decode is not restored: the load replays, as without it."""
+    """An intact savepoint that does not decode is not restored: the load replays, as without it."""
 
     @pytest.mark.parametrize("channel", list(CHAIN_FILES))
     @pytest.mark.parametrize("case", ["unknown-function", "7-byte-block-number", "key-not-utf8",
