@@ -29,6 +29,7 @@ from .deployment import (  # CHAIN_FILES: re-exported
     derive_bytes,
     derive_identity,
     expand_node_counts,
+    genesis_node,
     load_deployment,
     write_deployment,
 )
@@ -95,11 +96,12 @@ def cmd_network_init(args) -> int:
             validity=validity,
             defer_bootstrap=frozenset(config.get("defer_bootstrap", ())),
         )
+        node = genesis_node(dep, dep.osp)
     except KeyError as exc:
         raise CliError(f"config-invalid: missing key {exc.args[0]!r}", EXIT_USAGE) from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"config-invalid: {exc}", EXIT_USAGE) from exc
-    write_deployment(dep, pathlib.Path(args.out))
+    write_deployment(dep, node, pathlib.Path(args.out))
     _print_json(
         {
             "deployment": args.out,

@@ -132,7 +132,6 @@ def restore_savepoint(node: Node, data: bytes, images: Dict[Channel, bytes], cre
         ledger = node.ledger(channel)
         ledger.restore(images[channel], height, head, creator_cert_bytes, tx_ids)
         ledger.world_state.update(world)
-        node.committed_txs[channel] = len(tx_ids)
     node.gccf_view.serials.update(serials)
     node.gccf_view.endorsement_log.extend(log)
     return True
@@ -164,8 +163,8 @@ def _decode_savepoint(data: bytes, images: Dict[Channel, bytes], creator_cert_by
 # ------------------------------------------------------- chains on the disk
 
 
-def write_chains(directory: pathlib.Path, node: Node) -> None:
-    """Write the node's chain files and then the savepoint keyed to them, all or none.
+def write_chains(directory: pathlib.Path, node: Node, first: Sequence[Tuple[pathlib.Path, bytes]] = ()) -> None:
+    """Write the files in first, the node's chain files, then the savepoint keyed to them: all or none.
 
     Pass only a node that has committed every block of its chains: a later
     load of exactly these chain bytes restores the savepoint instead of
@@ -173,7 +172,7 @@ def write_chains(directory: pathlib.Path, node: Node) -> None:
     leaves one that names older chain bytes, which no load restores.
     """
     images = {channel: node.ledger(channel).chain_image() for channel in CHAIN_FILES}
-    files = [(directory / CHAIN_FILES[channel], data) for channel, data in images.items()]
+    files = [*first] + [(directory / CHAIN_FILES[channel], data) for channel, data in images.items()]
     files.append((directory / SAVEPOINT_FILE, encode_savepoint(node, images)))
     write_all_atomic(files)
 
@@ -268,12 +267,14 @@ def build_deployment(
     validity: Tuple[int, int] = (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER),
     defer_bootstrap: frozenset = frozenset(),
 ) -> Deployment:
-    """Derive the whole consortium from the seed and the member list.
+    """Derive the whole consortium from the seed and the member list, minting each member once.
 
-    The certificate-channel genesis commits the elector set, the root, and
-    the PG; the policy-channel genesis commits the configured rules.  Every
-    other member's record is pre-built here (signed by its proper issuer)
-    but committed later through ordinary transactions.
+    ValueError if the list does not hold exactly one ordering service, or
+    repeats a name, or lacks a member's issuer.  The certificate-channel
+    genesis commits the elector set, the root, and the PG; the
+    policy-channel genesis commits the configured rules.  Every other
+    member's record is pre-built here (signed by its proper issuer) but
+    committed later through ordinary transactions.
     """
     member_list = list(members)
     # Every later block is cut by the one ordering service.  Checked before
@@ -285,44 +286,27 @@ def build_deployment(
     if len(set(names)) != len(names):
         raise ValueError("duplicate member names")
     serial_rng = derive_rng(seed, "serials")
-
-    def make_identity(role: AuthorityRole, name: str, issuer: Optional[Identity]) -> Identity:
-        return derive_identity(
-            seed, name, issuer, validity=validity, serial=serial_rng.randbytes(16),
+    identities: Dict[str, Identity] = {}
+    by_role: Dict[AuthorityRole, List[Identity]] = {}
+    # One pass in a stable order: the ordering service first, then the
+    # members in list order with the ICA-issued ones last, so every issuer
+    # exists before its subjects.  Serials are drawn in this order.
+    for role, name in sorted(
+        member_list, key=lambda m: (m[0] != AuthorityRole.OSP, ISSUED_BY.get(m[0]) == AuthorityRole.ICA)
+    ):
+        issuer_role = ISSUED_BY.get(role)
+        issuers = by_role.get(issuer_role) if issuer_role else [None]
+        if not issuers:
+            if issuer_role == AuthorityRole.RCA:
+                raise ValueError(f"{name} requires a root CA member before it")
+            raise ValueError(f"{name} requires an {issuer_role.value} member")
+        ident = derive_identity(
+            seed, name, issuers[0], validity=validity, serial=serial_rng.randbytes(16),
             now_s=validity[0], role=role,
         )
-
-    identities: Dict[str, Identity] = {}
-    osp = make_identity(AuthorityRole.OSP, osp_names[0], None)
-
-    by_role: Dict[AuthorityRole, List[Identity]] = {}
-    # Two passes: self-signed and root-issued first, then the ICA-issued
-    # leaf authorities, so every issuer exists before its subjects.
-    deferred = []
-    for role, name in member_list:
-        if role == AuthorityRole.OSP:
-            identities[name] = osp
-            continue
-        if role not in ISSUED_BY:
-            ident = make_identity(role, name, None)
-        elif ISSUED_BY[role] == AuthorityRole.RCA:
-            rca = by_role.get(AuthorityRole.RCA)
-            if not rca:
-                raise ValueError(f"{name} requires a root CA member before it")
-            ident = make_identity(role, name, rca[0])
-        else:
-            deferred.append((role, name))
-            continue
         identities[name] = ident
         by_role.setdefault(role, []).append(ident)
-    for role, name in deferred:
-        issuer_role = ISSUED_BY[role]
-        issuers = by_role.get(issuer_role, [])
-        if not issuers:
-            raise ValueError(f"{name} requires an {issuer_role.value} member")
-        ident = make_identity(role, name, issuers[0])
-        identities[name] = ident
-        by_role.setdefault(role, []).append(ident)
+    osp = identities[osp_names[0]]
 
     config = ConsortiumConfig(
         osp_cert=osp.cert,
@@ -405,7 +389,7 @@ class CliDeployment:
             raise CliError(f"not a deployment directory: {exc}") from exc
         write_atomic(keys_path, dump_json(payload))
 
-    def submit_and_commit(self, submitter: str, tx) -> int:
+    def submit_and_commit(self, tx) -> int:
         """One-node network turn: admit, force-cut, commit, persist."""
         try:
             self.orderer.submit_tx(tx, now_ms=0)
@@ -430,19 +414,27 @@ class CliDeployment:
         stamps = itertools.count(ledger.height)
         while ledger.has_tx(tx):
             tx = sign(next(stamps))
-        return self.submit_and_commit(signer.name, tx)
+        return self.submit_and_commit(tx)
 
 
-def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
-    """Write a new deployment directory, with the chains of the genesis its ordering service's node commits.
+def genesis_node(dep: Deployment, identity: Identity) -> Node:
+    """A new node of identity's with both genesis blocks committed; ValueError if it refuses them.
 
-    A genesis that node refuses is config-invalid: nothing is written, since no load could replay it.
+    ``network init`` and ``sim run`` both build their nodes here and report that refusal as config-invalid.
     """
-    node = Node(dep.osp)
+    node = Node(identity)
     try:
         node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
     except BlockRefused as exc:
-        raise CliError(f"config-invalid: genesis does not commit: {exc}", 2) from exc
+        raise ValueError(f"genesis does not commit: {exc}") from exc
+    return node
+
+
+def write_deployment(dep: Deployment, node: Node, out_dir: pathlib.Path) -> None:
+    """Write a deployment directory from node, the ordering service's ``genesis_node``.
+
+    All six files are one group (``write_chains``): a failed init over an old deployment leaves it as it was.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "seed": dep.seed,
@@ -451,14 +443,15 @@ def write_deployment(dep: Deployment, out_dir: pathlib.Path) -> None:
         "deferred": sorted(dep.deferred),
         "config": dep.consortium.to_json(),
     }
-    write_atomic(out_dir / CONSORTIUM_FILE, dump_json(meta))
     keys = {
         "keys": {name: ident.key.private_bytes().hex() for name, ident in dep.identities.items()},
         "extras": {},
     }
-    write_atomic(out_dir / KEYS_FILE, dump_json(keys))
-    write_atomic(out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode())
-    write_chains(out_dir, node)
+    write_chains(out_dir, node, [
+        (out_dir / CONSORTIUM_FILE, dump_json(meta)),
+        (out_dir / KEYS_FILE, dump_json(keys)),
+        (out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode()),
+    ])
 
 
 def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:

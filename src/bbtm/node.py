@@ -44,7 +44,6 @@ class Node:
         self.gccf_view = GccfView(self.ledgers[Channel.GCCF].world_state)
         self.gpf_view = GpfView(self.ledgers[Channel.GPF].world_state)
         self.status = NodeStatus.LIVE
-        self.committed_txs: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
 
     @property
     def is_live(self) -> bool:
@@ -100,7 +99,6 @@ class Node:
                 raise BlockRefused(exc.reason, number) from exc
             raise
         ledger._link(block)
-        self.committed_txs[channel] += len(block.transactions)
 
     def commit_genesis(self, gccf_genesis: Block, gpf_genesis: Block) -> None:
         # Certificate channel first: the policy genesis is submitted by the

@@ -31,6 +31,7 @@ from .deployment import (
     derive_identity,
     derive_rng,
     expand_node_counts,
+    genesis_node,
     write_chains,
 )
 from .identity import (
@@ -71,7 +72,10 @@ def _check_int(value, what: str) -> None:
 
 
 def _check_action(action: dict) -> None:
-    """A workload action's fields, checked when it runs; its time is checked before the run."""
+    """A configured workload action's fields, checked before the run with its time.
+
+    The names it gives are looked up only when it runs, since the run can mint them.
+    """
     kind = action.get("action")
     if kind not in ACTION_FIELDS:
         raise SimulationError(f"config-invalid: unknown workload action {kind!r}")
@@ -279,14 +283,12 @@ class Simulation:
                 validity=config.validity,
                 defer_bootstrap=frozenset(config.defer_bootstrap),
             )
+            self.nodes: Dict[str, Node] = {
+                name: genesis_node(self.deployment, self.deployment.identity(name)) for _role, name in self._members
+            }
         except ValueError as exc:
             raise SimulationError(f"config-invalid: {exc}") from exc
         self.clock = VirtualClock()
-        self.nodes: Dict[str, Node] = {}
-        for _role, name in self._members:
-            node = Node(self.deployment.identity(name))
-            node.commit_genesis(self.deployment.genesis.gccf_genesis, self.deployment.genesis.gpf_genesis)
-            self.nodes[name] = node
         self.osp_name = self.deployment.osp.name
         self.orderer = OrderingService(
             self.deployment.consortium, self.deployment.osp, self.nodes[self.osp_name]
@@ -348,6 +350,7 @@ class Simulation:
             if not isinstance(action, dict):
                 raise SimulationError("config-invalid: a workload action is a JSON object")
             _check_int(action.get("at_ms"), "workload action at_ms")
+            _check_action(action)
         spec = self.config.generate
         if spec is not None:
             if not isinstance(spec, dict):
@@ -533,7 +536,6 @@ class Simulation:
         )
 
     def _do_action(self, action: dict) -> None:
-        _check_action(action)
         kind = action["action"]
         now = self.clock.now_ms
         try:
@@ -871,7 +873,7 @@ class Simulation:
                 gpf_head=node.head(Channel.GPF).hex(),
                 gccf_height=node.ledger(Channel.GCCF).height,
                 gpf_height=node.ledger(Channel.GPF).height,
-                committed={ch.value: count for ch, count in node.committed_txs.items()},
+                committed={ch.value: len(ledger.tx_ids) for ch, ledger in node.ledgers.items()},
                 world_state_digest=digests[name].hex(),
             )
             for name, node in self.nodes.items()

@@ -200,7 +200,7 @@ class TestCertVerbs:
         capsys.readouterr()
         dep = cli.load_deployment(str(deployment))
         pg = dep.identity("PG-1")
-        dep.submit_and_commit(pg.name, gccf.make_revoke_cert_tx(cli.read_cert_file(str(cert_path)), pg.cert, pg.key, 0))
+        dep.submit_and_commit(gccf.make_revoke_cert_tx(cli.read_cert_file(str(cert_path)), pg.cert, pg.key, 0))
         rc = main(["cert", "validate", "--deployment", str(deployment), "--cert", str(cert_path)])
         assert rc == 1
         verdict = _last_json(capsys)
@@ -250,7 +250,7 @@ class TestPolicyVerbs:
         assert main(["policy", "revoke", *rule]) == 0
         dep = cli.load_deployment(str(deployment))
         with pytest.raises(cli.CliError, match="rejected: duplicate-tx"):
-            dep.submit_and_commit("PG-1", kept)
+            dep.submit_and_commit(kept)
         assert cli.load_deployment(str(deployment)).node.ledger(Channel.GPF).height == 3
         capsys.readouterr()
         assert main(["policy", "get", *rule]) == 0
@@ -762,12 +762,14 @@ class TestScenarioErrors:
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-1",
                                            "subject_name": "PCA-w0", "not_after": "later"}]},
          "issue action not_after must be an integer"),
+        # The policy genesis is submitted by PG-1, whose record is deferred.
+        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1"]}, "genesis does not commit: block 0 refused: not-PG"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         assert main(["sim", "run", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err.strip() == f"error: config-invalid: {message}"
+        assert capsys.readouterr().err == f"error: config-invalid: {message}\n"
 
     def test_seed_override_fills_a_missing_seed(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import re
 from random import Random
 
 import pytest
@@ -318,6 +319,19 @@ class TestScenarioConfig:
             Simulation(small_config(network=NetworkParams(5, 3, 0.0)))
         with pytest.raises(SimulationError, match="config-invalid"):
             Simulation(small_config(faults=(Fault(node="ghost", crash_at_ms=1),)))
+
+    @pytest.mark.parametrize("action, message", [
+        ({"action": "explode"}, "unknown workload action 'explode'"),
+        ({"action": "query", "node": "RA-1"}, "query action needs a string 'target'"),
+        ({"action": "revoke", "target": "RA-1", "by": ["PG-1"]}, "revoke action needs a string 'by'"),
+        ({"action": "policy_add", "entity": "Consortium", "rule": "x", "body": {"x": [1]}},
+         "policy_add action body must map names to scalars"),
+    ], ids=["unknown-kind", "missing-field", "non-string-by", "non-scalar-body"])
+    def test_a_malformed_action_is_refused_before_the_run(self, action, message):
+        # Far past the end of the run: only a check before the run can see it.
+        config = small_config(workload=({"at_ms": 10**9, **action},))
+        with pytest.raises(SimulationError, match=f"^config-invalid: {re.escape(message)}$"):
+            Simulation(config)
 
 
 class TestScenarioMissingKeys:
