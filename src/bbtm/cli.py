@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -31,6 +32,7 @@ from .deployment import (  # CHAIN_FILES: re-exported
     expand_node_counts,
     genesis_node,
     load_deployment,
+    locked,
     write_deployment,
 )
 from .identity import (
@@ -50,7 +52,7 @@ from .identity import (
     write_atomic,
 )
 from .ledger import Channel, LedgerError, decode_chain, infer_channel, verify_chain
-from .simulation import ScenarioConfig, Simulation, SimulationError
+from .simulation import ScenarioConfig, Simulation, SimulationError, check_int
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,18 +87,22 @@ def cmd_network_init(args) -> int:
         if "members" in config:
             members = [(AuthorityRole(m["role"]), m["name"]) for m in config["members"]]
         elif "nodes" in config:
-            members = expand_node_counts([(n["role"], n["count"]) for n in config["nodes"]])
+            members = expand_node_counts(
+                [(n["role"], check_int(n["count"], f"node count of {n['role']}")) for n in config["nodes"]]
+            )
         else:
             raise CliError("config-invalid: config needs a 'members' or 'nodes' section", EXIT_USAGE)
         validity = tuple(config.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER)))
         dep = build_deployment(
-            int(config["seed"]),
+            check_int(config["seed"], "seed"),
             members,
-            {str(k): int(v) for k, v in config.get("policies", {}).items()},
+            {str(k): check_int(v, f"policy {k}") for k, v in config.get("policies", {}).items()},
             validity=validity,
             defer_bootstrap=frozenset(config.get("defer_bootstrap", ())),
         )
-        node = genesis_node(dep, dep.osp)
+        node = genesis_node(dep, dep.osp.cert)
+    except SimulationError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
     except KeyError as exc:
         raise CliError(f"config-invalid: missing key {exc.args[0]!r}", EXIT_USAGE) from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -268,9 +274,9 @@ def cmd_gccf_export(args) -> int:
 
 
 def _pg_identity(dep: CliDeployment) -> Identity:
-    for ident in dep.identities.values():
-        if ident.role == AuthorityRole.PG:
-            return ident
+    for name, (_private, cert) in dep.holders.items():
+        if cert.subject_role == AuthorityRole.PG:
+            return dep.identity(name)
     raise CliError("deployment has no policy generator")
 
 
@@ -512,8 +518,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser_for(argv).parse_args(argv)
+    # A verb on a deployment holds its directory's lock until it returns.
+    directory = getattr(args, "deployment", None)
     try:
-        return args.func(args)
+        with locked(directory) if directory else contextlib.nullcontext():
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -15,14 +15,17 @@ the replay (``write_chains``).
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import hashlib
 import itertools
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import wire
 from .ballot import BallotError, decode_endorsement, encode_endorsement
@@ -30,6 +33,7 @@ from .gccf import BALLOT_GOVERNED, ISSUANCE_MATRIX, make_add_cert_tx
 from .gpf import KNOWN_RULES, PolicyRecord, PolicyStatus, make_policy_tx
 from .identity import (
     AuthorityRole,
+    CertificateRecord,
     Identity,
     SERIAL_LEN,
     Subject,
@@ -54,7 +58,7 @@ from .ledger import (
     decode_chain,
 )
 from .node import BlockRefused, Node
-from .ordering import ConsortiumConfig, GenesisBundle, Member, OrderingService, Rejected, create_genesis
+from .ordering import ConsortiumConfig, GenesisBundle, OrderingService, Rejected, create_genesis
 
 DEFAULT_NOT_BEFORE = 0
 DEFAULT_NOT_AFTER = 10_000_000_000  # far beyond any simulated horizon
@@ -163,6 +167,27 @@ def _decode_savepoint(data: bytes, images: Dict[Channel, bytes], creator_cert_by
 # ------------------------------------------------------- chains on the disk
 
 
+@contextlib.contextmanager
+def locked(directory) -> Iterator[None]:
+    """Hold the exclusive lock of a deployment directory: one command at a time reads or writes it.
+
+    The lock is an ``flock`` on the directory itself, so it adds no file;
+    a second command waits for it.  A directory that cannot be opened is
+    not locked: there is nothing in it to load.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        fd = None
+    try:
+        if fd is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)  # closing the descriptor releases the lock
+
+
 def write_chains(directory: pathlib.Path, node: Node, first: Sequence[Tuple[pathlib.Path, bytes]] = ()) -> None:
     """Write the files in first, the node's chain files, then the savepoint keyed to them: all or none.
 
@@ -244,11 +269,10 @@ def derive_identity(
     validity: Tuple[int, int],
     serial: bytes,
     now_s: float,
-    role: Optional[AuthorityRole] = None,
 ) -> Identity:
     """Mint ``name``: its key and unique id depend only on the seed and the name.
 
-    Self-signed when ``issuer`` is None; ``role`` defaults to the name's prefix.
+    Self-signed when ``issuer`` is None.  The name's prefix is the role the certificate carries.
     """
     key = generate_keypair(derive_bytes(seed, f"key:{name}", 32))
     uid = derive_bytes(seed, f"uid:{name}", UID_LEN)
@@ -256,7 +280,7 @@ def derive_identity(
     subject = Subject(name=name, public_key=key.public_key, unique_id=uid, not_before=not_before, not_after=not_after)
     signer_key, signer_cert = (issuer.key, issuer.cert) if issuer else (key, None)
     cert = issue_certificate(signer_key, signer_cert, subject, now_s=now_s, serial=serial)
-    return Identity(name=name, role=role if role is not None else role_of_name(name), key=key, cert=cert)
+    return Identity(key=key, cert=cert)
 
 
 def build_deployment(
@@ -269,12 +293,13 @@ def build_deployment(
 ) -> Deployment:
     """Derive the whole consortium from the seed and the member list, minting each member once.
 
-    ValueError if the list does not hold exactly one ordering service, or
-    repeats a name, or lacks a member's issuer.  The certificate-channel
-    genesis commits the elector set, the root, and the PG; the
-    policy-channel genesis commits the configured rules.  Every other
-    member's record is pre-built here (signed by its proper issuer) but
-    committed later through ordinary transactions.
+    ValueError if the list does not hold exactly one ordering service,
+    repeats a name, names a member other than for its role (``ICA-2``), or
+    lacks a member's issuer.  The certificate-channel genesis commits the
+    elector set, the root, and the PG; the policy-channel genesis commits
+    the configured rules.  Every other member's record is pre-built here
+    (signed by its proper issuer) but committed later through ordinary
+    transactions.
     """
     member_list = list(members)
     # Every later block is cut by the one ordering service.  Checked before
@@ -294,6 +319,8 @@ def build_deployment(
     for role, name in sorted(
         member_list, key=lambda m: (m[0] != AuthorityRole.OSP, ISSUED_BY.get(m[0]) == AuthorityRole.ICA)
     ):
+        if role_of_name(name) != role:
+            raise ValueError(f"member {name!r} is not named for its role {role.value}")
         issuer_role = ISSUED_BY.get(role)
         issuers = by_role.get(issuer_role) if issuer_role else [None]
         if not issuers:
@@ -301,8 +328,7 @@ def build_deployment(
                 raise ValueError(f"{name} requires a root CA member before it")
             raise ValueError(f"{name} requires an {issuer_role.value} member")
         ident = derive_identity(
-            seed, name, issuers[0], validity=validity, serial=serial_rng.randbytes(16),
-            now_s=validity[0], role=role,
+            seed, name, issuers[0], validity=validity, serial=serial_rng.randbytes(16), now_s=validity[0]
         )
         identities[name] = ident
         by_role.setdefault(role, []).append(ident)
@@ -310,11 +336,7 @@ def build_deployment(
 
     config = ConsortiumConfig(
         osp_cert=osp.cert,
-        members=tuple(
-            Member(name=i.name, role=i.role, cert=i.cert)
-            for i in (identities[n] for n in names)
-            if i.role != AuthorityRole.OSP
-        ),
+        members=tuple(identities[n].cert for n in names if identities[n].role != AuthorityRole.OSP),
     )
 
     # Bootstrap, as (record, submitter): electors and roots self-submit their
@@ -355,27 +377,33 @@ def build_deployment(
 
 @dataclass
 class CliDeployment:
-    """A loaded deployment directory: its members and one node, with the node's ordering service."""
+    """A loaded deployment directory: what its files say, and one node at the state of its chains.
+
+    ``holders`` maps each name with a key in ``keys.json`` to its private key (hex) and certificate.
+    A key pair is derived only for a signer (``identity``), the ordering service only to commit.
+    """
 
     path: pathlib.Path
     seed: int
     consortium: ConsortiumConfig
-    identities: Dict[str, Identity]
-    osp_name: str
+    holders: Dict[str, Tuple[str, CertificateRecord]]
     node: Node
-    orderer: OrderingService
     validity: tuple
 
     def identity(self, name: str) -> Identity:
-        if name not in self.identities:
+        if name not in self.holders:
             raise CliError(f"unknown identity {name!r} in deployment")
-        return self.identities[name]
+        private, cert = self.holders[name]
+        try:
+            return Identity(key=generate_keypair(bytes.fromhex(private)), cert=cert)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"not a deployment directory: {exc}") from exc
 
     def save_chains(self) -> None:
         write_chains(self.path, self.node)
 
     def register_extra(self, ident: Identity) -> None:
-        self.identities[ident.name] = ident
+        self.holders[ident.name] = (ident.key.private_bytes().hex(), ident.cert)
         keys_path = self.path / KEYS_FILE
         try:
             payload = json.loads(keys_path.read_text())
@@ -391,14 +419,15 @@ class CliDeployment:
 
     def submit_and_commit(self, tx) -> int:
         """One-node network turn: admit, force-cut, commit, persist."""
+        orderer = OrderingService(self.consortium, self.identity(self.consortium.osp_cert.subject_name), self.node)
         try:
-            self.orderer.submit_tx(tx, now_ms=0)
+            orderer.submit_tx(tx, now_ms=0)
         except Rejected as exc:
             raise CliError(f"rejected: {exc.reason}") from exc
-        block = self.orderer.cut_block(tx.channel, now_ms=0, force=True)
+        block = orderer.cut_block(tx.channel, now_ms=0, force=True)
         assert block is not None
         try:
-            self.orderer.commit_own(tx.channel, block)
+            orderer.commit_own(tx.channel, block)
         except BlockRefused as exc:  # pragma: no cover - admission prevents this
             raise CliError(f"commit refused: {exc.reason}") from exc
         self.save_chains()
@@ -417,12 +446,12 @@ class CliDeployment:
         return self.submit_and_commit(tx)
 
 
-def genesis_node(dep: Deployment, identity: Identity) -> Node:
-    """A new node of identity's with both genesis blocks committed; ValueError if it refuses them.
+def genesis_node(dep: Deployment, cert: CertificateRecord) -> Node:
+    """A new node of cert's member with both genesis blocks committed; ValueError if it refuses them.
 
     ``network init`` and ``sim run`` both build their nodes here and report that refusal as config-invalid.
     """
-    node = Node(identity)
+    node = Node(cert)
     try:
         node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
     except BlockRefused as exc:
@@ -434,6 +463,7 @@ def write_deployment(dep: Deployment, node: Node, out_dir: pathlib.Path) -> None
     """Write a deployment directory from node, the ordering service's ``genesis_node``.
 
     All six files are one group (``write_chains``): a failed init over an old deployment leaves it as it was.
+    The directory's lock (``locked``) is held from its creation to the last write.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -447,11 +477,12 @@ def write_deployment(dep: Deployment, node: Node, out_dir: pathlib.Path) -> None
         "keys": {name: ident.key.private_bytes().hex() for name, ident in dep.identities.items()},
         "extras": {},
     }
-    write_chains(out_dir, node, [
-        (out_dir / CONSORTIUM_FILE, dump_json(meta)),
-        (out_dir / KEYS_FILE, dump_json(keys)),
-        (out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode()),
-    ])
+    with locked(out_dir):
+        write_chains(out_dir, node, [
+            (out_dir / CONSORTIUM_FILE, dump_json(meta)),
+            (out_dir / KEYS_FILE, dump_json(keys)),
+            (out_dir / SYSTEM_BLOCK_FILE, dep.genesis.system_block.encode()),
+        ])
 
 
 def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] = None) -> CliDeployment:
@@ -464,6 +495,9 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
     gives blocks to replay instead of the chain file of their channel;
     nothing is written.  Every chain must have been cut by the
     deployment's ordering service.
+
+    A configuration that fails ``validate`` is not a deployment directory.
+    The caller holds the directory's lock (``locked``).
     """
     path = pathlib.Path(path_str)
     try:
@@ -471,26 +505,20 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
         key_data = json.loads((path / KEYS_FILE).read_text())
         seed = meta["seed"]
         config = ConsortiumConfig.from_json(meta["config"])
-        osp_name = config.osp_cert.subject_name
+        config.validate()
         keys = key_data["keys"]
-        # (name, role, private key hex, certificate): the OSP, the members, then the extras.
-        holders = [(osp_name, AuthorityRole.OSP, keys[osp_name], config.osp_cert)]
-        holders += [(m.name, m.role, keys[m.name], m.cert) for m in config.members]
-        holders += [
-            (name, AuthorityRole(extra["role"]), extra["private"], cert_from_json(extra["cert"]))
-            for name, extra in key_data.get("extras", {}).items()
-        ]
-        identities = {
-            name: Identity(name=name, role=role, key=generate_keypair(bytes.fromhex(private)), cert=cert)
-            for name, role, private, cert in holders
-        }
+        # The OSP, the members, then the extras; a later holder of a name replaces an earlier one.
+        holders = {cert.subject_name: (keys[cert.subject_name], cert) for cert in (config.osp_cert, *config.members)}
+        for extra in key_data.get("extras", {}).values():
+            cert = cert_from_json(extra["cert"])
+            holders[cert.subject_name] = (extra["private"], cert)
     except KeyError as exc:
         raise CliError(f"not a deployment directory: missing key {exc.args[0]!r}") from exc
     except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
         # RecursionError: JSON nested too deep to parse.
         raise CliError(f"not a deployment directory: {exc}") from exc
 
-    node = Node(identities[osp_name])
+    node = Node(config.osp_cert)
     chains = dict(chains or {})
     images = {}
     for channel, filename in CHAIN_FILES.items():
@@ -507,15 +535,12 @@ def load_deployment(path_str: str, chains: Optional[Dict[Channel, List[Block]]] 
             pass  # missing or unreadable: replay
     if state is None or not restore_savepoint(node, state, images, canonical_encode(config.osp_cert)):
         _replay(node, config, chains, images)
-    orderer = OrderingService(config, identities[osp_name], node)
     return CliDeployment(
         path=path,
         seed=seed,
         consortium=config,
-        identities=identities,
-        osp_name=osp_name,
+        holders=holders,
         node=node,
-        orderer=orderer,
         validity=tuple(meta.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
     )
 

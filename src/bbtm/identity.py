@@ -356,12 +356,18 @@ def resign_as(cert: CertificateRecord, function_type: CertFunction, signer: KeyP
 
 @dataclass(frozen=True)
 class Identity:
-    """A participant's full credential set: role, keypair, and certificate."""
+    """A participant's key pair and certificate, the one record of its name and role (read by the properties)."""
 
-    name: str
-    role: AuthorityRole
     key: KeyPair
     cert: CertificateRecord
+
+    @property
+    def name(self) -> str:
+        return self.cert.subject_name
+
+    @property
+    def role(self) -> Optional[AuthorityRole]:
+        return self.cert.subject_role
 
     @property
     def unique_id(self) -> bytes:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import pathlib
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .identity import dump_json, write_atomic
+from .identity import dump_json
 
 
 class MetricsError(ValueError):
@@ -276,10 +275,6 @@ def encode_report(report: MetricsReport, fmt: str) -> bytes:
     if fmt == "json":
         return report_to_json_bytes(report)
     raise MetricsError(f"unknown format {fmt!r}")
-
-
-def export_report(report: MetricsReport, fmt: str, path) -> None:
-    write_atomic(pathlib.Path(path), encode_report(report, fmt))
 
 
 def lifecycles_to_csv(lifecycles: Sequence[TxLifecycle]) -> str:

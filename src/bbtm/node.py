@@ -14,7 +14,7 @@ from typing import Dict
 from . import gccf, gpf
 from .gccf import ContractRejection, GccfView
 from .gpf import GpfView
-from .identity import Identity, decode_certificate, sha256
+from .identity import CertificateRecord, decode_certificate, sha256
 from .ledger import Block, Channel, Ledger, LedgerError, TxFunction
 
 
@@ -31,10 +31,9 @@ class BlockRefused(Exception):
 
 
 class Node:
-    def __init__(self, identity: Identity):
-        self.identity = identity
-        self.name = identity.name
-        self.role = identity.role
+    def __init__(self, cert: CertificateRecord):
+        self.name = cert.subject_name
+        self.role = cert.subject_role
         self.ledgers: Dict[Channel, Ledger] = {
             Channel.GCCF: Ledger(Channel.GCCF),
             Channel.GPF: Ledger(Channel.GPF),

@@ -74,17 +74,12 @@ def default_channel_policies() -> Dict[Channel, ChannelPolicy]:
     }
 
 
-@dataclass(frozen=True)
-class Member:
-    name: str
-    role: AuthorityRole
-    cert: CertificateRecord
-
-
 @dataclass
 class ConsortiumConfig:
+    """The ordering service's and the members' certificates: the one record of each name and its role prefix."""
+
     osp_cert: CertificateRecord
-    members: Tuple[Member, ...]
+    members: Tuple[CertificateRecord, ...]
     consensus_id: str = "single-sequencer"
     channel_policies: Dict[Channel, ChannelPolicy] = dc_field(default_factory=default_channel_policies)
 
@@ -96,12 +91,14 @@ class ConsortiumConfig:
         ):
             raise ConfigError("OSP certificate does not self-verify")
         seen_uids = {self.osp_cert.subject_unique_id}
-        for member in self.members:
-            if member.role == AuthorityRole.OSP:
+        for cert in self.members:
+            if cert.subject_role is None:
+                raise ConfigError(f"member {cert.subject_name!r} is not named for a role")
+            if cert.subject_role == AuthorityRole.OSP:
                 raise ConfigError("more than one OSP certificate")
-            if member.cert.subject_unique_id in seen_uids:
+            if cert.subject_unique_id in seen_uids:
                 raise ConfigError("duplicate member certificates")
-            seen_uids.add(member.cert.subject_unique_id)
+            seen_uids.add(cert.subject_unique_id)
         for channel, policy in self.channel_policies.items():
             if AuthorityRole.EE in policy.writers:
                 raise ConfigError("end entities are read-only")
@@ -111,8 +108,8 @@ class ConsortiumConfig:
             "consensus_id": self.consensus_id,
             "osp_cert": cert_to_json(self.osp_cert),
             "members": [
-                {"name": m.name, "role": m.role.value, "cert": cert_to_json(m.cert)}
-                for m in self.members
+                {"name": cert.subject_name, "role": cert.subject_role.value, "cert": cert_to_json(cert)}
+                for cert in self.members
             ],
             "channel_policies": {ch.value: p.to_json() for ch, p in sorted(self.channel_policies.items())},
         }
@@ -131,10 +128,7 @@ class ConsortiumConfig:
         }
         return cls(
             osp_cert=cert_from_json(obj["osp_cert"]),
-            members=tuple(
-                Member(name=m["name"], role=AuthorityRole(m["role"]), cert=cert_from_json(m["cert"]))
-                for m in obj["members"]
-            ),
+            members=tuple(cert_from_json(m["cert"]) for m in obj["members"]),
             consensus_id=obj["consensus_id"],
             channel_policies=policies,
         )
@@ -187,11 +181,11 @@ class OrderingService:
     """Admission, per-channel FIFO queues, and deterministic block cutting."""
 
     def __init__(self, config: ConsortiumConfig, osp: Identity, node: Node):
-        config.validate()
+        """The sequencer osp runs over node's committed state; config must have passed ``validate``."""
         self.config = config
         self.osp = osp
         self.node = node
-        self._members = {m.cert.subject_unique_id: m for m in config.members}
+        self._members = {cert.subject_unique_id: cert for cert in config.members}
         self._pending: Dict[Channel, Deque[_Pending]] = {channel: deque() for channel in Channel}
         self._next_seq: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
         # Ids of the queued transactions, not yet on the chain.
@@ -210,10 +204,10 @@ class OrderingService:
         if not tx.verify_submitter_signature():
             raise Rejected("bad-signature")
         member = self._members.get(tx.submitter_cert.subject_unique_id)
-        if member is None or member.cert.subject_public_key != tx.submitter_cert.subject_public_key:
+        if member is None or member.subject_public_key != tx.submitter_cert.subject_public_key:
             raise Rejected("unknown-member")
         policy = self.config.channel_policies[tx.channel]
-        if member.role not in policy.writers:
+        if member.subject_role not in policy.writers:
             raise Rejected("policy-denied")
         # A replay can pass its contract again (an AddPolicy after a revocation): admit each once.
         if tx.tx_id in self._pending_ids or self.node.ledger(tx.channel).has_tx(tx):

@@ -66,9 +66,11 @@ class SimulationError(Exception):
     pass
 
 
-def _check_int(value, what: str) -> None:
+def check_int(value, what: str) -> int:
+    """value, if it is an integer (a bool is not one); config-invalid otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SimulationError(f"config-invalid: {what} must be an integer")
+    return value
 
 
 def _check_action(action: dict) -> None:
@@ -89,7 +91,7 @@ def _check_action(action: dict) -> None:
         raise SimulationError(f"config-invalid: {kind} action body must map names to scalars")
     for key in ("not_before", "not_after"):
         if key in action:
-            _check_int(action[key], f"{kind} action {key}")
+            check_int(action[key], f"{kind} action {key}")
 
 
 @dataclass(frozen=True)
@@ -169,14 +171,17 @@ class ScenarioConfig:
     @classmethod
     def _parse(cls, obj: dict) -> "ScenarioConfig":
         network = obj.get("network", {})
+        link_drop = network.get("link_drop", {})
+        if not all(isinstance(rate, (int, float)) for rate in link_drop.values()):
+            raise ValueError("network link_drop rates must be numbers")
         return cls(
-            seed=obj["seed"],
-            nodes=tuple((str(role), int(count)) for role, count in obj["nodes"]),
+            seed=check_int(obj["seed"], "seed"),
+            nodes=tuple((str(role), check_int(count, f"node count of {role}")) for role, count in obj["nodes"]),
             network=NetworkParams(
                 latency_min_ms=network.get("latency_min_ms", 5),
                 latency_max_ms=network.get("latency_max_ms", 50),
                 drop_rate=network.get("drop_rate", 0.0),
-                link_drop=tuple(sorted((str(k), float(v)) for k, v in network.get("link_drop", {}).items())),
+                link_drop=tuple(sorted((str(k), float(v)) for k, v in link_drop.items())),
             ),
             workload=tuple(obj.get("workload", ())),
             generate=obj.get("generate"),
@@ -184,7 +189,7 @@ class ScenarioConfig:
                 Fault(node=f["node"], crash_at_ms=f["crash_at_ms"], recover_at_ms=f.get("recover_at_ms"))
                 for f in obj.get("faults", ())
             ),
-            policies=tuple(sorted((str(k), int(v)) for k, v in obj.get("policies", {}).items())),
+            policies=tuple(sorted((str(k), check_int(v, f"policy {k}")) for k, v in obj.get("policies", {}).items())),
             validity=tuple(obj.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
             defer_bootstrap=tuple(obj.get("defer_bootstrap", ())),
             auto_commit_members=obj.get("auto_commit_members", True),
@@ -284,7 +289,8 @@ class Simulation:
                 defer_bootstrap=frozenset(config.defer_bootstrap),
             )
             self.nodes: Dict[str, Node] = {
-                name: genesis_node(self.deployment, self.deployment.identity(name)) for _role, name in self._members
+                name: genesis_node(self.deployment, self.deployment.identity(name).cert)
+                for _role, name in self._members
             }
         except ValueError as exc:
             raise SimulationError(f"config-invalid: {exc}") from exc
@@ -331,8 +337,8 @@ class Simulation:
         if counts.get("Elector", 0) - deferred_electors < quorum:
             raise SimulationError("config-invalid: fewer electors than the ballot quorum")
         net = self.config.network
-        _check_int(net.latency_min_ms, "network latency_min_ms")
-        _check_int(net.latency_max_ms, "network latency_max_ms")
+        check_int(net.latency_min_ms, "network latency_min_ms")
+        check_int(net.latency_max_ms, "network latency_max_ms")
         if not isinstance(net.drop_rate, (int, float)):
             raise SimulationError("config-invalid: network drop_rate must be a number")
         if not 0 <= net.drop_rate <= 1 or net.latency_min_ms < 0 or net.latency_max_ms < net.latency_min_ms:
@@ -343,21 +349,21 @@ class Simulation:
         for fault in self.config.faults:
             if fault.node not in names:
                 raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
-            _check_int(fault.crash_at_ms, "fault crash_at_ms")
+            check_int(fault.crash_at_ms, "fault crash_at_ms")
             if fault.recover_at_ms is not None:
-                _check_int(fault.recover_at_ms, "fault recover_at_ms")
+                check_int(fault.recover_at_ms, "fault recover_at_ms")
         for action in self.config.workload:
             if not isinstance(action, dict):
                 raise SimulationError("config-invalid: a workload action is a JSON object")
-            _check_int(action.get("at_ms"), "workload action at_ms")
+            check_int(action.get("at_ms"), "workload action at_ms")
             _check_action(action)
         spec = self.config.generate
         if spec is not None:
             if not isinstance(spec, dict):
                 raise SimulationError("config-invalid: generate must be a JSON object")
-            _check_int(spec.get("count"), "generate count")
-            _check_int(spec.get("spacing_ms", 10), "generate spacing_ms")
-            _check_int(spec.get("start_ms") or 0, "generate start_ms")
+            check_int(spec.get("count"), "generate count")
+            check_int(spec.get("spacing_ms", 10), "generate spacing_ms")
+            check_int(spec.get("start_ms") or 0, "generate start_ms")
 
     def _expand_workload(self) -> List[dict]:
         actions: List[dict] = []
@@ -751,12 +757,6 @@ class Simulation:
             raise SimulationError("not-crashed")
         node.status = NodeStatus.LIVE
 
-    def inject_fault(self, name: str, at_ms: int) -> None:
-        """Schedule a crash during the run (the config's faults do the same)."""
-        if name not in self.nodes:
-            raise SimulationError("unknown-node")
-        self._schedule(at_ms, self._crash_event, name)
-
     def _crash_event(self, name: str) -> None:
         self.crash_node(name)
         logger.debug("node %s crashed at %d", name, self.clock.now_ms)
@@ -908,15 +908,3 @@ class Simulation:
         base.mkdir(parents=True, exist_ok=True)
         write_chains(base, self.nodes[self.osp_name])
         return {channel.value: str(base / name) for channel, name in CHAIN_FILES.items()}
-
-
-def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    return Simulation(config).run()
-
-
-def sync_node(sim: Simulation, node_id: str) -> int:
-    return sim.sync_node(node_id)
-
-
-def assert_convergence(sim: Simulation) -> ConvergenceResult:
-    return sim.assert_convergence()

@@ -19,7 +19,7 @@ from bbtm.identity import AuthorityRole, canonical_encode, sha256
 from bbtm.ledger import Channel, Transaction, decode_block, make_block, verify_chain
 from bbtm.node import Node
 from bbtm.ordering import GCCF_WRITERS, GPF_WRITERS, OrderingService, Rejected
-from bbtm.simulation import Fault, NetworkParams, ScenarioConfig, Simulation, run_scenario
+from bbtm.simulation import Fault, NetworkParams, ScenarioConfig, Simulation
 
 from helpers import Bed, first_refused, make_identity
 from test_gccf import brute_force_validate, random_cert_world
@@ -91,7 +91,7 @@ def test_acceptance_2_five_function_coverage():
         workload=tuple(workload),
         policies=(("ballot_quorum", 2),),
     )
-    report = run_scenario(config)
+    report = Simulation(config).run()
     assert report.converged
     committed_functions = {lc.function for lc in report.lifecycles if lc.commits}
     assert {"AddCert", "RevokeCert", "ValidateCert", "AddPolicy", "RevokePolicy"} <= committed_functions
@@ -129,7 +129,7 @@ def test_acceptance_4_access_control_fuzz():
     from bbtm.deployment import build_deployment, expand_node_counts
 
     dep = build_deployment(44, expand_node_counts(dep_nodes), {"ballot_quorum": 2})
-    osp_node = Node(dep.identity("OSP-1"))
+    osp_node = Node(dep.identity("OSP-1").cert)
     osp_node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
     service = OrderingService(dep.consortium, dep.osp, osp_node)
 
@@ -235,7 +235,7 @@ def test_acceptance_5_exhaustive_tamper_evidence():
     from bbtm.deployment import build_deployment, expand_node_counts
 
     dep = build_deployment(55, expand_node_counts(dep_nodes), {"ballot_quorum": 2})
-    node = Node(dep.identity("OSP-1"))
+    node = Node(dep.identity("OSP-1").cert)
     node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
     pg = dep.identity("PG-1")
     ledger = node.ledger(Channel.GPF)
@@ -418,7 +418,7 @@ def test_acceptance_9_metrics_fidelity(big_run):
         workload=workload,
         policies=(("ballot_quorum", 2),),
     )
-    report = run_scenario(config)
+    report = Simulation(config).run()
     lifecycles = metrics.record_tx_lifecycle(report)
     computed = metrics.compute_metrics(lifecycles, report.ledger_sizes)
     window_s = (1520 - 1000) / 1000.0

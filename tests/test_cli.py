@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from bbtm import cli, gccf, gpf, identity, metrics, wire
+from bbtm import cli, deployment as deployment_mod, gccf, gpf, identity, metrics, wire
 from bbtm import ledger as ledger_mod
 from bbtm.cli import main
 from bbtm.deployment import derive_identity
@@ -36,6 +37,12 @@ BASE_CONFIG = {
     ],
     "policies": {"ballot_quorum": 2},
 }
+MEMBERS = [{"role": role, "name": f"{role}-{i}"} for role, count in
+           (("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)) for i in range(1, count + 1)]
+
+
+def _with_ica_count(count):
+    return [{**n, "count": count} if n["role"] == "ICA" else n for n in BASE_CONFIG["nodes"]]
 
 
 @pytest.fixture
@@ -104,8 +111,24 @@ class TestNetworkInit:
                                  {"role": "OSP", "name": "OSP-1"}, {"role": "OSP", "name": "OSP-2"}]},
          "exactly one ordering service required"),
         ([1, 2], "a network config is a JSON object"),
+        # A member's role is the prefix of its certificate's subject name.
+        ({"seed": 1, "members": MEMBERS + [{"role": "RA", "name": "PCA-9"}]},
+         "member 'PCA-9' is not named for its role RA"),
+        ({"seed": 1, "members": MEMBERS + [{"role": "RA", "name": "roadside"}]},
+         "member 'roadside' is not named for its role RA"),
+        ({"seed": 1, "members": [m for m in MEMBERS if m["role"] != "OSP"] + [{"role": "OSP", "name": "orderer"}]},
+         "member 'orderer' is not named for its role OSP"),
+        # Counts, the seed and rule values are integers, never coerced.
+        ({**BASE_CONFIG, "nodes": _with_ica_count(2.9)}, "node count of ICA must be an integer"),
+        ({**BASE_CONFIG, "nodes": _with_ica_count("2")}, "node count of ICA must be an integer"),
+        ({**BASE_CONFIG, "nodes": _with_ica_count(True)}, "node count of ICA must be an integer"),
+        ({**BASE_CONFIG, "seed": "42"}, "seed must be an integer"),
+        ({**BASE_CONFIG, "seed": 4.5}, "seed must be an integer"),
+        ({**BASE_CONFIG, "policies": {"ballot_quorum": 1.7}}, "policy ballot_quorum must be an integer"),
+        ({**BASE_CONFIG, "policies": {"ballot_quorum": True}}, "policy ballot_quorum must be an integer"),
     ], ids=["no-seed", "unknown-role", "ica-without-rca", "no-osp", "two-osp-nodes", "two-osp-members",
-            "not-an-object"])
+            "not-an-object", "ra-named-pca", "ra-named-roadside", "osp-named-orderer", "float-count",
+            "string-count", "bool-count", "string-seed", "float-seed", "float-rule", "bool-rule"])
     def test_config_errors_are_config_invalid(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -125,6 +148,75 @@ class TestNetworkInit:
         assert main(["policy", "get", "--deployment", str(deployment), "--entity", "Elector",
                      "--rule", "ballot_quorum"]) == 1
         assert capsys.readouterr().err.strip() == f"error: not a deployment directory: missing key {key!r}"
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda members: members.append(members[0]), "duplicate member certificates"),
+        (lambda members: members[0]["cert"].update(subject_name="roadside"),
+         "member 'roadside' is not named for a role"),
+    ], ids=["duplicate-member", "roleless-member"])
+    def test_a_consortium_that_does_not_validate_is_not_a_deployment(self, deployment, capsys, spoil, message):
+        path = deployment / "consortium.json"
+        meta = json.loads(path.read_text())
+        spoil(meta["config"]["members"])
+        path.write_text(json.dumps(meta))
+        assert main(["policy", "get", "--deployment", str(deployment), "--entity", "Elector",
+                     "--rule", "ballot_quorum"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: not a deployment directory: {message}\n")
+
+    def test_only_a_signing_verb_derives_key_pairs(self, deployment, monkeypatch, capsys):
+        derived = []
+        real = deployment_mod.generate_keypair
+        monkeypatch.setattr(deployment_mod, "generate_keypair", lambda seed=None: derived.append(seed) or real(seed))
+        d = ["--deployment", str(deployment)]
+        assert main(["policy", "get", *d, "--entity", "Elector", "--rule", "ballot_quorum"]) == 0
+        assert derived == []
+        assert main(["policy", "add", *d, "--entity", "RA", "--rule", "r0"]) == 0
+        keys = json.loads((deployment / "keys.json").read_text())["keys"]
+        # The PG signs the transaction and the ordering service the block.
+        assert [seed.hex() for seed in derived] == [keys["PG-1"], keys["OSP-1"]]
+        capsys.readouterr()
+
+
+def _bbtm(*argv) -> subprocess.Popen:
+    """``python -m bbtm.cli argv`` in a process of its own, on this checkout's sources."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.Popen([sys.executable, "-m", "bbtm.cli", *argv], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+class TestDirectoryLock:
+    """A verb on a deployment holds the directory's flock from before its load to after its last write."""
+
+    def test_concurrent_commits_all_survive(self, deployment, capsys):
+        rules = [f"c{i}" for i in range(4)]
+        procs = [_bbtm("policy", "add", "--deployment", str(deployment), "--entity", "RA", "--rule", rule)
+                 for rule in rules]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert json.loads(out)["committed"] is True
+        for rule in rules:
+            assert main(["policy", "get", "--deployment", str(deployment), "--entity", "RA", "--rule", rule]) == 0
+        capsys.readouterr()
+        assert cli.load_deployment(str(deployment)).node.ledger(Channel.GPF).height == 1 + len(rules)
+
+    def test_a_command_waits_for_the_lock(self, deployment):
+        before = {p.name: p.read_bytes() for p in deployment.iterdir()}
+        fd = os.open(deployment, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            proc = _bbtm("policy", "add", "--deployment", str(deployment), "--entity", "RA", "--rule", "late")
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=2)
+            assert {p.name: p.read_bytes() for p in deployment.iterdir()} == before
+        finally:
+            os.close(fd)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["committed"] is True
+        assert (deployment / "gpf.chain").read_bytes() != before["gpf.chain"]
 
 
 class TestCertVerbs:
@@ -764,6 +856,18 @@ class TestScenarioErrors:
          "issue action not_after must be an integer"),
         # The policy genesis is submitted by PG-1, whose record is deferred.
         ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1"]}, "genesis does not commit: block 0 refused: not-PG"),
+        ({**SAMPLE_SCENARIO, "faults": [{"node": "nobody", "crash_at_ms": 10}]}, "fault names unknown node nobody"),
+        # Counts, the seed and rule values are integers and drop rates numbers, never coerced.
+        ({**SAMPLE_SCENARIO, "nodes": [["ICA", 2.9] if r == "ICA" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]]},
+         "node count of ICA must be an integer"),
+        ({**SAMPLE_SCENARIO, "nodes": [["ICA", "2"] if r == "ICA" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]]},
+         "node count of ICA must be an integer"),
+        ({**SAMPLE_SCENARIO, "seed": "42"}, "seed must be an integer"),
+        ({**SAMPLE_SCENARIO, "seed": 4.5}, "seed must be an integer"),
+        ({**SAMPLE_SCENARIO, "policies": {"ballot_quorum": 1.7}}, "policy ballot_quorum must be an integer"),
+        ({**SAMPLE_SCENARIO, "policies": {"ballot_quorum": True}}, "policy ballot_quorum must be an integer"),
+        ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "link_drop": {"RA-1": "0.5"}}},
+         "network link_drop rates must be numbers"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"
@@ -809,7 +913,7 @@ class TestAtomicImport:
         # only the contract replay can refuse it: ICA-1 may not certify an MA.
         dep = cli.load_deployment(str(deployment))
         ica = dep.identity("ICA-1")
-        osp = dep.identity(dep.osp_name)
+        osp = dep.identity(dep.consortium.osp_cert.subject_name)
         chain = dep.node.ledger(Channel.GCCF)
         bad = gccf.make_add_cert_tx(make_identity("MA-7", ica).cert, ica.cert, ica.key, 0)
         block = make_block(chain.height, chain.head_hash(), [bad], osp.cert, osp.key)

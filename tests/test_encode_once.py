@@ -170,7 +170,7 @@ class TestTamperedTransactionIsRefused:
     @pytest.mark.parametrize("rebuild", [False, True], ids=["replace", "rebuild"])
     def test_node_refuses_with_data_hash_mismatch(self, grown, rebuild):
         source = grown.nodes[grown.osp_name].ledger(Channel.GCCF).blocks
-        node = Node(grown.deployment.identity("RA-1"))
+        node = Node(grown.deployment.identity("RA-1").cert)
         node.commit_block(Channel.GCCF, source[0])
         with pytest.raises(BlockRefused) as info:
             node.commit_block(Channel.GCCF, self._tampered(source[1], rebuild))
@@ -193,7 +193,7 @@ class TestSingleCheckPerCommit:
         counter = _Counter(ledger.data_hash_of)
         monkeypatch.setattr(ledger, "data_hash_of", counter)
         source = grown.nodes[grown.osp_name]
-        node = Node(grown.deployment.identity("RA-1"))
+        node = Node(grown.deployment.identity("RA-1").cert)
         for channel in (Channel.GCCF, Channel.GPF):
             for block in source.ledger(channel).blocks:
                 before = counter.calls

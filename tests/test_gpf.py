@@ -174,7 +174,7 @@ class TestHistoryPreservation:
         from bbtm.node import Node
 
         dep = build_deployment(5, expand_node_counts([("Elector", 2), ("RCA", 1), ("PG", 1), ("OSP", 1)]), {})
-        node = Node(dep.identity("OSP-1"))
+        node = Node(dep.identity("OSP-1").cert)
         node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
         pg = dep.identity("PG-1")
         from bbtm.ledger import make_block

@@ -66,7 +66,7 @@ def dep():
 
 
 def _policy_node(dep) -> Node:
-    node = Node(dep.osp)
+    node = Node(dep.osp.cert)
     node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
     return node
 
@@ -210,7 +210,7 @@ class TestReplay:
         incremental = _policy_node(dep)
         for i in range(0, len(txs), 13):
             _commit_policies(incremental, dep, txs[i:i + 13])
-        replayed = Node(dep.osp)
+        replayed = Node(dep.osp.cert)
         for channel in (Channel.GCCF, Channel.GPF):
             for block in incremental.ledger(channel).blocks:
                 replayed.commit_block(channel, block)
@@ -222,7 +222,7 @@ class TestReplay:
     def test_replay_own_export_is_identical(self, dep):
         node = _policy_node(dep)
         _commit_policies(node, dep, [_policy_tx(dep, "a", 1), _policy_tx(dep, "b", 2, t=1)])
-        again = Node(dep.osp)
+        again = Node(dep.osp.cert)
         for channel in (Channel.GCCF, Channel.GPF):
             for block in decode_chain(encode_chain(node.ledger(channel).blocks)):
                 again.commit_block(channel, block)
@@ -298,7 +298,7 @@ class TestNodeAndLedgerAgree:
         assert fail_at is None and checked.height == len(blocks) == 3
         assert checked.world_state == {}
 
-        peer = Node(dep.osp)
+        peer = Node(dep.osp.cert)
         peer.commit_block(Channel.GCCF, node.ledger(Channel.GCCF).blocks[0])
         flips = 0
         for index, block in enumerate(blocks):

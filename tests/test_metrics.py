@@ -7,12 +7,13 @@ import numpy
 import pytest
 
 from bbtm import metrics
+from bbtm.identity import write_atomic
 from bbtm.ledger import decode_chain
 from bbtm.metrics import (
     MetricsError,
     TxLifecycle,
     compute_metrics,
-    export_report,
+    encode_report,
     latency_stats,
     lifecycles_to_csv,
     quantile,
@@ -257,8 +258,8 @@ class TestExports:
         report = self._report()
         for fmt in ("csv", "json"):
             a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-            export_report(report, fmt, a)
-            export_report(report, fmt, b)
+            write_atomic(a, encode_report(report, fmt))
+            write_atomic(b, encode_report(report, fmt))
             assert a.read_bytes() == b.read_bytes()
 
     def test_csv_header_documented(self):
@@ -278,9 +279,9 @@ class TestExports:
         assert report.channels["GCCF"].size_per_event_kb == 2.0  # one committed event
         assert report.channels["GPF"].ledger_size_kb == 4.0
 
-    def test_unknown_format_rejected(self, tmp_path):
+    def test_unknown_format_rejected(self):
         with pytest.raises(MetricsError):
-            export_report(self._report(), "xml", tmp_path / "x")
+            encode_report(self._report(), "xml")
 
     def test_lifecycle_csv_columns(self):
         header = lifecycles_to_csv([]).splitlines()[0]

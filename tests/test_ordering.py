@@ -14,7 +14,6 @@ from bbtm.node import Node
 from bbtm.ordering import (
     ConfigError,
     ConsortiumConfig,
-    Member,
     OrderingService,
     Rejected,
     create_genesis,
@@ -35,7 +34,7 @@ def _deployment(seed=21, extra=(), policies=None):
 
 
 def _service(dep):
-    node = Node(dep.identity(dep.osp.name))
+    node = Node(dep.osp.cert)
     node.commit_genesis(dep.genesis.gccf_genesis, dep.genesis.gpf_genesis)
     return OrderingService(dep.consortium, dep.osp, node), node
 
@@ -49,7 +48,7 @@ class TestCreateGenesis:
         assert bundle.gpf_genesis.header.number == 0
         assert bundle.gccf_genesis.header.prev_header_hash == ZERO_HASH
         # One block of bootstrap records: committing it gives height 1.
-        node = Node(dep.identity("RA-1"))
+        node = Node(dep.identity("RA-1").cert)
         node.commit_genesis(bundle.gccf_genesis, bundle.gpf_genesis)
         assert node.ledger(Channel.GCCF).height == 1
 
@@ -69,7 +68,7 @@ class TestCreateGenesis:
         rogue = make_identity("OSP-2")
         bad = ConsortiumConfig(
             osp_cert=dep.osp.cert,
-            members=dep.consortium.members + (Member("OSP-2", AuthorityRole.OSP, rogue.cert),),
+            members=dep.consortium.members + (rogue.cert,),
         )
         with pytest.raises(ConfigError):
             create_genesis(bad, [], [], dep.osp.key)
@@ -228,7 +227,7 @@ class TestPolicySoundness:
         dep = _deployment(extra=[("EE", 1), ("PCA", 1)])
         service, node = _service(dep)
         writers = default_channel_policies()
-        names = [m.name for m in dep.consortium.members]
+        names = [cert.subject_name for cert in dep.consortium.members]
         admitted_ids = set()
         for trial in range(2_000):
             name = rng.choice(names)
