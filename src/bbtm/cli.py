@@ -52,7 +52,7 @@ from .identity import (
     write_atomic,
 )
 from .ledger import Channel, LedgerError, decode_chain, infer_channel, verify_chain
-from .simulation import ScenarioConfig, Simulation, SimulationError, check_int
+from .simulation import ScenarioConfig, Simulation, SimulationError, check_deferred, check_int, check_validity
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -92,13 +92,12 @@ def cmd_network_init(args) -> int:
             )
         else:
             raise CliError("config-invalid: config needs a 'members' or 'nodes' section", EXIT_USAGE)
-        validity = tuple(config.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER)))
         dep = build_deployment(
             check_int(config["seed"], "seed"),
             members,
             {str(k): check_int(v, f"policy {k}") for k, v in config.get("policies", {}).items()},
-            validity=validity,
-            defer_bootstrap=frozenset(config.get("defer_bootstrap", ())),
+            validity=check_validity(config.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
+            defer_bootstrap=frozenset(check_deferred(config.get("defer_bootstrap", ()))),
         )
         node = genesis_node(dep, dep.osp.cert)
     except SimulationError as exc:
@@ -260,7 +259,7 @@ def cmd_gccf_export(args) -> int:
     snapshot = gccf.export_gccf(dep.node.gccf_view, dep.node.ledger(Channel.GCCF).tip_number, quorum)
     base = pathlib.Path(args.out)
     write_all_atomic(
-        [(base.with_suffix(".bin"), snapshot.encode()), (base.with_suffix(".json"), dump_json(snapshot.to_json()))]
+        [(base.with_suffix(".bin"), snapshot.encode()), (base.with_suffix(".json"), snapshot.to_json_bytes())]
     )
     _print_json(
         {

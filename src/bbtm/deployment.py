@@ -23,6 +23,7 @@ import itertools
 import json
 import os
 import pathlib
+import struct
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -55,6 +56,7 @@ from .ledger import (
     LedgerError,
     StateEntry,
     Transaction,
+    TxFunction,
     decode_chain,
 )
 from .node import BlockRefused, Node
@@ -72,7 +74,17 @@ CHAIN_FILES = {Channel.GCCF: "gccf.chain", Channel.GPF: "gpf.chain"}
 # their SHA-256 digests (FORMAT.md "Savepoint").
 SAVEPOINT_FILE = "state.bin"
 SAVEPOINT_MAGIC = b"BBTS"
-SAVEPOINT_FORMAT_VERSION = 2
+SAVEPOINT_FORMAT_VERSION = 3
+# Each entry's function as one byte: its position here (FORMAT.md "Savepoint").
+SAVEPOINT_FUNCTIONS = (
+    TxFunction.ADD_CERT,
+    TxFunction.REVOKE_CERT,
+    TxFunction.VALIDATE_CERT,
+    TxFunction.ADD_POLICY,
+    TxFunction.REVOKE_POLICY,
+    TxFunction.BALLOT_ENDORSE,
+)
+_FUNCTION_CODES = {function: code for code, function in enumerate(SAVEPOINT_FUNCTIONS)}
 DIGEST_LEN = 32  # a SHA-256 digest
 TX_ID_LEN = DIGEST_LEN
 
@@ -101,10 +113,9 @@ def encode_savepoint(node: Node, images: Dict[Channel, bytes]) -> bytes:
             wire.field(wire.u64(ledger.height)),
             wire.field(ledger.head_hash()),
             wire.field(ledger.creator_cert_bytes),
-            wire.field(wire.u32(len(world))),
+            *_world_columns(world),
+            wire.field(b"".join(sorted(ledger.tx_ids))),
         ]
-        parts += [wire.field(key.encode("utf-8")) + world[key].digest_framing for key in sorted(world)]
-        parts.append(wire.field(b"".join(sorted(ledger.tx_ids))))
     view = node.gccf_view
     parts.append(wire.field(b"".join(sorted(view.serials))))
     parts.append(wire.field(wire.u32(len(view.endorsement_log))))
@@ -112,6 +123,54 @@ def encode_savepoint(node: Node, images: Dict[Channel, bytes]) -> bytes:
         parts += [wire.field(wire.u64(number)), wire.field(encode_endorsement(endorsement))]
     body = b"".join(parts)
     return body + sha256(body)
+
+
+def _world_columns(world: Dict[str, StateEntry]) -> List[bytes]:
+    """The framed entry count and six framed columns of a world state, one value per entry in key order."""
+    keys = sorted(world)
+    entries = [world[key] for key in keys]
+    encoded = [key.encode("utf-8") for key in keys]
+    payloads = [entry.payload for entry in entries]
+    n = len(keys)
+    columns = [
+        struct.pack(f">{n}I", *map(len, encoded)),
+        struct.pack(f">{n}I", *map(len, payloads)),
+        struct.pack(f">{n}Q", *[entry.block_number for entry in entries]),
+        bytes([_FUNCTION_CODES[entry.function] for entry in entries]),
+        b"".join(encoded),
+        b"".join(payloads),
+    ]
+    return [wire.field(wire.u32(n)), *map(wire.field, columns)]
+
+
+def _read_world(r: wire.Reader) -> Dict[str, StateEntry]:
+    """The world state _world_columns wrote, read column by column; ValueError if the columns disagree."""
+    n = r.u32_field()
+    key_lengths, payload_lengths = _numbers(r.field(), "I", n), _numbers(r.field(), "I", n)
+    numbers, codes, keys, payloads = _numbers(r.field(), "Q", n), r.field(), r.field(), r.field()
+    if len(codes) != n:
+        raise ValueError(f"savepoint column of {len(codes)} function codes for {n} entries")
+    try:
+        functions = [SAVEPOINT_FUNCTIONS[code] for code in codes]
+    except IndexError as exc:
+        raise ValueError("unknown function code in savepoint") from exc
+    names = [key.decode("utf-8") for key in _cut(keys, key_lengths)]
+    return dict(zip(names, map(StateEntry, _cut(payloads, payload_lengths), functions, numbers)))
+
+
+def _numbers(column: bytes, code: str, n: int) -> Tuple[int, ...]:
+    """The n big-endian integers a column packs as struct code; ValueError for a column of another length."""
+    if len(column) != n * struct.calcsize(">" + code):
+        raise ValueError(f"savepoint column of {len(column)} bytes does not hold {n} values")
+    return struct.unpack(f">{n}{code}", column)
+
+
+def _cut(column: bytes, lengths: Sequence[int]) -> List[bytes]:
+    """column cut into consecutive values of the given lengths; ValueError unless they sum to its length."""
+    if sum(lengths) != len(column):
+        raise ValueError(f"savepoint column of {len(column)} bytes is not {len(lengths)} values long")
+    ends = list(itertools.accumulate(lengths))
+    return [column[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _split(data: bytes, width: int) -> Set[bytes]:
@@ -156,7 +215,7 @@ def _decode_savepoint(data: bytes, images: Dict[Channel, bytes], creator_cert_by
         height, head = r.u64_field(), r.field()
         if r.field() != creator_cert_bytes:
             raise ValueError(f"the {channel.value} chain was cut by another ordering service")
-        world = dict(StateEntry.read(r) for _ in range(r.u32_field()))
+        world = _read_world(r)
         channels.append((channel, height, head, world, _split(r.field(), TX_ID_LEN)))
     serials = _split(r.field(), SERIAL_LEN)
     log = [(r.u64_field(), decode_endorsement(r.field())) for _ in range(r.u32_field())]

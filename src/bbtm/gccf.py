@@ -9,8 +9,10 @@ serially; reads may run on any state copy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from . import wire
 from .ballot import (
@@ -29,9 +31,11 @@ from .identity import (
     CertificateRecord,
     KeyPair,
     canonical_encode,
+    cert_json_text,
     cert_key,
     cert_to_json,
     decode_certificate,
+    dump_json,
     resign_as,
     sha256,
     verify_certificate_signature,
@@ -381,16 +385,35 @@ class GccfSnapshot:
         parts.extend(wire.field(encoding) for encoding in self.encodings)
         return b"".join(parts)
 
-    def to_json(self) -> dict:
+    def _by_role(self, render: Callable[[CertificateRecord], object]) -> Dict[str, list]:
+        """Each certificate rendered, grouped under its subject's role, in certificates order."""
         grouped: Dict[str, list] = {}
         for cert in self.certificates:
             role = cert.subject_role
-            grouped.setdefault(role.value if role else "unknown", []).append(cert_to_json(cert))
+            grouped.setdefault(role.value if role else "unknown", []).append(render(cert))
+        return grouped
+
+    def to_json(self) -> dict:
         return {
             "version": self.version,
             "endorsements": [b.to_json() for b in self.ballots],
-            "certificates": grouped,
+            "certificates": self._by_role(cert_to_json),
         }
+
+    def to_json_bytes(self) -> bytes:
+        """dump_json(self.to_json()), with each certificate rendered from one template (cert_json_text).
+
+        The endorsements are dump_json's own text indented one level more,
+        which is exact because JSON text holds no raw newline.
+        """
+        # A certificate sits three levels deep: the document, "certificates", its role's array.
+        grouped = self._by_role(functools.partial(cert_json_text, level=3))
+        groups = [f"\n    {encode_basestring_ascii(role)}: [\n      " + ",\n      ".join(texts) + "\n    ]"
+                  for role, texts in sorted(grouped.items())]
+        certificates = "{" + ",".join(groups) + "\n  }" if groups else "{}"
+        endorsements = dump_json([b.to_json() for b in self.ballots])[:-1].decode("utf-8").replace("\n", "\n  ")
+        return (f'{{\n  "certificates": {certificates},\n  "endorsements": {endorsements},'
+                f'\n  "version": {int.__repr__(self.version)}\n}}\n').encode("utf-8")
 
 
 def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> GccfSnapshot:

@@ -390,6 +390,33 @@ def cert_to_json(cert: CertificateRecord) -> dict:
     }
 
 
+def cert_json_text(cert: CertificateRecord, level: int) -> str:
+    """The text dump_json writes for cert_to_json(cert) nested level deep, from its opening brace to its closing one.
+
+    One fixed template for the 11 keys in sorted order (indent 2): strings
+    are escaped by the function the standard library's encoder calls, and
+    integers written by int.__repr__, as it writes them.  Hex strings need
+    no escaping.
+    """
+    close, line, inner = ("\n" + "  " * (level + depth) for depth in range(3))
+    text, num = json.encoder.encode_basestring_ascii, int.__repr__
+    return (
+        f'{{{line}"algorithm": {{{inner}"hash_id": {text(cert.hash_id)},'
+        f'{inner}"sign_id": {text(cert.sign_id)}{line}}},'
+        f'{line}"digital_signature": "{cert.digital_signature.hex()}",'
+        f'{line}"function_type": {text(cert.function_type.value)},'
+        f'{line}"issuer_name": {text(cert.issuer_name)},'
+        f'{line}"issuer_unique_id": "{cert.issuer_unique_id.hex()}",'
+        f'{line}"serial_number": "{cert.serial_number.hex()}",'
+        f'{line}"subject_name": {text(cert.subject_name)},'
+        f'{line}"subject_public_key": "{cert.subject_public_key.hex()}",'
+        f'{line}"subject_unique_id": "{cert.subject_unique_id.hex()}",'
+        f'{line}"validity_period": {{{inner}"not_after": {num(cert.not_after)},'
+        f'{inner}"not_before": {num(cert.not_before)}{line}}},'
+        f'{line}"version": {num(cert.version)}{close}}}'
+    )
+
+
 def cert_from_json(obj: dict) -> CertificateRecord:
     try:
         return CertificateRecord(

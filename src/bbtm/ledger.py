@@ -50,10 +50,6 @@ class TxFunction(str, Enum):
         return self.value
 
 
-# Each function by its encoded name, as entries frame it.
-_FUNCTIONS = {function.value.encode("utf-8"): function for function in TxFunction}
-
-
 class LedgerError(Exception):
     """Base class for chain integrity failures."""
 
@@ -335,26 +331,6 @@ class StateEntry:
             + wire.field(self.function.value.encode("utf-8"))
             + wire.field(wire.u64(self.block_number))
         )
-
-    @classmethod
-    def read(cls, r: wire.Reader) -> Tuple[str, "StateEntry"]:
-        """The key and entry of the world-state digest line r reads next.
-
-        The entry keeps the bytes read after the key as its digest framing.
-        Bytes that are not such a line raise WireError.
-        """
-        start = r.position
-        key, payload, name, number = r.fields(4)
-        function = _FUNCTIONS.get(name)
-        if function is None:
-            raise wire.WireError(f"unknown transaction function {name!r}")
-        try:
-            text = key.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise wire.WireError("key is not valid UTF-8") from exc
-        entry = cls(payload, function, wire.unpack_u64(number))
-        entry.__dict__["digest_framing"] = r.since(start + 4 + len(key))
-        return text, entry
 
     def decoded(self, decode: Callable[[bytes], T]) -> T:
         """The record the payload decodes to, shared like Transaction.decoded."""

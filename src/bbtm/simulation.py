@@ -73,6 +73,19 @@ def check_int(value, what: str) -> int:
     return value
 
 
+def check_validity(value) -> Tuple[int, int]:
+    """value, a [not_before, not_after] pair, if both bounds are integers; config-invalid otherwise."""
+    not_before, not_after = value
+    return check_int(not_before, "validity not_before"), check_int(not_after, "validity not_after")
+
+
+def check_deferred(value) -> Tuple[str, ...]:
+    """value, the names of the members deferred from the genesis, if it is a list of strings (a string is not)."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(name, str) for name in value):
+        raise SimulationError("config-invalid: defer_bootstrap must be a list of names")
+    return tuple(value)
+
+
 def _check_action(action: dict) -> None:
     """A configured workload action's fields, checked before the run with its time.
 
@@ -190,8 +203,8 @@ class ScenarioConfig:
                 for f in obj.get("faults", ())
             ),
             policies=tuple(sorted((str(k), check_int(v, f"policy {k}")) for k, v in obj.get("policies", {}).items())),
-            validity=tuple(obj.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
-            defer_bootstrap=tuple(obj.get("defer_bootstrap", ())),
+            validity=check_validity(obj.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
+            defer_bootstrap=check_deferred(obj.get("defer_bootstrap", ())),
             auto_commit_members=obj.get("auto_commit_members", True),
         )
 

@@ -38,13 +38,6 @@ def u64(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
-def unpack_u64(raw: bytes) -> int:
-    """The integer a u64 field's value bytes hold."""
-    if len(raw) != 8:
-        raise WireError(f"u64 field has {len(raw)} bytes")
-    return _U64.unpack(raw)[0]
-
-
 class Reader:
     """Sequential reader over a framed byte string."""
 
@@ -55,15 +48,6 @@ class Reader:
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
-
-    @property
-    def position(self) -> int:
-        """How many bytes have been read."""
-        return self._pos
-
-    def since(self, position: int) -> bytes:
-        """The bytes read from position on."""
-        return self._data[position:self._pos]
 
     def take(self, n: int) -> bytes:
         if n < 0 or n > self.remaining:
@@ -83,21 +67,6 @@ class Reader:
         self._pos = end
         return data[start:end]
 
-    def fields(self, n: int) -> list:
-        """The next n fields, as n calls of field() would read them."""
-        data, pos, out = self._data, self._pos, []
-        for _ in range(n):
-            start = pos + 4
-            if start > len(data):
-                raise WireError(f"need 4 bytes, have {len(data) - pos}")
-            (length,) = _U32.unpack_from(data, pos)
-            pos = start + length
-            if pos > len(data):
-                raise WireError(f"need {length} bytes, have {len(data) - start}")
-            out.append(data[start:pos])
-        self._pos = pos
-        return out
-
     def u32_field(self) -> int:
         raw = self.field()
         if len(raw) != 4:
@@ -105,7 +74,10 @@ class Reader:
         return struct.unpack(">I", raw)[0]
 
     def u64_field(self) -> int:
-        return unpack_u64(self.field())
+        raw = self.field()
+        if len(raw) != 8:
+            raise WireError(f"u64 field has {len(raw)} bytes")
+        return _U64.unpack(raw)[0]
 
     def str_field(self) -> str:
         try:

@@ -126,9 +126,15 @@ class TestNetworkInit:
         ({**BASE_CONFIG, "seed": 4.5}, "seed must be an integer"),
         ({**BASE_CONFIG, "policies": {"ballot_quorum": 1.7}}, "policy ballot_quorum must be an integer"),
         ({**BASE_CONFIG, "policies": {"ballot_quorum": True}}, "policy ballot_quorum must be an integer"),
+        # Both validity bounds are integers, and the deferred members a list of names.
+        ({**BASE_CONFIG, "validity": [0.5, 1000.5]}, "validity not_before must be an integer"),
+        ({**BASE_CONFIG, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
+        ({**BASE_CONFIG, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
+        ({**BASE_CONFIG, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
     ], ids=["no-seed", "unknown-role", "ica-without-rca", "no-osp", "two-osp-nodes", "two-osp-members",
             "not-an-object", "ra-named-pca", "ra-named-roadside", "osp-named-orderer", "float-count",
-            "string-count", "bool-count", "string-seed", "float-seed", "float-rule", "bool-rule"])
+            "string-count", "bool-count", "string-seed", "float-seed", "float-rule", "bool-rule",
+            "float-not-before", "float-not-after", "string-defer", "non-name-defer"])
     def test_config_errors_are_config_invalid(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -868,6 +874,10 @@ class TestScenarioErrors:
         ({**SAMPLE_SCENARIO, "policies": {"ballot_quorum": True}}, "policy ballot_quorum must be an integer"),
         ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "link_drop": {"RA-1": "0.5"}}},
          "network link_drop rates must be numbers"),
+        ({**SAMPLE_SCENARIO, "validity": [0.5, 1000.5]}, "validity not_before must be an integer"),
+        ({**SAMPLE_SCENARIO, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
+        ({**SAMPLE_SCENARIO, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
+        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbtm import gccf, wire
+from bbtm.ballot import Ballot, BallotStatus, EndorsementType
 from bbtm.gccf import (
     ContractRejection,
+    GccfSnapshot,
     GccfView,
     ISSUANCE_MATRIX,
     NotAddingVerify,
@@ -22,9 +24,11 @@ from bbtm.gccf import (
 from bbtm.identity import (
     AuthorityRole,
     CertFunction,
+    CertificateRecord,
     Subject,
     canonical_encode,
     decode_certificate,
+    dump_json,
     generate_keypair,
     issue_certificate,
     role_of_name,
@@ -418,6 +422,70 @@ class TestExportSnapshot:
             for c in snapshot.certificates
         ]
         assert keys == sorted(keys)
+
+
+# Names that JSON must escape: quotes, backslashes, control characters and non-ASCII text.
+_json_text = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u00e9\u20ac\U0001f600'), st.characters()),
+    min_size=1, max_size=12,
+)
+_json_names = st.builds(lambda prefix, rest: prefix + rest,
+                        st.sampled_from(["", "ICA-", "RCA-", "PCA-", "Elector-"]), _json_text)
+json_certificates = st.builds(
+    lambda not_before, span, **fields: CertificateRecord(not_before=not_before, not_after=not_before + span, **fields),
+    version=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    serial_number=st.binary(min_size=16, max_size=16),
+    subject_name=_json_names,
+    issuer_name=_json_names,
+    subject_public_key=st.binary(min_size=32, max_size=32),
+    subject_unique_id=st.binary(min_size=16, max_size=16),
+    issuer_unique_id=st.binary(min_size=16, max_size=16),
+    not_before=st.integers(min_value=0, max_value=2**63),
+    span=st.integers(min_value=1, max_value=2**63 - 1),
+    hash_id=_json_text,
+    sign_id=_json_text,
+    function_type=st.sampled_from(list(CertFunction)),
+    digital_signature=st.binary(min_size=64, max_size=64),
+)
+json_ballots = st.builds(
+    Ballot,
+    endorsement_type=st.sampled_from(list(EndorsementType)),
+    target_cert_digest=st.binary(min_size=32, max_size=32),
+    endorsements=st.dictionaries(st.binary(min_size=16, max_size=16), st.none(), max_size=3),
+    status=st.sampled_from(list(BallotStatus)),
+)
+
+
+def _assert_json_bytes_are_dump_json(certificates, ballots, version):
+    snapshot = GccfSnapshot(version, tuple(ballots), tuple(certificates), tuple(map(canonical_encode, certificates)))
+    assert snapshot.to_json_bytes() == dump_json(snapshot.to_json())
+
+
+class TestExportJsonBytes:
+    """gccf export writes its .json from one certificate template; the bytes are dump_json(snapshot.to_json())."""
+
+    @given(certificates=st.lists(json_certificates, max_size=6), ballots=st.lists(json_ballots, min_size=1, max_size=3),
+           version=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_with_ballots(self, certificates, ballots, version):
+        _assert_json_bytes_are_dump_json(certificates, ballots, version)
+
+    @given(certificates=st.lists(json_certificates, min_size=1, max_size=6),
+           version=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_without_ballots(self, certificates, version):
+        _assert_json_bytes_are_dump_json(certificates, [], version)
+
+    def test_the_empty_snapshot(self):
+        snapshot = export_gccf(GccfView(), tip_number=0)
+        assert snapshot.to_json_bytes() == dump_json(snapshot.to_json())
+
+    def test_a_contract_world_with_a_revoked_record(self):
+        bed = Bed()
+        bed.revoke(bed.ica.cert)
+        snapshot = export_gccf(bed.view, tip_number=bed.next_block - 1)
+        assert snapshot.certificates
+        assert snapshot.to_json_bytes() == dump_json(snapshot.to_json())
 
 
 def _framed_certificate(version, serial, subject, issuer, key, subject_uid, issuer_uid, not_before, span,

@@ -5,13 +5,12 @@ import hashlib
 import json
 import os
 import pathlib
+import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from bbtm import deployment, identity, wire
 from bbtm import ledger as ledger_mod
+from bbtm.ballot import encode_endorsement
 from bbtm.cli import main
 from bbtm.deployment import (
     CHAIN_FILES,
@@ -22,8 +21,10 @@ from bbtm.deployment import (
     CliError,
     load_deployment,
 )
+from bbtm.gpf import PolicyRecord, PolicyStatus, make_policy_tx
 from bbtm.ledger import Channel, decode_chain, encode_chain
 from bbtm.node import Node
+from bbtm.ordering import OrderingService
 from bbtm.simulation import ScenarioConfig, Simulation
 
 NODES = [("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)]
@@ -307,64 +308,97 @@ def _vouch_for(dep: pathlib.Path, state: bytes) -> None:
     (dep / SAVEPOINT_FILE).write_bytes(body + hashlib.sha256(body).digest())
 
 
-def _tampered(state: bytes, world: dict, case: str) -> bytes:
-    """state with the line of world's first key (key, payload, function, block number) made malformed."""
-    key = sorted(world)[0]
-    entry = world[key]
-    key_field = wire.field(key.encode("utf-8"))
-    line = key_field + entry.digest_framing
-    assert state.count(line) == 1
-    payload, function = wire.field(entry.payload), wire.field(entry.function.value.encode("utf-8"))
-    number = wire.field(wire.u64(entry.block_number))
+# Per channel, the savepoint body holds 13 framed fields (FORMAT.md "Savepoint"), and the world state is
+# fields 5-11 of them: the entry count, then the columns.
+CHANNEL_FIELDS = 13
+COUNT, KEY_LENGTHS, PAYLOAD_LENGTHS, NUMBERS, CODES, KEYS = 5, 6, 7, 8, 9, 10
+
+
+def _fields(state: bytes) -> list:
+    """The framed fields of a savepoint's body, between its 5-byte header and its trailing digest."""
+    r = wire.Reader(state[5:-32])
+    out = []
+    while r.remaining:
+        out.append(r.field())
+    return out
+
+
+def _with_fields(state: bytes, fields: list) -> bytes:
+    return state[:5] + b"".join(map(wire.field, fields)) + state[-32:]
+
+
+def _tampered(state: bytes, channel: Channel, case: str) -> bytes:
+    """state with one column of channel's world state made malformed."""
+    fields = _fields(state)
+    base = list(CHAIN_FILES).index(channel) * CHANNEL_FIELDS
+    n = struct.unpack(">I", fields[base + COUNT])[0]
+    assert n > 0
     if case == "unknown-function":
-        bad = key_field + payload + wire.field(b"NoSuchFunction") + number
+        column = fields[base + CODES]
+        fields[base + CODES] = bytes([len(deployment.SAVEPOINT_FUNCTIONS)]) + column[1:]
+    elif case == "one-code-too-many":
+        fields[base + CODES] += fields[base + CODES][:1]
     elif case == "7-byte-block-number":
-        bad = key_field + payload + function + wire.field(wire.u64(entry.block_number)[1:])
+        column = fields[base + NUMBERS]
+        fields[base + NUMBERS] = b"".join(column[i + 1:i + 8] for i in range(0, len(column), 8))
+    elif case == "u64-key-lengths":
+        lengths = struct.unpack(f">{n}I", fields[base + KEY_LENGTHS])
+        fields[base + KEY_LENGTHS] = struct.pack(f">{n}Q", *lengths)
+    elif case == "sums-disagree":
+        lengths = list(struct.unpack(f">{n}I", fields[base + PAYLOAD_LENGTHS]))
+        lengths[0] += 1
+        fields[base + PAYLOAD_LENGTHS] = struct.pack(f">{n}I", *lengths)
     elif case == "key-not-utf8":
-        bad = wire.field(b"\xff" + key.encode("utf-8")[1:]) + entry.digest_framing
+        fields[base + KEYS] = b"\xff" + fields[base + KEYS][1:]
     else:  # the world's entry count, past the end of the file
-        count = wire.field(wire.u32(len(world)))
-        assert state.count(count + line) == 1
-        line, bad = count + line, wire.field(wire.u32(0xFFFFFFFF)) + line
-    return state.replace(line, bad)
+        fields[base + COUNT] = wire.u32(0xFFFFFFFF)
+    return _with_fields(state, fields)
 
 
-def _read(read, data: bytes):
-    """What read(Reader(data)) returns and how far it read, or the WireError it raises."""
-    r = wire.Reader(data)
-    try:
-        return read(r), r.position
-    except wire.WireError:
-        return "WireError"
+def _format_2(node: Node, images: dict) -> bytes:
+    """The format-2 savepoint of node over images, laid out as earlier versions wrote it:
+    one framed digest line per world-state entry in place of the columns."""
+    parts = [deployment.SAVEPOINT_MAGIC, bytes([2])]
+    for channel in CHAIN_FILES:
+        ledger = node.ledger(channel)
+        world = ledger.world_state
+        parts += [wire.field(channel.value.encode("utf-8")), wire.field(hashlib.sha256(images[channel]).digest()),
+                  wire.field(wire.u64(ledger.height)), wire.field(ledger.head_hash()),
+                  wire.field(ledger.creator_cert_bytes), wire.field(wire.u32(len(world)))]
+        parts += [wire.field(key.encode("utf-8")) + world[key].digest_framing for key in sorted(world)]
+        parts.append(wire.field(b"".join(sorted(ledger.tx_ids))))
+    view = node.gccf_view
+    parts += [wire.field(b"".join(sorted(view.serials))), wire.field(wire.u32(len(view.endorsement_log)))]
+    for number, endorsement in view.endorsement_log:
+        parts += [wire.field(wire.u64(number)), wire.field(encode_endorsement(endorsement))]
+    body = b"".join(parts)
+    return body + hashlib.sha256(body).digest()
 
 
-@given(values=st.lists(st.binary(max_size=12), max_size=6), cut=st.integers(min_value=0, max_value=120))
-@settings(max_examples=200, deadline=None)
-def test_fields_reads_as_many_field_calls(values, cut):
-    data = b"".join(map(wire.field, values))[:cut]
-    n = len(values)
-    assert _read(lambda r: r.fields(n), data) == _read(lambda r: [r.field() for _ in range(n)], data)
+def _spy_restores(monkeypatch) -> list:
+    """What each restore_savepoint call returns, in order."""
+    restored = []
+    restore = deployment.restore_savepoint
+
+    def spy(*args):
+        restored.append(restore(*args))
+        return restored[-1]
+
+    monkeypatch.setattr(deployment, "restore_savepoint", spy)
+    return restored
 
 
 class TestMalformedSavepoint:
     """An intact savepoint that does not decode is not restored: the load replays, as without it."""
 
     @pytest.mark.parametrize("channel", list(CHAIN_FILES))
-    @pytest.mark.parametrize("case", ["unknown-function", "7-byte-block-number", "key-not-utf8",
-                                      "count-past-the-end"])
+    @pytest.mark.parametrize("case", ["unknown-function", "one-code-too-many", "7-byte-block-number",
+                                      "u64-key-lengths", "sums-disagree", "key-not-utf8", "count-past-the-end"])
     def test_loads_as_without_it(self, dep, work, monkeypatch, case, channel):
         _policy_add(dep, "r0")
         state = (dep / SAVEPOINT_FILE).read_bytes()
-        world = load_deployment(str(dep)).node.ledger(channel).world_state
-        _vouch_for(dep, _tampered(state, world, case))
-        restored = []
-        restore = deployment.restore_savepoint
-
-        def spy(*args):
-            restored.append(restore(*args))
-            return restored[-1]
-
-        monkeypatch.setattr(deployment, "restore_savepoint", spy)
+        _vouch_for(dep, _tampered(state, channel, case))
+        restored = _spy_restores(monkeypatch)
         loaded = work.load(dep)
         assert restored == [False]
         assert work.commits == sum(loaded.node.ledger(c).height for c in CHAIN_FILES)
@@ -376,6 +410,65 @@ class TestMalformedSavepoint:
         _vouch_for(dep, (dep / SAVEPOINT_FILE).read_bytes())
         work.load(dep)
         assert work.commits == 0
+
+    def test_a_format_2_savepoint_replays_and_the_next_write_leaves_format_3(self, dep, work, monkeypatch):
+        _policy_add(dep, "r0")
+        node = work.load(dep).node
+        images = {channel: (dep / name).read_bytes() for channel, name in CHAIN_FILES.items()}
+        (dep / SAVEPOINT_FILE).write_bytes(_format_2(node, images))
+        restored = _spy_restores(monkeypatch)
+        loaded = work.load(dep)
+        assert restored == [False]
+        assert work.commits == sum(loaded.node.ledger(c).height for c in CHAIN_FILES)
+        assert _facts(loaded.node) == _facts(node)
+        _policy_add(dep, "r1")
+        assert (dep / SAVEPOINT_FILE).read_bytes()[4] == deployment.SAVEPOINT_FORMAT_VERSION == 3
+        del restored[:]
+        work.load(dep)
+        assert restored == [True] and work.commits == 0
+
+
+def _with_rules(dep: pathlib.Path, count: int) -> None:
+    """Commit count more policy rules in as few blocks as the ordering service cuts, and save the chains."""
+    loaded = load_deployment(str(dep))
+    pg = loaded.identity("PG-1")
+    orderer = OrderingService(loaded.consortium, loaded.identity("OSP-1"), loaded.node)
+    for i in range(count):
+        record = PolicyRecord(entity="RA", rule_name=f"extra-{i}", rule_body={}, status=PolicyStatus.ALIVE)
+        orderer.submit_tx(make_policy_tx(record, pg.cert, pg.key, 0), now_ms=0)
+    while orderer.pending_count(Channel.GPF):
+        orderer.commit_own(Channel.GPF, orderer.cut_block(Channel.GPF, now_ms=0, force=True))
+    loaded.save_chains()
+
+
+def _restore_field_reads(dep: pathlib.Path, work: _Work, monkeypatch) -> tuple:
+    """The wire.Reader.field calls of one load of dep, and the GPF entries it restores."""
+    calls = []
+    field = wire.Reader.field
+
+    def counted(reader):
+        calls.append(1)
+        return field(reader)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wire.Reader, "field", counted)
+        loaded = work.load(dep)
+    assert (work.commits, work.decodes) == (0, 0)
+    return len(calls), len(loaded.node.ledger(Channel.GPF).world_state)
+
+
+def test_a_restore_reads_as_many_fields_however_many_entries(tmp_path, monkeypatch):
+    """The world state is read a column at a time, so the framed reads do not grow with its entries."""
+    reads = {}
+    for count in (10, 200):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        out = tmp_path / f"dep-{count}"
+        _run("network", "init", "--config", str(config), "--out", str(out))
+        _with_rules(out, count)
+        reads[count] = _restore_field_reads(out, _Work(monkeypatch), monkeypatch)
+    assert reads[200][1] == reads[10][1] + 190
+    assert reads[200][0] == reads[10][0]
 
 
 @pytest.mark.xfail(strict=True, reason="a replay commits every GCCF block before any GPF block, so a tally "
