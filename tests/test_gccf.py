@@ -425,8 +425,10 @@ class TestExportSnapshot:
 
 
 # Names that JSON must escape: quotes, backslashes, control characters and non-ASCII text.
+# No lone surrogates: a certificate's names are UTF-8 on the wire, so canonical_encode cannot frame one.
 _json_text = st.text(
-    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u00e9\u20ac\U0001f600'), st.characters()),
+    alphabet=st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u00e9\u20ac\U0001f600'),
+                       st.characters(exclude_categories=("Cs",))),
     min_size=1, max_size=12,
 )
 _json_names = st.builds(lambda prefix, rest: prefix + rest,
