@@ -45,7 +45,6 @@ from .identity import (
     cert_to_json,
     decode_certificate,
     dump_json,
-    iter_json,
     role_of_name,
     sha256,
     write_all_atomic,
@@ -64,12 +63,12 @@ def _print_json(obj) -> None:
 
 
 def read_cert_file(path_str: str) -> CertificateRecord:
-    data = pathlib.Path(path_str).read_bytes()
     try:
+        data = pathlib.Path(path_str).read_bytes()
         if data.lstrip().startswith(b"{"):
             return cert_from_json(json.loads(data.decode("utf-8")))
         return decode_certificate(data)
-    except (CertificateError, ValueError) as exc:
+    except (CertificateError, OSError, ValueError) as exc:
         raise CliError(f"cannot read certificate: {exc}") from exc
 
 
@@ -136,7 +135,7 @@ def cmd_sim_run(args) -> int:
             message = f"config-invalid: {message}"
         raise CliError(message, EXIT_USAGE) from exc
     if args.report:
-        write_atomic(pathlib.Path(args.report), iter_json(report.to_json()))
+        write_atomic(pathlib.Path(args.report), report.iter_json())
     if args.out:
         sim.export_ledgers(args.out)
     if args.lifecycles:

@@ -21,7 +21,7 @@ import secrets
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -443,25 +443,27 @@ def cert_from_json(obj: dict) -> CertificateRecord:
 JSON_TOKENS_PER_CHUNK = 4096
 
 
-def iter_json(obj) -> Iterator[bytes]:
-    """The bytes of dump_json(obj), in chunks of bounded size.
+def iter_json(obj, default: Optional[Callable] = None) -> Iterator[bytes]:
+    """The bytes of dump_json(obj, default), in chunks of bounded size.
 
     The standard library's pretty-printer, which json.dumps(obj,
     sort_keys=True, indent=2) also runs, yields a string per token; joining
     them a batch at a time keeps only one batch of those strings alive.
+    default, as in json.dumps, turns an object the encoder does not know
+    into one it does, in place and only while that object is encoded.
     """
-    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    tokens = json.JSONEncoder(sort_keys=True, indent=2, default=default).iterencode(obj)
     while batch := list(itertools.islice(tokens, JSON_TOKENS_PER_CHUNK)):
         yield "".join(batch).encode("utf-8")
     yield b"\n"
 
 
-def dump_json(obj) -> bytes:
+def dump_json(obj, default: Optional[Callable] = None) -> bytes:
     """Stable JSON bytes used for every exported projection (see FORMAT.md)."""
     # The buffer takes each chunk as it comes and getvalue() hands it over
     # without a copy; b"".join would hold every chunk and the result at once.
     buf = io.BytesIO()
-    buf.writelines(iter_json(obj))
+    buf.writelines(iter_json(obj, default))
     return buf.getvalue()
 
 

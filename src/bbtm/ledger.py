@@ -123,18 +123,24 @@ class Transaction:
         )
 
     @cached_property
-    def _body(self) -> bytes:
-        return self._signing_bytes + wire.field(self.submitter_signature)
+    def _signature_field(self) -> bytes:
+        return wire.field(self.submitter_signature)
 
     @cached_property
     def tx_id(self) -> bytes:
-        return sha256(self._body)
+        return sha256(self.canonical_body())
 
     def signing_bytes(self) -> bytes:
         return self._signing_bytes
 
     def canonical_body(self) -> bytes:
-        return self._body
+        """The signing bytes and the framed signature, joined on each call and kept by no one."""
+        return self._signing_bytes + self._signature_field
+
+    @property
+    def body_size(self) -> int:
+        """len(self.canonical_body()), without joining it."""
+        return len(self._signing_bytes) + len(self._signature_field)
 
     def verify_submitter_signature(self) -> bool:
         return verify_signature(
@@ -186,15 +192,19 @@ def make_transaction(
         submitter_signature=b"",
         submit_time_ms=submit_time_ms,
     )
-    return Transaction(
+    signing = unsigned.signing_bytes()
+    signed = Transaction(
         channel=channel,
         function=function,
         key=key,
         payload=payload,
         submitter_cert=submitter_cert,
-        submitter_signature=submitter_key.sign(unsigned.signing_bytes()),
+        submitter_signature=submitter_key.sign(signing),
         submit_time_ms=submit_time_ms,
     )
+    # The signature is outside what it signs: the signed transaction keeps the same signing bytes.
+    signed.__dict__["_signing_bytes"] = signing
+    return signed
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -253,7 +263,11 @@ class BlockHeader:
 
 
 def data_hash_of(transactions: Iterable[Transaction]) -> bytes:
-    return sha256(b"".join(tx.canonical_body() for tx in transactions))
+    """SHA-256 of the transactions' joined canonical bodies, joined from their two kept parts."""
+    parts = []
+    for tx in transactions:
+        parts += (tx._signing_bytes, tx._signature_field)
+    return sha256(b"".join(parts))
 
 
 @dataclass(frozen=True)
@@ -270,8 +284,20 @@ class Block:
             wire.field(self.creator_signature),
             wire.field(wire.u32(len(self.transactions))),
         ]
-        parts.extend(wire.field(tx.canonical_body()) for tx in self.transactions)
+        # Each body is framed from its two kept parts: its length, then the parts.
+        for tx in self.transactions:
+            parts += (wire.u32(tx.body_size), tx._signing_bytes, tx._signature_field)
         return b"".join(parts)
+
+    def encoded_size(self) -> int:
+        """len(self.encode()), without encoding the block."""
+        return (
+            len(self.header.encode())
+            + 4 + len(canonical_encode(self.creator_cert))
+            + 4 + len(self.creator_signature)
+            + 8
+            + sum(4 + tx.body_size for tx in self.transactions)
+        )
 
 
 def make_block(
@@ -496,6 +522,11 @@ def encode_chain(blocks: Iterable[Block]) -> bytes:
     out = [LEDGER_MAGIC, bytes([LEDGER_FORMAT_VERSION])]
     out.extend(wire.field(block.encode()) for block in blocks)
     return b"".join(out)
+
+
+def chain_size(blocks: Iterable[Block]) -> int:
+    """len(encode_chain(blocks)), sized block by block without building the image."""
+    return len(LEDGER_MAGIC) + 1 + sum(4 + block.encoded_size() for block in blocks)
 
 
 def decode_chain(data: bytes) -> List[Block]:

@@ -22,7 +22,7 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TxLifecycle:
     tx_id: str
     channel: str

@@ -16,7 +16,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from . import ballot as ballot_mod
 from . import gccf, gpf
@@ -39,10 +39,11 @@ from .identity import (
     Identity,
     canonical_encode,
     dump_json,
+    iter_json,
     role_of_name,
     sha256,
 )
-from .ledger import Block, Channel, Transaction, encode_chain
+from .ledger import Block, Channel, Transaction, chain_size
 from .metrics import TxLifecycle
 from .node import BlockRefused, Node, NodeStatus
 from .ordering import OrderingService, Rejected
@@ -264,6 +265,9 @@ class SimulationReport:
     ledger_sizes: Dict[str, int]
 
     def to_json(self) -> dict:
+        return self._document([lc.to_json() for lc in self.lifecycles])
+
+    def _document(self, lifecycles: list) -> dict:
         return {
             "seed": self.seed,
             "config_digest": self.config_digest,
@@ -273,15 +277,29 @@ class SimulationReport:
             "divergent": list(self.divergent),
             "stalled": self.stalled,
             "rejections": list(self.rejections),
-            "lifecycles": [lc.to_json() for lc in self.lifecycles],
+            "lifecycles": lifecycles,
             "queries": list(self.queries),
             "undelivered": list(self.undelivered),
             "delay_trace": list(self.delay_trace),
             "ledger_sizes": dict(sorted(self.ledger_sizes.items())),
         }
 
+    # The streamed document holds the TxLifecycle objects themselves: the
+    # encoder meets each as an object it does not know and encodes, in
+    # place, the dict _lifecycle_json returns, so one lifecycle dict exists
+    # at a time instead of one per transaction.
+    def iter_json(self) -> Iterator[bytes]:
+        """The bytes of dump_json(self.to_json()), in chunks (identity.iter_json)."""
+        return iter_json(self._document(self.lifecycles), _lifecycle_json)
+
     def to_json_bytes(self) -> bytes:
-        return dump_json(self.to_json())
+        return dump_json(self._document(self.lifecycles), _lifecycle_json)
+
+
+def _lifecycle_json(obj) -> dict:
+    if not isinstance(obj, TxLifecycle):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.to_json()
 
 
 class Simulation:
@@ -666,7 +684,7 @@ class Simulation:
             submitter=submitter,
             submit_ms=submit_ms,
             admit_ms=now,
-            size_bytes=len(tx.canonical_body()),
+            size_bytes=tx.body_size,
         )
         self._lifecycles[tx.tx_id] = lc
         self._try_cut(tx.channel)
@@ -893,7 +911,7 @@ class Simulation:
         ]
         # In admission order: the orderer admits each transaction once.
         lifecycles = list(self._lifecycles.values())
-        ledger_sizes = {ch.value: len(encode_chain(osp_node.ledger(ch).blocks)) for ch in Channel}
+        ledger_sizes = {ch.value: chain_size(osp_node.ledger(ch).blocks) for ch in Channel}
         return SimulationReport(
             seed=self.config.seed,
             config_digest=self.config.digest().hex(),

@@ -323,6 +323,21 @@ class TestCertVerbs:
         cert_json.write_text(json.dumps(rca["cert"]))
         assert main(["cert", "validate", "--deployment", str(deployment), "--cert", str(cert_json)]) == 0
 
+    @pytest.mark.parametrize("verb", [
+        ["cert", "validate", "--cert"],
+        ["ballot", "tally", "--type", "AddElectorCert", "--target-cert"],
+    ], ids=["cert-validate", "ballot-tally"])
+    def test_missing_cert_file_is_a_reported_failure(self, deployment, tmp_path, capsys, verb):
+        missing = tmp_path / "never-written.bin"
+        before = {p.name: p.read_bytes() for p in deployment.iterdir()}
+        capsys.readouterr()
+        assert main([verb[0], verb[1], "--deployment", str(deployment), *verb[2:], str(missing)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read certificate: ") and str(missing) in err
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in deployment.iterdir()} == before
+
 
 class TestPolicyVerbs:
     def test_add_get_revoke_lifecycle(self, deployment, capsys):
@@ -656,7 +671,7 @@ class TestSimRunFiles:
         assert main(["sim", "run", "--scenario", str(SAMPLE), "--report", str(report_path),
                      "--lifecycles", str(csv_path)]) == 0
         expected = Simulation(ScenarioConfig.from_json(json.loads(SAMPLE.read_text()))).run()
-        assert report_path.read_bytes() == expected.to_json_bytes()
+        assert report_path.read_bytes() == expected.to_json_bytes() == identity.dump_json(expected.to_json())
         assert csv_path.read_text() == metrics.lifecycles_to_csv(expected.lifecycles)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lifecycles.csv", "report.json"]
 

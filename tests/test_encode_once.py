@@ -1,12 +1,16 @@
 """Encodings computed once per value, and one structural check per commit."""
 
 import dataclasses
+import hashlib
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbtm import gpf, ledger, wire
+from bbtm.deployment import genesis_node
 from bbtm.identity import CertFunction, CertificateRecord, canonical_encode, decode_certificate, signing_bytes
 from bbtm.ledger import (
     Block,
@@ -16,8 +20,10 @@ from bbtm.ledger import (
     Transaction,
     TxFunction,
     ZERO_HASH,
+    chain_size,
     decode_block,
     decode_transaction,
+    encode_chain,
     make_block,
     make_transaction,
     verify_chain,
@@ -27,6 +33,7 @@ from bbtm.simulation import ScenarioConfig, Simulation
 
 from helpers import first_refused, make_identity
 
+SAMPLE = pathlib.Path(__file__).resolve().parent.parent / "samples" / "scenario.json"
 BASE_NODES = (("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1), ("RA", 1))
 
 
@@ -84,7 +91,7 @@ class TestEncodeOnce:
         tx_id = tx.tx_id
         field_calls.calls = 0
         assert tx.signing_bytes() is first
-        assert tx.canonical_body() is body
+        assert tx.canonical_body() == body
         assert tx.tx_id is tx_id
         assert field_calls.calls == 0
 
@@ -111,6 +118,46 @@ class TestEncodeOnce:
         assert decode_transaction(tx.canonical_body()) == tx
         block = make_block(0, ZERO_HASH, [tx], osp.cert, osp.key)
         assert block.header.hash() == ledger.sha256(block.header.encode())
+
+
+@pytest.fixture(scope="module")
+def sample_run():
+    sim = Simulation(ScenarioConfig.from_json(json.loads(SAMPLE.read_text())))
+    return sim, sim.run()
+
+
+class TestOneEncodingPerTransaction:
+    """A transaction keeps its signing bytes and its framed signature, and no copy of its body."""
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_chain_size_is_the_encoded_length(self, grown, channel):
+        grown_blocks = grown.nodes[grown.osp_name].ledger(channel).blocks
+        genesis_only = genesis_node(grown.deployment, grown.deployment.identity("RA-1").cert).ledger(channel).blocks
+        assert len(grown_blocks) > 1 and len(genesis_only) == 1
+        for blocks in (grown_blocks, genesis_only):
+            assert chain_size(blocks) == len(encode_chain(blocks))
+            assert [block.encoded_size() for block in blocks] == [len(block.encode()) for block in blocks]
+
+    def test_no_transaction_keeps_a_copy_of_its_body(self, sample_run):
+        sim, _report = sample_run
+        txs = [tx for node in sim.nodes.values() for ledger_ in node.ledgers.values()
+               for block in ledger_.blocks for tx in block.transactions]
+        assert txs
+        for tx in txs:
+            kept = [value for value in vars(tx).values() if isinstance(value, bytes)]
+            assert all(len(value) < tx.body_size for value in kept), tx.key
+
+    def test_committed_bodies_hash_to_their_ids_and_blocks(self, sample_run):
+        sim, report = sample_run
+        sizes = {lc.tx_id: lc.size_bytes for lc in report.lifecycles}
+        for ledger_ in sim.nodes[sim.osp_name].ledgers.values():
+            for block in ledger_.blocks:
+                bodies = [tx.canonical_body() for tx in block.transactions]
+                for tx, body in zip(block.transactions, bodies):
+                    assert body == tx.signing_bytes() + wire.field(tx.submitter_signature)
+                    assert tx.tx_id == hashlib.sha256(body).digest()
+                    assert sizes.get(tx.tx_id.hex(), len(body)) == len(body) == tx.body_size
+                assert block.header.data_hash == hashlib.sha256(b"".join(bodies)).digest()
 
 
 class TestMemoIsInvisible:
