@@ -207,6 +207,7 @@ def make_endorsement_tx(
         submitter_cert=elector_cert,
         submitter_key=elector_key,
         submit_time_ms=submit_time_ms,
+        record=endorsement,
     )
 
 

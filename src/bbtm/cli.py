@@ -356,11 +356,9 @@ def cmd_ballot_apply(args) -> int:
 
 def cmd_metrics_report(args) -> int:
     try:
-        report_obj = json.loads(pathlib.Path(args.report).read_text())
+        lifecycles, ledger_sizes = metrics.read_report(json.loads(pathlib.Path(args.report).read_text()))
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read report: {exc}", EXIT_USAGE) from exc
-    lifecycles = [metrics.TxLifecycle.from_json(lc) for lc in report_obj["lifecycles"]]
-    ledger_sizes = {k: int(v) for k, v in report_obj.get("ledger_sizes", {}).items()}
     try:
         computed = metrics.compute_metrics(lifecycles, ledger_sizes)
     except metrics.MetricsError as exc:

@@ -458,6 +458,7 @@ def make_add_cert_tx(
         submitter_cert=submitter_cert,
         submitter_key=submitter_key,
         submit_time_ms=submit_time_ms,
+        record=cert,
     )
 
 
@@ -477,6 +478,7 @@ def make_revoke_cert_tx(
         submitter_cert=authorizer_cert,
         submitter_key=authorizer_key,
         submit_time_ms=submit_time_ms,
+        record=retagged,
     )
 
 
@@ -494,4 +496,5 @@ def make_validate_tx(
         submitter_cert=submitter_cert,
         submitter_key=submitter_key,
         submit_time_ms=submit_time_ms,
+        record=cert,
     )

@@ -182,7 +182,14 @@ def make_transaction(
     submitter_cert: CertificateRecord,
     submitter_key: KeyPair,
     submit_time_ms: int,
+    record: Optional[object] = None,
 ) -> Transaction:
+    """Sign a new transaction; ``record``, if given, is the immutable record the payload encodes.
+
+    The transaction starts with that record as its decoding, so the payload
+    is never decoded into a second copy of it.  A payload must be exactly
+    the record's encoding, which decodes back to an equal record.
+    """
     unsigned = Transaction(
         channel=channel,
         function=function,
@@ -204,6 +211,8 @@ def make_transaction(
     )
     # The signature is outside what it signs: the signed transaction keeps the same signing bytes.
     signed.__dict__["_signing_bytes"] = signing
+    if record is not None:
+        signed.__dict__["_decoded"] = record
     return signed
 
 

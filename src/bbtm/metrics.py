@@ -24,6 +24,14 @@ class MetricsError(ValueError):
 
 @dataclass(slots=True)
 class TxLifecycle:
+    """One admitted transaction's times, from submission to each node's commit.
+
+    ``commits`` maps node name to commit time.  The simulator gives every
+    lifecycle of one block the same mapping, since a node commits a block at
+    one instant; it is read-only outside the simulator.  ``from_json`` gives
+    each lifecycle a dict of its own.
+    """
+
     tx_id: str
     channel: str
     function: str
@@ -69,17 +77,59 @@ class TxLifecycle:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TxLifecycle":
-        return cls(
-            tx_id=obj["tx_id"],
-            channel=obj["channel"],
-            function=obj["function"],
-            submitter=obj["submitter"],
-            submit_ms=obj["submit_ms"],
-            admit_ms=obj["admit_ms"],
-            cut_ms=obj["cut_ms"],
-            commits=dict(obj["commits"]),
-            size_bytes=obj["size_bytes"],
-        )
+        """The lifecycle a report's JSON object holds, with a commits dict of its own.
+
+        A missing field, or one of another type, is a MetricsError.
+        """
+        if not isinstance(obj, dict):
+            raise MetricsError("a lifecycle is a JSON object")
+        try:
+            commits, cut_ms = obj["commits"], obj["cut_ms"]
+            if not isinstance(commits, dict):
+                raise MetricsError("lifecycle commits must map names to times")
+            return cls(
+                tx_id=_text(obj["tx_id"], "lifecycle tx_id"),
+                channel=_text(obj["channel"], "lifecycle channel"),
+                function=_text(obj["function"], "lifecycle function"),
+                submitter=_text(obj["submitter"], "lifecycle submitter"),
+                submit_ms=_count(obj["submit_ms"], "lifecycle submit_ms"),
+                admit_ms=_count(obj["admit_ms"], "lifecycle admit_ms"),
+                cut_ms=None if cut_ms is None else _count(cut_ms, "lifecycle cut_ms"),
+                commits={name: _count(t, "lifecycle commit time") for name, t in commits.items()},
+                size_bytes=_count(obj["size_bytes"], "lifecycle size_bytes"),
+            )
+        except KeyError as exc:
+            raise MetricsError(f"lifecycle lacks {exc.args[0]!r}") from None
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MetricsError(f"{what} must be a string")
+    return value
+
+
+def _count(value, what: str) -> int:
+    """value, if it is an integer in [0, 2**63) (a bool is not one); a time or size of a report."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 63:
+        raise MetricsError(f"{what} must be an integer in [0, 2**63)")
+    return value
+
+
+def read_report(obj) -> Tuple[List[TxLifecycle], Dict[str, int]]:
+    """The lifecycles and ledger sizes of a simulation report's JSON; MetricsError names what is malformed."""
+    if not isinstance(obj, dict):
+        raise MetricsError("a report is a JSON object")
+    if "lifecycles" not in obj:
+        raise MetricsError("report lacks 'lifecycles'")
+    lifecycles, sizes = obj["lifecycles"], obj.get("ledger_sizes", {})
+    if not isinstance(lifecycles, list):
+        raise MetricsError("report lifecycles must be a list")
+    if not isinstance(sizes, dict):
+        raise MetricsError("report ledger_sizes must map channels to sizes")
+    return (
+        [TxLifecycle.from_json(lc) for lc in lifecycles],
+        {channel: _count(size, f"ledger size of {channel!r}") for channel, size in sizes.items()},
+    )
 
 
 def record_tx_lifecycle(report) -> List[TxLifecycle]:

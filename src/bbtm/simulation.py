@@ -516,6 +516,8 @@ class Simulation:
         self._ran = True
         for action in self._actions:
             self._schedule(action["at_ms"], self._do_action, action)
+        # The heap holds every action now, and frees each once it has run.
+        self._actions = []
         for fault in self.config.faults:
             self._schedule(fault.crash_at_ms, self._crash_event, fault.node)
             if fault.recover_at_ms is not None:
@@ -707,11 +709,14 @@ class Simulation:
     def _commit_and_deliver(self, channel: Channel, block: Block) -> None:
         now = self.clock.now_ms
         self.orderer.commit_own(channel, block)
+        # A node commits a whole block at one instant: the block's lifecycles
+        # share one commit-time mapping, which _record_commits extends.
+        commits = {self.osp_name: now}
         for tx in block.transactions:
             lc = self._lifecycles.get(tx.tx_id)
             if lc is not None:
                 lc.cut_ms = now
-                lc.commits[self.osp_name] = now
+                lc.commits = commits
         for name, node in self.nodes.items():
             if name == self.osp_name:
                 continue
@@ -749,11 +754,12 @@ class Simulation:
         self._record_commits(name, block)
 
     def _record_commits(self, name: str, block: Block) -> None:
-        now = self.clock.now_ms
+        """Note the node's commit once in the block's shared mapping (_commit_and_deliver)."""
         for tx in block.transactions:
             lc = self._lifecycles.get(tx.tx_id)
-            if lc is not None and name not in lc.commits:
-                lc.commits[name] = now
+            if lc is not None:
+                lc.commits.setdefault(name, self.clock.now_ms)
+                return
 
     def _request_sync(self, name: str) -> None:
         if name in self._sync_scheduled:

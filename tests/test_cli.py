@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbtm import cli, deployment as deployment_mod, gccf, gpf, identity, metrics, wire
 from bbtm import ledger as ledger_mod
@@ -661,6 +663,87 @@ class TestMetricsReportFile:
             main(["metrics", "report", "--report", str(report_path), "--out", str(out)])
         assert out.read_bytes() == b"old metrics\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.json", "report.json"]
+
+
+_LIFECYCLE = {
+    "tx_id": "aa", "channel": "GPF", "function": "AddPolicy", "submitter": "PG-1",
+    "submit_ms": 10, "admit_ms": 20, "cut_ms": 30, "commits": {"OSP-1": 30, "RA-1": 45}, "size_bytes": 300,
+}
+_LIFECYCLE_FIELDS = {
+    "tx_id": st.text(max_size=4), "channel": st.sampled_from(["GCCF", "GPF"]), "function": st.text(max_size=4),
+    "submitter": st.text(max_size=4), "submit_ms": st.integers(0, 500), "admit_ms": st.integers(0, 500),
+    "cut_ms": st.none() | st.integers(0, 500), "size_bytes": st.integers(0, 500),
+    "commits": st.dictionaries(st.text(max_size=3), st.integers(501, 1000), min_size=1, max_size=3),
+}
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutated(lifecycle, key, junk, drop):
+    """The lifecycle with key dropped or set to junk; unchanged when key is None."""
+    if key is None:
+        return lifecycle
+    if drop:
+        return {k: v for k, v in lifecycle.items() if k != key}
+    return {**lifecycle, key: junk}
+
+
+# Report-shaped values: a lifecycle loses one field or holds any JSON value in it.
+_SHAPED_REPORT = st.fixed_dictionaries({}, optional={
+    "lifecycles": st.lists(
+        st.builds(_mutated, st.fixed_dictionaries(_LIFECYCLE_FIELDS),
+                  st.none() | st.sampled_from(sorted(_LIFECYCLE_FIELDS)), _ANY_JSON, st.booleans()),
+        min_size=1, max_size=3,
+    ) | _ANY_JSON,
+    "ledger_sizes": st.dictionaries(st.sampled_from(["GCCF", "GPF"]), st.integers(0, 10**6) | _ANY_JSON) | _ANY_JSON,
+})
+
+
+class TestMalformedMetricsReport:
+    """A report that is JSON but not a report is a usage error, never a traceback."""
+
+    @pytest.mark.parametrize("report, message", [
+        ([], "a report is a JSON object"),
+        ({}, "report lacks 'lifecycles'"),
+        ({"lifecycles": [{k: v for k, v in _LIFECYCLE.items() if k != "channel"}]}, "lifecycle lacks 'channel'"),
+        ({"lifecycles": [_LIFECYCLE], "ledger_sizes": {"GPF": "abc"}}, "ledger size of 'GPF' must be an integer in [0, 2**63)"),
+        ({"lifecycles": "abc"}, "report lifecycles must be a list"),
+        ({"lifecycles": [7]}, "a lifecycle is a JSON object"),
+        ({"lifecycles": [{**_LIFECYCLE, "commits": [["OSP-1", 30]]}]}, "lifecycle commits must map names to times"),
+        ({"lifecycles": [{**_LIFECYCLE, "submit_ms": 10**400}]}, "lifecycle submit_ms must be an integer in [0, 2**63)"),
+        ({"lifecycles": [{**_LIFECYCLE, "cut_ms": True}]}, "lifecycle cut_ms must be an integer in [0, 2**63)"),
+        ({"lifecycles": [{**_LIFECYCLE, "channel": ["GPF"]}]}, "lifecycle channel must be a string"),
+        ({"lifecycles": [_LIFECYCLE], "ledger_sizes": [1]}, "report ledger_sizes must map channels to sizes"),
+    ], ids=["list", "empty-object", "no-channel", "size-not-a-number", "lifecycles-a-string", "lifecycle-a-number",
+            "commits-a-list", "huge-time", "bool-time", "list-channel", "sizes-a-list"])
+    def test_exits_2_with_cannot_read_report(self, tmp_path, capsys, report, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["metrics", "report", "--report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read report: {message}\n"
+
+    def test_a_well_formed_report_still_computes(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"lifecycles": [_LIFECYCLE], "ledger_sizes": {"GPF": 2048}}))
+        assert main(["metrics", "report", "--report", str(path)]) == 0
+        computed = _last_json(capsys)
+        assert computed["committed"] == 1 and computed["channels"]["GPF"]["ledger_size_kb"] == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=_ANY_JSON | _SHAPED_REPORT)
+    def test_any_json_value_computes_or_prints_an_error(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        path.write_text(json.dumps(report))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["metrics", "report", "--report", str(path)])
+        if code == 0:
+            assert err.getvalue() == "" and json.loads(out.getvalue())["committed"] >= 1
+        else:
+            assert code in (1, 2) and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestSimRunFiles:

@@ -8,17 +8,30 @@ Certificate records keep their subject role and state key.
 
 import collections
 import dataclasses
+import gc
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbtm import gpf
+from bbtm import ballot, gccf, gpf
+from bbtm.ballot import EndorsementType, decode_endorsement
+from bbtm.deployment import derive_identity, genesis_node
 from bbtm.gccf import cert_key
-from bbtm.identity import AuthorityRole, decode_certificate, role_of_name
-from bbtm.ledger import Channel, StateEntry, Transaction, TxFunction, make_block, make_transaction
+from bbtm.identity import AuthorityRole, CertificateRecord, canonical_encode, decode_certificate, role_of_name
+from bbtm.ledger import (
+    Channel,
+    StateEntry,
+    Transaction,
+    TxFunction,
+    decode_transaction,
+    make_block,
+    make_transaction,
+)
 from bbtm.node import BlockRefused
-from bbtm.ordering import Rejected
+from bbtm.ordering import OrderingService, Rejected
 from bbtm.simulation import ScenarioConfig, Simulation
 
 from helpers import make_identity
@@ -229,3 +242,174 @@ class TestDerivedCertificateFields:
         assert {f.name for f in dataclasses.fields(cert)}.isdisjoint({"subject_role", "state_key"})
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.state_key = "cert/00"
+
+
+# ---------------------------------------------------------------- built records
+
+# The sample scenario plus a root voted in and out: every kind of transaction
+# that carries a certificate or an endorsement record commits in it.
+BALLOTS = [
+    {"at_ms": 500, "action": "new_root", "name": "RCA-9"},
+    {"at_ms": 700, "action": "endorse", "elector": "Elector-1", "type": "AddRootCert", "target": "RCA-9"},
+    {"at_ms": 740, "action": "endorse", "elector": "Elector-2", "type": "AddRootCert", "target": "RCA-9"},
+    {"at_ms": 1600, "action": "apply_ballot", "elector": "Elector-1", "type": "AddRootCert", "target": "RCA-9"},
+    {"at_ms": 2600, "action": "endorse", "elector": "Elector-2", "type": "RevokeRootCert", "target": "RCA-9"},
+    {"at_ms": 2650, "action": "endorse", "elector": "Elector-3", "type": "RevokeRootCert", "target": "RCA-9"},
+    {"at_ms": 3700, "action": "apply_ballot", "elector": "Elector-2", "type": "RevokeRootCert", "target": "RCA-9"},
+]
+RECORD_FUNCTIONS = {TxFunction.ADD_CERT, TxFunction.REVOKE_CERT, TxFunction.VALIDATE_CERT, TxFunction.BALLOT_ENDORSE}
+
+
+@pytest.fixture(scope="module")
+def sample_run():
+    """The sample run with ballots, the records it built, and the records alive before it.
+
+    The process-wide decode caches are emptied first, so no record of an
+    earlier test's run can stand in for one this run would decode.
+    """
+    decode_certificate.cache_clear()
+    decode_endorsement.cache_clear()
+    gc.collect()
+    before = [obj for obj in gc.get_objects() if isinstance(obj, CertificateRecord)]
+    built = {"revocations": [], "endorsements": []}
+    resign_as, create_endorsement = gccf.resign_as, ballot.create_endorsement
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gccf, "resign_as", lambda *a: built["revocations"].append(resign_as(*a)) or
+                      built["revocations"][-1])
+        patch.setattr(ballot, "create_endorsement", lambda *a: built["endorsements"].append(
+            create_endorsement(*a)) or built["endorsements"][-1])
+        sim = Simulation(ScenarioConfig.from_json({**json.loads(SAMPLE.read_text()), "workload": BALLOTS}))
+        report = sim.run()
+    assert report.converged
+    return sim, built, before
+
+
+class TestOneRecordPerCertificate:
+    def test_a_run_keeps_one_record_per_encoding(self, sample_run):
+        _sim, _built, before = sample_run
+        gc.collect()
+        old = {id(obj) for obj in before}
+        made = [obj for obj in gc.get_objects() if isinstance(obj, CertificateRecord) and id(obj) not in old]
+        per_encoding = collections.Counter(canonical_encode(record) for record in made)
+        assert len(per_encoding) > 400
+        assert [n for n in per_encoding.values() if n > 1] == []
+
+    def test_committed_records_are_the_ones_the_run_built(self, sample_run):
+        sim, built, _before = sample_run
+        revocations = {id(record) for record in built["revocations"]}
+        endorsements = {id(record) for record in built["endorsements"]}
+        seen = collections.Counter()
+        for node in sim.nodes.values():
+            for block in node.ledger(Channel.GCCF).blocks:
+                for tx in block.transactions:
+                    assert tx.function in RECORD_FUNCTIONS
+                    assert "_decoded" in tx.__dict__, "a built transaction starts with its record"
+                    if tx.function == TxFunction.BALLOT_ENDORSE:
+                        assert id(tx.decoded(decode_endorsement)) in endorsements
+                    elif tx.function == TxFunction.REVOKE_CERT:
+                        assert id(tx.decoded(decode_certificate)) in revocations
+                    else:
+                        record = tx.decoded(decode_certificate)
+                        assert record is sim._identities[record.subject_name].cert
+                    seen[tx.function] += 1
+        assert set(seen) == RECORD_FUNCTIONS
+        assert seen[TxFunction.BALLOT_ENDORSE] >= 4 * len(sim.nodes)
+
+    def test_the_run_decodes_no_certificate_or_endorsement(self, sample_run):
+        assert decode_certificate.cache_info().misses == 0
+        assert decode_endorsement.cache_info().misses == 0
+
+
+# ------------------------------------------------------ built and decoded alike
+
+@pytest.fixture(scope="module")
+def revoked_issuer_world():
+    """A finished run in which ICA-2 was revoked by the policy generator."""
+    nodes = (("Elector", 3), ("RCA", 1), ("ICA", 2), ("PG", 1), ("OSP", 1), ("RA", 1))
+    sim = Simulation(ScenarioConfig(
+        seed=23, nodes=nodes, generate={"count": 20, "spacing_ms": 8}, policies=(("ballot_quorum", 2),),
+        workload=({"at_ms": 900, "action": "revoke", "target": "ICA-2"},),
+    ))
+    assert sim.run().converged and sim.rejections == []
+    return sim
+
+
+def _built_tx(sim, case: str, salt: int) -> Transaction:
+    ident = sim._identities
+    osp_view = sim.nodes[sim.osp_name].gccf_view
+
+    def minted(name, issuer, **kwargs):
+        return derive_identity(sim.config.seed, f"{name}{salt}", issuer, validity=sim.config.validity,
+                               serial=kwargs.get("serial", salt.to_bytes(16, "big")), now_s=0)
+
+    if case == "add":
+        return gccf.make_add_cert_tx(minted("PCA-h", ident["ICA-1"]).cert, ident["ICA-1"].cert, ident["ICA-1"].key,
+                                     salt)
+    if case == "validate":
+        return gccf.make_validate_tx(ident["ICA-1"].cert, ident["RA-1"].cert, ident["RA-1"].key, salt)
+    if case == "revoke":
+        return gccf.make_revoke_cert_tx(ident["RA-1"].cert, ident["PG-1"].cert, ident["PG-1"].key, salt)
+    if case == "unknown-target":
+        stranger = minted("LA-s", ident["ICA-1"]).cert
+        return gccf.make_revoke_cert_tx(stranger, ident["PG-1"].cert, ident["PG-1"].key, salt)
+    if case == "unknown-issuer":
+        uncommitted = minted("ICA-u", ident["RCA-1"])
+        return gccf.make_add_cert_tx(minted("PCA-u", uncommitted).cert, ident["ICA-1"].cert, ident["ICA-1"].key,
+                                     salt)
+    if case == "role-violation":
+        return gccf.make_add_cert_tx(minted("MA-r", ident["ICA-1"]).cert, ident["ICA-1"].cert, ident["ICA-1"].key,
+                                     salt)
+    if case == "duplicate-serial":
+        taken = ident["RA-1"].cert.serial_number
+        cert = minted("PCA-d", ident["ICA-1"], serial=taken).cert
+        return gccf.make_add_cert_tx(cert, ident["ICA-1"].cert, ident["ICA-1"].key, salt)
+    if case == "revoked-issuer":
+        return gccf.make_add_cert_tx(minted("PCA-x", ident["ICA-2"]).cert, ident["ICA-2"].cert, ident["ICA-2"].key,
+                                     salt)
+    target = minted("RCA-n", None).cert
+    elector = ident["Elector-1"]
+    endorsement = ballot.create_endorsement(elector.key, elector.cert, EndorsementType.ADD_ROOT, target, osp_view)
+    submitter = elector if case == "endorse" else ident["Elector-2"]
+    return ballot.make_endorsement_tx(endorsement, target.serial_number, submitter.cert, submitter.key, salt)
+
+
+EXPECTED_REASON = {
+    "add": "ok", "validate": "ok", "revoke": "ok", "endorse": "ok", "unknown-target": "unknown-target",
+    "unknown-issuer": "unknown-issuer", "role-violation": "role-violation", "duplicate-serial": "duplicate-serial",
+    "revoked-issuer": "revoked-issuer", "foreign-endorsement": "bad-endorsement",
+}
+
+
+def _verdicts(sim, tx: Transaction):
+    """The reason (or "ok") of the sequencer's admission and of a fresh replica's commit of tx alone."""
+    osp = sim.nodes[sim.osp_name]
+    try:
+        OrderingService(sim.deployment.consortium, sim.deployment.osp, osp).submit_tx(tx, now_ms=0)
+        admitted = "ok"
+    except Rejected as exc:
+        admitted = exc.reason
+    replica = genesis_node(sim.deployment, sim.deployment.identity("RA-1").cert)
+    for channel in (Channel.GCCF, Channel.GPF):
+        for block in osp.ledger(channel).blocks[1:]:
+            replica.commit_block(channel, block)
+    chain = replica.ledger(Channel.GCCF)
+    try:
+        replica.commit_block(Channel.GCCF, make_block(chain.height, chain.head_hash(), [tx], sim.deployment.osp.cert,
+                                                      sim.deployment.osp.key))
+        committed = "ok"
+    except BlockRefused as exc:
+        committed = exc.reason
+    return admitted, committed
+
+
+class TestBuiltAndDecodedAlike:
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(sorted(EXPECTED_REASON)), salt=st.integers(1, 2**32))
+    def test_same_admission_and_commit_verdict(self, revoked_issuer_world, case, salt):
+        built = _built_tx(revoked_issuer_world, case, salt)
+        read = decode_transaction(built.canonical_body())
+        assert "_decoded" in built.__dict__ and "_decoded" not in read.__dict__
+        assert read == built and read.tx_id == built.tx_id
+        expected = (EXPECTED_REASON[case],) * 2
+        assert _verdicts(revoked_issuer_world, built) == expected
+        assert _verdicts(revoked_issuer_world, read) == expected

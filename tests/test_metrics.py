@@ -33,6 +33,20 @@ def _lc(tx_id, submit, admit, cut, commits, size=100, channel="GPF", function="A
     )
 
 
+class TestLifecycleFromJson:
+    def test_each_lifecycle_gets_its_own_commits(self):
+        # The simulator shares one mapping among a block's lifecycles; a read report never does.
+        shared = {"OSP-1": 30, "RA-1": 40}
+        first, second = _lc("a", 0, 10, 30, shared), _lc("b", 5, 10, 30, shared)
+        obj = first.to_json()
+        read_first, read_second = TxLifecycle.from_json(obj), TxLifecycle.from_json(second.to_json())
+        assert read_first == first and read_second == second
+        assert read_first.commits is not obj["commits"]
+        assert len({id(commits) for commits in (shared, read_first.commits, read_second.commits)}) == 3
+        read_first.commits["RA-2"] = 50
+        assert read_second.commits == shared == {"OSP-1": 30, "RA-1": 40}
+
+
 class TestQuantile:
     @pytest.mark.parametrize("q", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_matches_numpy_linear_interpolation(self, q):

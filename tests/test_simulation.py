@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from bbtm import gccf
-from bbtm.identity import canonical_encode
+from bbtm.identity import canonical_encode, dump_json
 from bbtm.ledger import Block, Channel, StateEntry, TxFunction, make_block
 from bbtm.node import BlockRefused
 from bbtm.simulation import (
@@ -134,6 +134,55 @@ class TestDeliveryFaults:
                     assert commit_ms == lc.cut_ms
                 else:
                     assert commit_ms == lc.cut_ms + delays[(peer, channel, number)]
+
+
+class TestPerBlockCommits:
+    """A node commits a block at one instant: the block's lifecycles share one commit-time mapping."""
+
+    @pytest.fixture(scope="class")
+    def faulty(self):
+        nodes = tuple(("RA", 2) if role == "RA" else (role, count) for role, count in BASE_NODES)
+        sim = Simulation(small_config(
+            seed=43, count=60, nodes=nodes, network=NetworkParams(5, 30, 0.2),
+            faults=(Fault(node="RA-2", crash_at_ms=200, recover_at_ms=500),),
+        ))
+        report = sim.run()
+        assert report.converged
+        assert {"dropped", "crashed"} <= {u["reason"] for u in report.undelivered}
+        return sim, report
+
+    def _blocks(self, sim):
+        for channel in (Channel.GCCF, Channel.GPF):
+            for block in sim.nodes[sim.osp_name].ledger(channel).blocks[1:]:
+                yield channel, block
+
+    def test_a_blocks_lifecycles_share_one_mapping_of_its_committers(self, faulty):
+        sim, report = faulty
+        by_id = {lc.tx_id: lc for lc in report.lifecycles}
+        for channel, block in self._blocks(sim):
+            lifecycles = [by_id[tx.tx_id.hex()] for tx in block.transactions]
+            commits = lifecycles[0].commits
+            assert all(lc.commits is commits for lc in lifecycles)
+            committers = {name for name, node in sim.nodes.items() if node.ledger(channel).height > block.header.number}
+            assert set(commits) == committers == set(sim.nodes)
+            assert commits[sim.osp_name] == lifecycles[0].cut_ms
+            assert all(lc.check_monotone() for lc in lifecycles)
+
+    def test_one_mapping_per_block_cut(self, faulty):
+        sim, report = faulty
+        cut = [lc for lc in report.lifecycles if lc.cut_ms is not None]
+        assert len(cut) == len(report.lifecycles)
+        assert len({id(lc.commits) for lc in cut}) == sum(1 for _ in self._blocks(sim)) > 1
+
+    def test_the_report_copies_each_mapping(self, faulty):
+        _sim, report = faulty
+        for lc in report.lifecycles:
+            assert lc.to_json()["commits"] == lc.commits and lc.to_json()["commits"] is not lc.commits
+        assert report.to_json_bytes() == dump_json(report.to_json())
+
+    def test_the_run_frees_its_workload_list(self, faulty):
+        sim, _report = faulty
+        assert sim._actions == [] and sim._heap == []
 
 
 class TestCrashRecovery:
