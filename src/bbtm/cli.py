@@ -16,7 +16,7 @@ import contextlib
 import json
 import pathlib
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
@@ -62,6 +62,20 @@ def _print_json(obj) -> None:
     sys.stdout.write(dump_json(obj).decode("utf-8"))
 
 
+# The errors that say an output path cannot be written at all.  Any other
+# OSError (a full disk, say) propagates as it did.
+UNWRITABLE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
+@contextlib.contextmanager
+def writing(path) -> Iterator[None]:
+    """Report an output path the block cannot write as a failure that names it."""
+    try:
+        yield
+    except UNWRITABLE as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def read_cert_file(path_str: str) -> CertificateRecord:
     try:
         data = pathlib.Path(path_str).read_bytes()
@@ -105,7 +119,8 @@ def cmd_network_init(args) -> int:
         raise CliError(f"config-invalid: missing key {exc.args[0]!r}", EXIT_USAGE) from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"config-invalid: {exc}", EXIT_USAGE) from exc
-    write_deployment(dep, node, pathlib.Path(args.out))
+    with writing(args.out):
+        write_deployment(dep, node, pathlib.Path(args.out))
     _print_json(
         {
             "deployment": args.out,
@@ -135,11 +150,14 @@ def cmd_sim_run(args) -> int:
             message = f"config-invalid: {message}"
         raise CliError(message, EXIT_USAGE) from exc
     if args.report:
-        write_atomic(pathlib.Path(args.report), report.iter_json())
+        with writing(args.report):
+            write_atomic(pathlib.Path(args.report), report.iter_json())
     if args.out:
-        sim.export_ledgers(args.out)
+        with writing(args.out):
+            sim.export_ledgers(args.out)
     if args.lifecycles:
-        write_atomic(pathlib.Path(args.lifecycles), metrics.lifecycles_to_csv(report.lifecycles).encode("utf-8"))
+        with writing(args.lifecycles):
+            write_atomic(pathlib.Path(args.lifecycles), metrics.lifecycles_to_csv(report.lifecycles).encode("utf-8"))
     summary = {
         "converged": report.converged,
         "stalled": report.stalled,
@@ -177,7 +195,8 @@ def cmd_ledger_export(args) -> int:
     dep = load_deployment(args.deployment)
     channel = Channel(args.channel)
     data = dep.node.ledger(channel).chain_image()
-    write_atomic(pathlib.Path(args.out), data)
+    with writing(args.out):
+        write_atomic(pathlib.Path(args.out), data)
     _print_json({"channel": channel.value, "bytes": len(data), "height": dep.node.ledger(channel).height})
     return EXIT_OK
 
@@ -230,15 +249,21 @@ def cmd_cert_issue(args) -> int:
         raise CliError(str(exc)) from exc
     cert = ident.cert
     result = {"cert": args.out, "serial": cert.serial_number.hex(), "submitted": False}
-    if args.submit:
-        # Before any file is written: a refused submission leaves none behind.
-        block = dep.submit_command(ident if issuer is None else issuer, gccf.make_add_cert_tx, cert)
-        result.update({"submitted": True, "block": block})
     out = pathlib.Path(args.out)
-    write_all_atomic(
-        [(out, canonical_encode(cert)), (out.with_suffix(out.suffix + ".json"), dump_json(cert_to_json(cert)))]
-    )
-    dep.register_extra(ident)
+    # The record's two files and its key are one write group; a submission
+    # writes them with the chains that commit it, so a subject is committed
+    # exactly when its key is kept, and a refusal writes nothing.
+    files = [
+        (out, canonical_encode(cert)),
+        (out.with_suffix(out.suffix + ".json"), dump_json(cert_to_json(cert))),
+        dep.register_extra(ident),
+    ]
+    with writing(args.out):
+        if args.submit:
+            block = dep.submit_command(ident if issuer is None else issuer, gccf.make_add_cert_tx, cert, first=files)
+            result.update({"submitted": True, "block": block})
+        else:
+            write_all_atomic(files)
     _print_json(result)
     return EXIT_OK
 
@@ -257,9 +282,10 @@ def cmd_gccf_export(args) -> int:
     quorum = gpf.ballot_quorum(dep.node.gpf_view)
     snapshot = gccf.export_gccf(dep.node.gccf_view, dep.node.ledger(Channel.GCCF).tip_number, quorum)
     base = pathlib.Path(args.out)
-    write_all_atomic(
-        [(base.with_suffix(".bin"), snapshot.encode()), (base.with_suffix(".json"), snapshot.to_json_bytes())]
-    )
+    with writing(args.out):
+        write_all_atomic(
+            [(base.with_suffix(".bin"), snapshot.encode()), (base.with_suffix(".json"), snapshot.to_json_bytes())]
+        )
     _print_json(
         {
             "version": snapshot.version,
@@ -285,6 +311,8 @@ def cmd_policy_add(args) -> int:
         body = json.loads(args.body) if args.body else {}
     except ValueError as exc:
         raise CliError(f"--body must be JSON: {exc}", EXIT_USAGE) from exc
+    if not gpf.is_rule_body(body):
+        raise CliError("--body must be a JSON object of scalars", EXIT_USAGE)
     record = gpf.PolicyRecord(
         entity=args.entity, rule_name=args.rule, rule_body=body, status=gpf.PolicyStatus.ALIVE
     )
@@ -365,7 +393,8 @@ def cmd_metrics_report(args) -> int:
         raise CliError(str(exc)) from exc
     data = metrics.encode_report(computed, args.format)
     if args.out:
-        write_atomic(pathlib.Path(args.out), data)
+        with writing(args.out):
+            write_atomic(pathlib.Path(args.out), data)
     sys.stdout.write(data.decode("utf-8"))
     return EXIT_OK
 

@@ -36,6 +36,8 @@ from .identity import (
     AuthorityRole,
     CertificateRecord,
     Identity,
+    KeyPair,
+    SEED_LEN,
     SERIAL_LEN,
     Subject,
     UID_LEN,
@@ -48,7 +50,6 @@ from .identity import (
     role_of_name,
     sha256,
     write_all_atomic,
-    write_atomic,
 )
 from .ledger import (
     Block,
@@ -332,8 +333,10 @@ def derive_identity(
     """Mint ``name``: its key and unique id depend only on the seed and the name.
 
     Self-signed when ``issuer`` is None.  The name's prefix is the role the certificate carries.
+    An issued subject, which may never sign, gets a key pair that builds its signing key on its first signature.
     """
-    key = generate_keypair(derive_bytes(seed, f"key:{name}", 32))
+    key_seed = derive_bytes(seed, f"key:{name}", SEED_LEN)
+    key = KeyPair.deferred(key_seed) if issuer else generate_keypair(key_seed)
     uid = derive_bytes(seed, f"uid:{name}", UID_LEN)
     not_before, not_after = validity
     subject = Subject(name=name, public_key=key.public_key, unique_id=uid, not_before=not_before, not_after=not_after)
@@ -458,10 +461,12 @@ class CliDeployment:
         except (TypeError, ValueError) as exc:
             raise CliError(f"not a deployment directory: {exc}") from exc
 
-    def save_chains(self) -> None:
-        write_chains(self.path, self.node)
+    def save_chains(self, first: Sequence[Tuple[pathlib.Path, bytes]] = ()) -> None:
+        """Write the files in first with the node's chains, as one group (``write_chains``)."""
+        write_chains(self.path, self.node, first)
 
-    def register_extra(self, ident: Identity) -> None:
+    def register_extra(self, ident: Identity) -> Tuple[pathlib.Path, bytes]:
+        """Hold ident's key; returns the keys file with it added, as (path, bytes) for the caller's write group."""
         self.holders[ident.name] = (ident.key.private_bytes().hex(), ident.cert)
         keys_path = self.path / KEYS_FILE
         try:
@@ -474,10 +479,10 @@ class CliDeployment:
             }
         except (OSError, ValueError, TypeError, AttributeError, RecursionError) as exc:
             raise CliError(f"not a deployment directory: {exc}") from exc
-        write_atomic(keys_path, dump_json(payload))
+        return keys_path, dump_json(payload)
 
-    def submit_and_commit(self, tx) -> int:
-        """One-node network turn: admit, force-cut, commit, persist."""
+    def submit_and_commit(self, tx, first: Sequence[Tuple[pathlib.Path, bytes]] = ()) -> int:
+        """One-node network turn: admit, force-cut, commit, persist (with the files in first)."""
         orderer = OrderingService(self.consortium, self.identity(self.consortium.osp_cert.subject_name), self.node)
         try:
             orderer.submit_tx(tx, now_ms=0)
@@ -489,20 +494,22 @@ class CliDeployment:
             orderer.commit_own(tx.channel, block)
         except BlockRefused as exc:  # pragma: no cover - admission prevents this
             raise CliError(f"commit refused: {exc.reason}") from exc
-        self.save_chains()
+        self.save_chains(first)
         return block.header.number
 
-    def submit_command(self, signer: Identity, build: Callable[..., Transaction], *args) -> int:
+    def submit_command(self, signer: Identity, build: Callable[..., Transaction], *args,
+                       first: Sequence[Tuple[pathlib.Path, bytes]] = ()) -> int:
         """Commit ``build(*args, signer cert, signer key, submit_time_ms)`` with the time 0
         or, when that exact transaction is already on the chain (the same command run
-        again: its signature is deterministic), with the first channel height that makes it new."""
+        again: its signature is deterministic), with the first channel height that makes it new.
+        The files in first are written with the chains."""
         sign = functools.partial(build, *args, signer.cert, signer.key)
         tx = sign(0)
         ledger = self.node.ledger(tx.channel)
         stamps = itertools.count(ledger.height)
         while ledger.has_tx(tx):
             tx = sign(next(stamps))
-        return self.submit_and_commit(tx)
+        return self.submit_and_commit(tx, first)
 
 
 def genesis_node(dep: Deployment, cert: CertificateRecord) -> Node:

@@ -53,11 +53,8 @@ class PolicyRecord:
     updated_block: Optional[int] = None
 
     def __post_init__(self):
-        if not self.entity or not self.rule_name:
+        if not self.entity or not self.rule_name or not is_rule_body(self.rule_body):
             raise ContractRejection("malformed-rule")
-        for key, value in self.rule_body.items():
-            if not isinstance(key, str) or not isinstance(value, (int, str, bool)):
-                raise ContractRejection("malformed-rule")
 
     def to_json(self) -> dict:
         return {
@@ -66,6 +63,13 @@ class PolicyRecord:
             "rule_body": dict(self.rule_body),
             "status": self.status.value,
         }
+
+
+def is_rule_body(body) -> bool:
+    """True iff body can be a rule's body: a dict from strings to scalars."""
+    return isinstance(body, dict) and all(
+        isinstance(key, str) and isinstance(value, (int, str, bool)) for key, value in body.items()
+    )
 
 
 def policy_key(entity: str, rule_name: str) -> str:

@@ -88,29 +88,66 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def keep(value, name: str, kept):
+    """Set the slot name of a frozen slotted value to kept, and return kept.
+
+    A class that keeps computed values in slots defines ``__getattr__``,
+    which Python calls only when a read misses, so only for a slot still
+    unset: it computes the value once and keeps it here, and every later
+    read is a plain slot read.  Such a slot is not a dataclass field:
+    equality, hashing, repr, fields() and replace() never see it, and a
+    replaced value computes afresh.
+    """
+    object.__setattr__(value, name, kept)
+    return kept
+
+
+def _public_bytes(private_key: ed25519.Ed25519PrivateKey) -> bytes:
+    return private_key.public_key().public_bytes(
+        encoding=serialization.Encoding.Raw,
+        format=serialization.PublicFormat.Raw,
+    )
+
+
 class KeyPair:
     """Ed25519 signing pair.
 
     The private half never appears in any ledger payload; it is only
     serialized explicitly via :meth:`private_bytes` for local key files.
+    A pair made by ``deferred`` keeps its 32-byte seed and builds its
+    signing key on its first signature.
     """
+
+    __slots__ = ("public_key", "_seed", "_private")
 
     def __init__(self, private_key: ed25519.Ed25519PrivateKey):
         self._private = private_key
-        self.public_key = private_key.public_key().public_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PublicFormat.Raw,
-        )
+        self.public_key = _public_bytes(private_key)
+
+    @classmethod
+    def deferred(cls, seed: bytes) -> "KeyPair":
+        """The pair of seed, holding no signing key until it signs: for a subject that may never sign."""
+        pair = cls.__new__(cls)
+        pair._seed = seed
+        pair.public_key = _public_bytes(ed25519.Ed25519PrivateKey.from_private_bytes(seed))
+        return pair
 
     def sign(self, message: bytes) -> bytes:
-        return self._private.sign(message)
+        try:
+            private = self._private
+        except AttributeError:
+            private = self._private = ed25519.Ed25519PrivateKey.from_private_bytes(self._seed)
+        return private.sign(message)
 
     def private_bytes(self) -> bytes:
-        return self._private.private_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PrivateFormat.Raw,
-            encryption_algorithm=serialization.NoEncryption(),
-        )
+        try:
+            return self._seed
+        except AttributeError:
+            return self._private.private_bytes(
+                encoding=serialization.Encoding.Raw,
+                format=serialization.PrivateFormat.Raw,
+                encryption_algorithm=serialization.NoEncryption(),
+            )
 
 
 def generate_keypair(seed: Optional[bytes] = None) -> KeyPair:
@@ -149,6 +186,15 @@ class Subject:
 
 @dataclass(frozen=True)
 class CertificateRecord:
+    # The fields, then what the record derives from them and keeps: its
+    # subject's role and world-state key (set at construction) and its two
+    # encodings (on first read, see keep).  None of the derived slots is a field.
+    __slots__ = (
+        "version", "serial_number", "subject_name", "issuer_name", "subject_public_key", "subject_unique_id",
+        "issuer_unique_id", "not_before", "not_after", "hash_id", "sign_id", "function_type", "digital_signature",
+        "subject_role", "state_key", "_signing_bytes", "_encoding",
+    )
+
     version: int
     serial_number: bytes
     subject_name: str
@@ -184,12 +230,6 @@ class CertificateRecord:
             raise CertificateError(f"unknown function type {self.function_type!r}")
         if len(self.digital_signature) != SIGNATURE_LEN:
             raise CertificateError("digital_signature must be 64 bytes")
-        # The subject's role and world-state key, derived once and kept
-        # outside the dataclass fields like the encodings below.  They are set
-        # here rather than on first use so that every record adds its
-        # attributes in one order and its attribute dict keeps sharing the
-        # class's key table; attributes added late, in varying orders, give
-        # each record a larger dict of its own.
         object.__setattr__(self, "subject_role", role_of_name(self.subject_name))
         object.__setattr__(self, "state_key", cert_key(self.subject_unique_id))
 
@@ -203,11 +243,14 @@ class CertificateRecord:
     def digest(self) -> bytes:
         return sha256(canonical_encode(self))
 
-    # Encodings are computed on first use and kept on the instance; they are
-    # not dataclass fields, so equality, hashing, repr and replace() never
-    # see them, and a replaced record encodes afresh.
-    @functools.cached_property
-    def _signing_bytes(self) -> bytes:
+    def __getattr__(self, name: str):
+        if name == "_signing_bytes":
+            return keep(self, name, self._join_signing_bytes())
+        if name == "_encoding":
+            return keep(self, name, self._signing_bytes + wire.field(self.digital_signature))
+        raise AttributeError(name)
+
+    def _join_signing_bytes(self) -> bytes:
         return b"".join(
             (
                 wire.field(wire.u32(self.version)),
@@ -225,10 +268,6 @@ class CertificateRecord:
                 wire.field(self.function_type.value.encode("utf-8")),
             )
         )
-
-    @functools.cached_property
-    def _encoding(self) -> bytes:
-        return self._signing_bytes + wire.field(self.digital_signature)
 
 
 def signing_bytes(cert: CertificateRecord) -> bytes:
@@ -357,6 +396,8 @@ def resign_as(cert: CertificateRecord, function_type: CertFunction, signer: KeyP
 @dataclass(frozen=True)
 class Identity:
     """A participant's key pair and certificate, the one record of its name and role (read by the properties)."""
+
+    __slots__ = ("key", "cert")
 
     key: KeyPair
     cert: CertificateRecord

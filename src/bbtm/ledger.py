@@ -20,6 +20,7 @@ from .identity import (
     KeyPair,
     canonical_encode,
     decode_certificate,
+    keep,
     sha256,
     verify_certificate_signature,
     verify_signature,
@@ -78,21 +79,30 @@ T = TypeVar("T")
 
 
 def _kept_decode(value, decode: Callable[[bytes], T]) -> T:
-    """decode(value.payload), kept in the value's one ``_decoded`` slot.
+    """decode(value.payload), kept in the value's ``_decoded`` slot.
 
     A payload has one decoder, fixed by its function, so only the first call
-    decodes.  The slot lies outside the dataclass fields: equality, hashing,
-    repr and replace() never see it.  A decode that raises keeps nothing, so
-    every later reader meets the same failure.
+    decodes.  The slot is not a dataclass field: equality, hashing, repr and
+    replace() never see it.  A decode that raises keeps nothing, so every
+    later reader meets the same failure.
     """
-    record = value.__dict__.get("_decoded")
-    if record is None:
-        record = value.__dict__["_decoded"] = decode(value.payload)
-    return record
+    try:
+        return value._decoded
+    except AttributeError:
+        return keep(value, "_decoded", decode(value.payload))
 
 
 @dataclass(frozen=True)
 class Transaction:
+    # The fields, then what the transaction keeps once computed: its signing
+    # bytes, framed signature and id (on first read, see identity.keep), the
+    # record its payload decodes to, and the world-state entry it last wrote.
+    # None of those slots is a field.
+    __slots__ = (
+        "channel", "function", "key", "payload", "submitter_cert", "submitter_signature", "submit_time_ms",
+        "_signing_bytes", "_signature_field", "tx_id", "_decoded", "_state_entry",
+    )
+
     channel: Channel
     function: TxFunction
     key: str
@@ -107,10 +117,16 @@ class Transaction:
         if self.submit_time_ms < 0:
             raise LedgerError("submit time cannot be negative")
 
-    # Encodings and the id are computed on first use and kept on the
-    # instance, outside the dataclass fields (see CertificateRecord).
-    @cached_property
-    def _signing_bytes(self) -> bytes:
+    def __getattr__(self, name: str):
+        if name == "_signing_bytes":
+            return keep(self, name, self._join_signing_bytes())
+        if name == "_signature_field":
+            return keep(self, name, wire.field(self.submitter_signature))
+        if name == "tx_id":
+            return keep(self, name, sha256(self.canonical_body()))
+        raise AttributeError(name)
+
+    def _join_signing_bytes(self) -> bytes:
         return b"".join(
             (
                 wire.field(self.channel.value.encode("utf-8")),
@@ -121,14 +137,6 @@ class Transaction:
                 wire.field(wire.u64(self.submit_time_ms)),
             )
         )
-
-    @cached_property
-    def _signature_field(self) -> bytes:
-        return wire.field(self.submitter_signature)
-
-    @cached_property
-    def tx_id(self) -> bytes:
-        return sha256(self.canonical_body())
 
     def signing_bytes(self) -> bytes:
         return self._signing_bytes
@@ -160,17 +168,17 @@ class Transaction:
     def state_entry(self, block_number: int) -> "StateEntry":
         """The world-state entry this transaction writes in block block_number.
 
-        The last entry made is kept on the instance, so every node that
-        commits the same transaction in the same block stores one shared
-        entry instead of a copy of its own.  The entry starts with the
+        The last entry made is kept in a slot, so every node that commits
+        the same transaction in the same block stores one shared entry
+        instead of a copy of its own.  The entry starts with the
         transaction's decoded record, if it has one.
         """
-        entry = self.__dict__.get("_state_entry")
+        entry = getattr(self, "_state_entry", None)
         if entry is None or entry.block_number != block_number:
-            entry = self.__dict__["_state_entry"] = StateEntry(self.payload, self.function, block_number)
-            record = self.__dict__.get("_decoded")
+            entry = keep(self, "_state_entry", StateEntry(self.payload, self.function, block_number))
+            record = getattr(self, "_decoded", None)
             if record is not None:
-                entry.__dict__["_decoded"] = record
+                keep(entry, "_decoded", record)
         return entry
 
 
@@ -210,9 +218,9 @@ def make_transaction(
         submit_time_ms=submit_time_ms,
     )
     # The signature is outside what it signs: the signed transaction keeps the same signing bytes.
-    signed.__dict__["_signing_bytes"] = signing
+    keep(signed, "_signing_bytes", signing)
     if record is not None:
-        signed.__dict__["_decoded"] = record
+        keep(signed, "_decoded", record)
     return signed
 
 
@@ -352,20 +360,25 @@ def decode_block(data: bytes) -> Block:
 
 @dataclass(frozen=True)
 class StateEntry:
+    # The fields, then the kept digest framing and decoded record, which are not fields.
+    __slots__ = ("payload", "function", "block_number", "digest_framing", "_decoded")
+
     payload: bytes
     function: TxFunction
     block_number: int
 
-    # The entry's part of its world-state digest line, framed on first use
-    # and kept outside the dataclass fields; committed entries are shared
+    # digest_framing is the entry's part of its world-state digest line,
+    # framed on first read (see identity.keep); committed entries are shared
     # across nodes, so each is framed once per write, not once per node.
-    @cached_property
-    def digest_framing(self) -> bytes:
-        return (
-            wire.field(self.payload)
-            + wire.field(self.function.value.encode("utf-8"))
-            + wire.field(wire.u64(self.block_number))
-        )
+    def __getattr__(self, name: str):
+        if name == "digest_framing":
+            framing = (
+                wire.field(self.payload)
+                + wire.field(self.function.value.encode("utf-8"))
+                + wire.field(wire.u64(self.block_number))
+            )
+            return keep(self, name, framing)
+        raise AttributeError(name)
 
     def decoded(self, decode: Callable[[bytes], T]) -> T:
         """The record the payload decodes to, shared like Transaction.decoded."""

@@ -29,10 +29,11 @@ class TxLifecycle:
     ``commits`` maps node name to commit time.  The simulator gives every
     lifecycle of one block the same mapping, since a node commits a block at
     one instant; it is read-only outside the simulator.  ``from_json`` gives
-    each lifecycle a dict of its own.
+    each lifecycle a dict of its own.  ``tx_id`` is the transaction's own
+    32-byte id; the JSON and CSV forms write it in hex.
     """
 
-    tx_id: str
+    tx_id: bytes
     channel: str
     function: str
     submitter: str
@@ -64,7 +65,7 @@ class TxLifecycle:
 
     def to_json(self) -> dict:
         return {
-            "tx_id": self.tx_id,
+            "tx_id": self.tx_id.hex(),
             "channel": self.channel,
             "function": self.function,
             "submitter": self.submitter,
@@ -88,7 +89,7 @@ class TxLifecycle:
             if not isinstance(commits, dict):
                 raise MetricsError("lifecycle commits must map names to times")
             return cls(
-                tx_id=_text(obj["tx_id"], "lifecycle tx_id"),
+                tx_id=_hex(obj["tx_id"], "lifecycle tx_id"),
                 channel=_text(obj["channel"], "lifecycle channel"),
                 function=_text(obj["function"], "lifecycle function"),
                 submitter=_text(obj["submitter"], "lifecycle submitter"),
@@ -106,6 +107,18 @@ def _text(value, what: str) -> str:
     if not isinstance(value, str):
         raise MetricsError(f"{what} must be a string")
     return value
+
+
+def _hex(value, what: str) -> bytes:
+    """The bytes a string value writes in lowercase hex, the form to_json writes."""
+    text = _text(value, what)
+    try:
+        data = bytes.fromhex(text)
+        if data.hex() == text:
+            return data
+    except ValueError:
+        pass
+    raise MetricsError(f"{what} must be lowercase hex")
 
 
 def _count(value, what: str) -> int:
@@ -141,7 +154,7 @@ def record_tx_lifecycle(report) -> List[TxLifecycle]:
     lifecycles = list(report.lifecycles)
     for lc in lifecycles:
         if not lc.check_monotone():
-            raise MetricsError(f"non-monotone lifecycle for {lc.tx_id}")
+            raise MetricsError(f"non-monotone lifecycle for {lc.tx_id.hex()}")
     return lifecycles
 
 
@@ -336,7 +349,7 @@ def lifecycles_to_csv(lifecycles: Sequence[TxLifecycle]) -> str:
     for lc in lifecycles:
         writer.writerow(
             [
-                lc.tx_id,
+                lc.tx_id.hex(),
                 lc.channel,
                 lc.function,
                 lc.submitter,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import io
 import itertools
 import json
 import logging
@@ -38,7 +39,6 @@ from .identity import (
     AuthorityRole,
     Identity,
     canonical_encode,
-    dump_json,
     iter_json,
     role_of_name,
     sha256,
@@ -293,7 +293,21 @@ class SimulationReport:
         return iter_json(self._document(self.lifecycles), _lifecycle_json)
 
     def to_json_bytes(self) -> bytes:
-        return dump_json(self._document(self.lifecycles), _lifecycle_json)
+        """The bytes of iter_json(), in one buffer allocated at their exact size.
+
+        A first pass only counts the bytes.  A buffer grown chunk by chunk is
+        reallocated, and copied, each time it outgrows its allocation; in a
+        process that builds one report after another those copies leave holes
+        in the heap, and a later report's buffer can then extend the heap by
+        a report's size.
+        """
+        size = sum(map(len, self.iter_json()))
+        buf = io.BytesIO()
+        buf.seek(size - 1)
+        buf.write(b"\n")  # sizes the buffer once; the second pass writes every byte
+        buf.seek(0)
+        buf.writelines(self.iter_json())
+        return buf.getvalue()
 
 
 def _lifecycle_json(obj) -> dict:
@@ -680,7 +694,7 @@ class Simulation:
             self._reject(submitter, tx.channel.value, tx.function.value, exc.reason, submit_ms)
             return
         lc = TxLifecycle(
-            tx_id=tx.tx_id.hex(),
+            tx_id=tx.tx_id,
             channel=tx.channel.value,
             function=tx.function.value,
             submitter=submitter,

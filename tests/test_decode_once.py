@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import json
 import pathlib
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,15 @@ from bbtm import ballot, gccf, gpf
 from bbtm.ballot import EndorsementType, decode_endorsement
 from bbtm.deployment import derive_identity, genesis_node
 from bbtm.gccf import cert_key
-from bbtm.identity import AuthorityRole, CertificateRecord, canonical_encode, decode_certificate, role_of_name
+from bbtm.identity import (
+    AuthorityRole,
+    CertificateRecord,
+    Identity,
+    KeyPair,
+    canonical_encode,
+    decode_certificate,
+    role_of_name,
+)
 from bbtm.ledger import (
     Channel,
     StateEntry,
@@ -154,14 +163,23 @@ class TestMalformedPayload:
                 node.commit_block(Channel.GPF, _next_block(finished, node, [tx]))
             assert refused.value.reason == "malformed-rule"
             assert node.world_state_digest() == digest
-        assert "_decoded" not in tx.__dict__
+        assert not hasattr(tx, "_decoded")
 
     def test_a_failed_decode_is_not_kept(self, finished):
         tx = _malformed_tx(finished)
         for _ in range(3):
             with pytest.raises(gpf.ContractRejection, match="malformed-rule"):
                 tx.decoded(gpf.decode_policy)
-        assert "_decoded" not in tx.__dict__
+        assert not hasattr(tx, "_decoded")
+
+
+def _is_set(value, slot):
+    """Whether value's slot holds a value, read without computing a kept one."""
+    try:
+        getattr(type(value), slot).__get__(value)
+    except AttributeError:
+        return False
+    return True
 
 
 class TestMemoIsNotAField:
@@ -170,12 +188,38 @@ class TestMemoIsNotAField:
         fresh = dataclasses.replace(tx)
         tx.decoded(gpf.decode_policy)
         entry = tx.state_entry(5)
-        assert "_decoded" in tx.__dict__ and "_decoded" in entry.__dict__
-        assert "_decoded" not in fresh.__dict__
+        assert hasattr(tx, "_decoded") and hasattr(entry, "_decoded")
+        assert not hasattr(fresh, "_decoded")
         assert tx == fresh and hash(tx) == hash(fresh) and repr(tx) == repr(fresh)
         plain = StateEntry(tx.payload, tx.function, 5)
         assert entry == plain and hash(entry) == hash(plain) and repr(entry) == repr(plain)
         assert "_decoded" not in repr(tx) and "_decoded" not in repr(entry)
+
+    def test_only_the_declared_fields_are_seen(self, finished):
+        tx = _policy_tx(finished, rule_name="seen")
+        entry = tx.state_entry(5)
+        ident = finished.deployment.identity("PG-1")
+        declared = {  # each class's fields, then its kept slots
+            Transaction: (("channel", "function", "key", "payload", "submitter_cert", "submitter_signature",
+                           "submit_time_ms"), ("_signing_bytes", "_signature_field", "tx_id", "_decoded",
+                                               "_state_entry")),
+            StateEntry: (("payload", "function", "block_number"), ("digest_framing", "_decoded")),
+            Identity: (("key", "cert"), ()),
+        }
+        for value in (tx, entry, ident):
+            fresh = dataclasses.replace(value)
+            # Fill every kept slot of the one value, then compare it with the fresh one.
+            if value is tx:
+                tx.decoded(gpf.decode_policy), tx.tx_id, tx.canonical_body()
+            if value is entry:
+                entry.decoded(gpf.decode_policy), entry.digest_framing
+            fields, kept = declared[type(value)]
+            assert tuple(f.name for f in dataclasses.fields(value)) == fields
+            assert type(value).__slots__ == fields + kept
+            assert all(_is_set(value, slot) for slot in kept)
+            assert not any(_is_set(fresh, slot) for slot in kept)
+            # The fresh value holds no kept slot, so these see the declared fields only.
+            assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
 
     def test_tampered_rebuild_decodes_afresh(self, finished):
         tx = _policy_tx(finished, rule_name="orig", body={"limit": 1})
@@ -243,6 +287,18 @@ class TestDerivedCertificateFields:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.state_key = "cert/00"
 
+    def test_kept_encodings_are_slots_that_no_field_sees(self):
+        cert = make_identity("RA-3", make_identity("RCA-1")).cert
+        fresh = dataclasses.replace(cert)
+        assert not _is_set(fresh, "_signing_bytes") and not _is_set(fresh, "_encoding")
+        encoding = canonical_encode(cert)
+        assert _is_set(cert, "_signing_bytes") and _is_set(cert, "_encoding") and cert._encoding is encoding
+        fields = [f.name for f in dataclasses.fields(cert)]
+        assert len(fields) == 13 and CertificateRecord.__slots__ == (
+            *fields, "subject_role", "state_key", "_signing_bytes", "_encoding")
+        assert cert == fresh and hash(cert) == hash(fresh) and repr(cert) == repr(fresh)
+        assert not _is_set(fresh, "_encoding") and canonical_encode(fresh) == encoding
+
 
 # ---------------------------------------------------------------- built records
 
@@ -284,6 +340,33 @@ def sample_run():
     return sim, built, before
 
 
+SLOTTED = (Transaction, StateEntry, CertificateRecord, KeyPair, Identity)
+
+
+def _reachable(root):
+    """Every object reachable from root through gc referents, short of modules, classes and code."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType, types.FunctionType,
+                                                             types.CodeType)):
+                seen[id(ref)] = ref
+                todo.append(ref)
+    return seen.values()
+
+
+class TestRecordsKeepOnlyTheirSlots:
+    def test_no_record_of_the_run_has_an_attribute_dict(self, sample_run):
+        sim, _built, _before = sample_run
+        found = collections.Counter()
+        for obj in _reachable(sim):
+            if isinstance(obj, SLOTTED):
+                found[type(obj)] += 1
+                assert not hasattr(obj, "__dict__"), type(obj).__name__
+        assert set(found) == set(SLOTTED)
+        assert found[Transaction] > 100 and found[StateEntry] > 100
+
+
 class TestOneRecordPerCertificate:
     def test_a_run_keeps_one_record_per_encoding(self, sample_run):
         _sim, _built, before = sample_run
@@ -303,7 +386,7 @@ class TestOneRecordPerCertificate:
             for block in node.ledger(Channel.GCCF).blocks:
                 for tx in block.transactions:
                     assert tx.function in RECORD_FUNCTIONS
-                    assert "_decoded" in tx.__dict__, "a built transaction starts with its record"
+                    assert hasattr(tx, "_decoded"), "a built transaction starts with its record"
                     if tx.function == TxFunction.BALLOT_ENDORSE:
                         assert id(tx.decoded(decode_endorsement)) in endorsements
                     elif tx.function == TxFunction.REVOKE_CERT:
@@ -408,7 +491,7 @@ class TestBuiltAndDecodedAlike:
     def test_same_admission_and_commit_verdict(self, revoked_issuer_world, case, salt):
         built = _built_tx(revoked_issuer_world, case, salt)
         read = decode_transaction(built.canonical_body())
-        assert "_decoded" in built.__dict__ and "_decoded" not in read.__dict__
+        assert hasattr(built, "_decoded") and not hasattr(read, "_decoded")
         assert read == built and read.tx_id == built.tx_id
         expected = (EXPECTED_REASON[case],) * 2
         assert _verdicts(revoked_issuer_world, built) == expected

@@ -144,7 +144,7 @@ class TestOneEncodingPerTransaction:
                for block in ledger_.blocks for tx in block.transactions]
         assert txs
         for tx in txs:
-            kept = [value for value in vars(tx).values() if isinstance(value, bytes)]
+            kept = [getattr(tx, slot) for slot in Transaction.__slots__ if isinstance(getattr(tx, slot, None), bytes)]
             assert all(len(value) < tx.body_size for value in kept), tx.key
 
     def test_committed_bodies_hash_to_their_ids_and_blocks(self, sample_run):
@@ -156,7 +156,7 @@ class TestOneEncodingPerTransaction:
                 for tx, body in zip(block.transactions, bodies):
                     assert body == tx.signing_bytes() + wire.field(tx.submitter_signature)
                     assert tx.tx_id == hashlib.sha256(body).digest()
-                    assert sizes.get(tx.tx_id.hex(), len(body)) == len(body) == tx.body_size
+                    assert sizes.get(tx.tx_id, len(body)) == len(body) == tx.body_size
                 assert block.header.data_hash == hashlib.sha256(b"".join(bodies)).digest()
 
 

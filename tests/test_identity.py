@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbtm import wire
+from bbtm.deployment import derive_bytes
 from bbtm.identity import (
     CertFunction,
     CertificateError,
@@ -27,7 +28,7 @@ from bbtm.identity import (
     verify_signature,
 )
 
-from helpers import BIG, make_identity
+from helpers import BIG, SEED, make_identity
 
 # Ed25519 public key for the all-zero seed, per the reference test vectors.
 ZERO_SEED_PUBKEY = "3b6a27bcceb6a42d62a3a8d02a6f0d73653215771de243a63ac048a18b59da29"
@@ -77,6 +78,18 @@ class TestKeyPair:
         assert verify_signature(kp.public_key, sig, b"abc")
         assert not verify_signature(kp.public_key, sig, b"abd")
         assert not verify_signature(generate_keypair().public_key, sig, b"abc")
+
+    def test_an_issued_subject_builds_its_signing_key_on_its_first_signature(self):
+        rca = make_identity("RCA-1")
+        issued = make_identity("ICA-9", rca).key
+        eager = generate_keypair(derive_bytes(SEED, "key:ICA-9", 32))
+        assert not hasattr(issued, "_private") and hasattr(rca.key, "_private")
+        assert issued.public_key == eager.public_key
+        assert issued.private_bytes() == eager.private_bytes()
+        assert issued.sign(b"first") == eager.sign(b"first")
+        assert hasattr(issued, "_private")
+        assert issued.sign(b"second") == eager.sign(b"second")
+        assert issued.private_bytes() == eager.private_bytes()
 
     def test_signature_soundness_sampled(self):
         # 1,000 random (message, keypair) samples: verify succeeds on the

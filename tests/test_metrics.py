@@ -37,7 +37,7 @@ class TestLifecycleFromJson:
     def test_each_lifecycle_gets_its_own_commits(self):
         # The simulator shares one mapping among a block's lifecycles; a read report never does.
         shared = {"OSP-1": 30, "RA-1": 40}
-        first, second = _lc("a", 0, 10, 30, shared), _lc("b", 5, 10, 30, shared)
+        first, second = _lc(b"a", 0, 10, 30, shared), _lc(b"b", 5, 10, 30, shared)
         obj = first.to_json()
         read_first, read_second = TxLifecycle.from_json(obj), TxLifecycle.from_json(second.to_json())
         assert read_first == first and read_second == second
@@ -84,15 +84,15 @@ class TestLatencyStats:
 class TestComputeMetrics:
     def test_two_txs_in_one_second_is_two_tx_per_s(self):
         lifecycles = [
-            _lc("a", 0, 10, 20, {"OSP-1": 500}),
-            _lc("b", 100, 110, 120, {"OSP-1": 1000}),
+            _lc(b"a", 0, 10, 20, {"OSP-1": 500}),
+            _lc(b"b", 100, 110, 120, {"OSP-1": 1000}),
         ]
         report = compute_metrics(lifecycles)
         assert report.window_s == 1.0
         assert report.throughput_tx_per_s == 2.0
 
     def test_latency_is_submit_to_last_peer_commit(self):
-        lifecycles = [_lc("a", 0, 10, 20, {"OSP-1": 30, "RA-1": 250, "PG-1": 100})]
+        lifecycles = [_lc(b"a", 0, 10, 20, {"OSP-1": 30, "RA-1": 250, "PG-1": 100})]
         report = compute_metrics(lifecycles)
         assert report.latency.mean_s == 0.25
 
@@ -100,12 +100,12 @@ class TestComputeMetrics:
         with pytest.raises(MetricsError):
             compute_metrics([])
         with pytest.raises(MetricsError):
-            compute_metrics([_lc("a", 0, 1, None, {})])
+            compute_metrics([_lc(b"a", 0, 1, None, {})])
 
     def test_uncommitted_lifecycles_excluded(self):
         lifecycles = [
-            _lc("a", 0, 10, 20, {"OSP-1": 1000}),
-            _lc("b", 5, 15, None, {}),
+            _lc(b"a", 0, 10, 20, {"OSP-1": 1000}),
+            _lc(b"b", 5, 15, None, {}),
         ]
         assert compute_metrics(lifecycles).committed == 1
 
@@ -188,7 +188,7 @@ class TestConservationAndAccounting:
             with open(path, "rb") as fh:
                 for block in decode_chain(fh.read()):
                     for tx in block.transactions:
-                        if tx.tx_id.hex() in lifecycle_ids:
+                        if tx.tx_id in lifecycle_ids:
                             scan += 1
         assert computed.committed == scan
 
@@ -244,17 +244,41 @@ class TestCsvRecomputationOracle:
         assert computed.throughput_kb_per_s == pytest.approx(sum(sizes) / 1024.0 / window_s, rel=1e-12)
 
 
+class TestLifecycleIds:
+    def test_json_and_csv_write_the_transactions_own_id_in_hex(self):
+        sim = Simulation(ScenarioConfig(
+            seed=17, nodes=EXACT_NODES + (("ICA", 1), ("RA", 1)), generate={"count": 20, "spacing_ms": 8},
+        ))
+        report = sim.run()
+        txs = {tx.tx_id: tx for ledger in sim.nodes[sim.osp_name].ledgers.values()
+               for block in ledger.blocks for tx in block.transactions}
+        rows = lifecycles_to_csv(report.lifecycles).splitlines()[1:]
+        assert len(rows) == len(report.lifecycles) > 10
+        for lc, row in zip(report.lifecycles, rows):
+            if lc.commits:
+                assert txs[lc.tx_id].tx_id is lc.tx_id
+            assert len(lc.tx_id) == 32
+            assert lc.to_json()["tx_id"] == row.split(",")[0] == lc.tx_id.hex()
+            assert TxLifecycle.from_json(json.loads(json.dumps(lc.to_json()))) == lc
+
+    @pytest.mark.parametrize("tx_id", ["AA", "a", "zz", " aa", "0x00"])
+    def test_an_id_that_is_not_lowercase_hex_is_refused(self, tx_id):
+        obj = {**_lc(b"\xaa", 0, 10, 20, {"OSP-1": 30}).to_json(), "tx_id": tx_id}
+        with pytest.raises(MetricsError, match="lifecycle tx_id must be lowercase hex"):
+            TxLifecycle.from_json(obj)
+
+
 class TestLifecycleValidation:
     def test_non_monotone_lifecycle_rejected(self):
         class _FakeReport:
-            lifecycles = [_lc("bad", 100, 50, 60, {"OSP-1": 70})]
+            lifecycles = [_lc(b"bad", 100, 50, 60, {"OSP-1": 70})]
 
         with pytest.raises(MetricsError):
             record_tx_lifecycle(_FakeReport())
 
     def test_commit_before_cut_rejected(self):
         class _FakeReport:
-            lifecycles = [_lc("bad", 0, 10, 50, {"OSP-1": 20})]
+            lifecycles = [_lc(b"bad", 0, 10, 50, {"OSP-1": 20})]
 
         with pytest.raises(MetricsError):
             record_tx_lifecycle(_FakeReport())
@@ -263,8 +287,8 @@ class TestLifecycleValidation:
 class TestExports:
     def _report(self):
         lifecycles = [
-            _lc("a", 0, 10, 20, {"OSP-1": 120, "RA-1": 150}),
-            _lc("b", 50, 60, 70, {"OSP-1": 160, "RA-1": 200}, size=140, channel="GCCF", function="AddCert"),
+            _lc(b"a", 0, 10, 20, {"OSP-1": 120, "RA-1": 150}),
+            _lc(b"b", 50, 60, 70, {"OSP-1": 160, "RA-1": 200}, size=140, channel="GCCF", function="AddCert"),
         ]
         return compute_metrics(lifecycles, {"GCCF": 2048, "GPF": 4096})
 

@@ -126,7 +126,7 @@ class TestDeliveryFaults:
         for channel in (Channel.GCCF, Channel.GPF):
             for block in sim.nodes[sim.osp_name].ledger(channel).blocks:
                 for tx in block.transactions:
-                    tx_block[tx.tx_id.hex()] = (channel.value, block.header.number)
+                    tx_block[tx.tx_id] = (channel.value, block.header.number)
         for lc in report.lifecycles:
             channel, number = tx_block[lc.tx_id]
             for peer, commit_ms in lc.commits.items():
@@ -160,7 +160,7 @@ class TestPerBlockCommits:
         sim, report = faulty
         by_id = {lc.tx_id: lc for lc in report.lifecycles}
         for channel, block in self._blocks(sim):
-            lifecycles = [by_id[tx.tx_id.hex()] for tx in block.transactions]
+            lifecycles = [by_id[tx.tx_id] for tx in block.transactions]
             commits = lifecycles[0].commits
             assert all(lc.commits is commits for lc in lifecycles)
             committers = {name for name, node in sim.nodes.items() if node.ledger(channel).height > block.header.number}
