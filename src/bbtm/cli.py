@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import pathlib
 import sys
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -67,13 +68,28 @@ def _print_json(obj) -> None:
 UNWRITABLE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
+def _unwritable_file(exc: OSError, path) -> str:
+    """The file a failed write names; write_atomic's temp file and
+    write_all_atomic's aside link stand for the file they replace."""
+    if exc.filename is None:
+        return str(path)
+    name = os.fsdecode(exc.filename)
+    if exc.filename2 is not None and os.fsdecode(exc.filename2) == name + ".old":
+        return name  # hard-linking name aside
+    for suffix in (".tmp", ".old"):
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return name
+
+
 @contextlib.contextmanager
 def writing(path) -> Iterator[None]:
-    """Report an output path the block cannot write as a failure that names it."""
+    """Report a file the block cannot write (path, a file beside it, a
+    deployment file) as a failure that names it."""
     try:
         yield
     except UNWRITABLE as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
+        raise CliError(f"cannot write {_unwritable_file(exc, path)}: {exc.strerror}") from exc
 
 
 def read_cert_file(path_str: str) -> CertificateRecord:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import io
 import itertools
 import json
 import logging
@@ -39,6 +38,7 @@ from .identity import (
     AuthorityRole,
     Identity,
     canonical_encode,
+    dump_json,
     iter_json,
     role_of_name,
     sha256,
@@ -293,21 +293,7 @@ class SimulationReport:
         return iter_json(self._document(self.lifecycles), _lifecycle_json)
 
     def to_json_bytes(self) -> bytes:
-        """The bytes of iter_json(), in one buffer allocated at their exact size.
-
-        A first pass only counts the bytes.  A buffer grown chunk by chunk is
-        reallocated, and copied, each time it outgrows its allocation; in a
-        process that builds one report after another those copies leave holes
-        in the heap, and a later report's buffer can then extend the heap by
-        a report's size.
-        """
-        size = sum(map(len, self.iter_json()))
-        buf = io.BytesIO()
-        buf.seek(size - 1)
-        buf.write(b"\n")  # sizes the buffer once; the second pass writes every byte
-        buf.seek(0)
-        buf.writelines(self.iter_json())
-        return buf.getvalue()
+        return dump_json(self._document(self.lifecycles), _lifecycle_json)
 
 
 def _lifecycle_json(obj) -> dict:

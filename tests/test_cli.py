@@ -670,9 +670,9 @@ _LIFECYCLE = {
     "submit_ms": 10, "admit_ms": 20, "cut_ms": 30, "commits": {"OSP-1": 30, "RA-1": 45}, "size_bytes": 300,
 }
 _LIFECYCLE_FIELDS = {
-    "tx_id": st.text(max_size=4), "channel": st.sampled_from(["GCCF", "GPF"]), "function": st.text(max_size=4),
-    "submitter": st.text(max_size=4), "submit_ms": st.integers(0, 500), "admit_ms": st.integers(0, 500),
-    "cut_ms": st.none() | st.integers(0, 500), "size_bytes": st.integers(0, 500),
+    "tx_id": st.binary(max_size=4).map(bytes.hex), "channel": st.sampled_from(["GCCF", "GPF"]),
+    "function": st.text(max_size=4), "submitter": st.text(max_size=4), "submit_ms": st.integers(0, 500),
+    "admit_ms": st.integers(0, 500), "cut_ms": st.none() | st.integers(0, 500), "size_bytes": st.integers(0, 500),
     "commits": st.dictionaries(st.text(max_size=3), st.integers(501, 1000), min_size=1, max_size=3),
 }
 _ANY_JSON = st.recursive(
@@ -1127,7 +1127,9 @@ class TestUnwritableOutput:
         target = tmp_path / where
         before = _chain_files(deployment)
         assert main([*verb, "--deployment", str(deployment), "--out", str(target)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+        # gccf export writes <out>.bin first, and the error names that file.
+        named = target.with_suffix(".bin") if verb[0] == "gccf" else target
+        assert capsys.readouterr().err.startswith(f"error: cannot write {named}: ")
         assert _chain_files(deployment) == before
 
     def test_network_init_into_a_file_and_metrics_onto_a_directory(self, tmp_path, capsys):
@@ -1156,6 +1158,17 @@ class TestUnwritableOutput:
         assert _last_json(capsys)["submitted"] is submit
         assert main(["cert", "issue", *d, "--issuer", "ICA-9", "--subject", "PCA-9",
                      "--out", str(tmp_path / "pca9.bin")]) == 0
+
+    def test_cert_issue_names_the_deployment_file_it_cannot_write(self, sample_deployment, tmp_path, capsys):
+        files = {p.name: p.read_bytes() for p in sample_deployment.iterdir()}
+        (sample_deployment / "state.bin.tmp").mkdir()  # state.bin's temp file cannot be opened
+        out = tmp_path / "p.bin"
+        assert main(["cert", "issue", "--deployment", str(sample_deployment), "--issuer", "RCA-1",
+                     "--subject", "ICA-9", "--submit", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {sample_deployment / 'state.bin'}: Is a directory\n"
+        (sample_deployment / "state.bin.tmp").rmdir()
+        assert {p.name: p.read_bytes() for p in sample_deployment.iterdir()} == files
+        assert not out.exists()
 
 
 class TestPolicyBody:
