@@ -224,23 +224,13 @@ def cmd_ledger_import(args) -> int:
         print(f"import failed: {exc}")
         return EXIT_FAIL
     channel = Channel(args.channel) if args.channel else infer_channel(blocks)
-    if args.deployment:
-        # The deployment's replay of the imported chain is the gate: it runs
-        # verify_chain's levels and the contracts, so a refusal is reported as
-        # a deployment error, and the chain files change only once it passes.
-        # The other channel's file is written back as it was read.
-        dep = load_deployment(args.deployment, chains={channel: blocks})
-        ledger = dep.node.ledger(channel)
-        dep.save_chains()
-    else:
-        try:
-            ledger, fail_at = verify_chain(channel, blocks)
-        except LedgerError as exc:
-            print(f"import failed: {exc}")
-            return EXIT_FAIL
-        if fail_at is not None:
-            _print_json({"ok": False, "fail_at": fail_at})
-            return EXIT_FAIL
+    # The deployment's replay of the imported chain is the gate: it runs
+    # verify_chain's levels and the contracts, so a refusal is reported as a
+    # deployment error, and the chain files change only once it passes.  The
+    # other channel's file is written back as it was read.
+    dep = load_deployment(args.deployment, chains={channel: blocks})
+    ledger = dep.node.ledger(channel)
+    dep.save_chains()
     _print_json({"ok": True, "channel": channel.value, "height": ledger.height, "head": ledger.head_hash().hex()})
     return EXIT_OK
 
@@ -473,9 +463,9 @@ VERBS = (
         arg("--channel", required=True, choices=_CHANNELS),
         arg("--out", required=True),
     )),
-    Verb("ledger", "import", "verify a ledger file and optionally install it", cmd_ledger_import, (
+    Verb("ledger", "import", "verify a ledger file and install it in a deployment", cmd_ledger_import, (
         arg("file"),
-        arg("--deployment"),
+        _DEPLOYMENT,
         arg("--channel", choices=_CHANNELS),
     )),
     Verb("cert", "issue", "issue a certificate from a deployment identity", cmd_cert_issue, (

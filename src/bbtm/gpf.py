@@ -165,8 +165,13 @@ def rule_value(view: GpfView, entity: str, rule_name: str, body_key: str, defaul
 
 
 def _known_rule(view: GpfView, short_name: str) -> int:
+    """The rule's committed value as an integer; its default while the rule
+    is absent or dead, or while its value is one that int() refuses."""
     (entity, rule_name), body_key, default = KNOWN_RULES[short_name]
-    return int(rule_value(view, entity, rule_name, body_key, default))
+    try:
+        return int(rule_value(view, entity, rule_name, body_key, default))
+    except ValueError:
+        return default
 
 
 def ballot_quorum(view: GpfView) -> int:
@@ -174,7 +179,10 @@ def ballot_quorum(view: GpfView) -> int:
 
 
 def block_max_txs(view: GpfView) -> int:
-    return _known_rule(view, "block_max_txs")
+    """The committed size threshold; its default below 1, where a cut would
+    be a block of no transactions, which every peer refuses."""
+    value = _known_rule(view, "block_max_txs")
+    return value if value >= 1 else KNOWN_RULES["block_max_txs"][2]
 
 
 def block_timeout_ms(view: GpfView) -> int:

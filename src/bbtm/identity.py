@@ -10,6 +10,7 @@ byte layout is documented in FORMAT.md.
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import io
@@ -239,9 +240,6 @@ class CertificateRecord:
 
     def covers(self, now_s: float) -> bool:
         return self.not_before <= now_s <= self.not_after
-
-    def digest(self) -> bytes:
-        return sha256(canonical_encode(self))
 
     def __getattr__(self, name: str):
         if name == "_signing_bytes":
@@ -513,8 +511,11 @@ def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> Non
 
     data is the bytes or an iterable of chunks of them.  They go to a temp
     file beside path, which os.replace then renames over it, so a failed or
-    interrupted write leaves the old file whole.
+    interrupted write leaves the old file whole.  A directory at path is
+    refused before the temp file is opened.
     """
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -306,16 +306,6 @@ class Block:
             parts += (wire.u32(tx.body_size), tx._signing_bytes, tx._signature_field)
         return b"".join(parts)
 
-    def encoded_size(self) -> int:
-        """len(self.encode()), without encoding the block."""
-        return (
-            len(self.header.encode())
-            + 4 + len(canonical_encode(self.creator_cert))
-            + 4 + len(self.creator_signature)
-            + 8
-            + sum(4 + tx.body_size for tx in self.transactions)
-        )
-
 
 def make_block(
     number: int,
@@ -337,10 +327,7 @@ def make_block(
 def decode_block(data: bytes) -> Block:
     r = wire.Reader(data)
     try:
-        number_raw = r.field()
-        if len(number_raw) != 8:
-            raise wire.WireError("block number field must be 8 bytes")
-        number = int.from_bytes(number_raw, "big")
+        number = r.u64_field()
         prev_hash = r.field()
         data_hash = r.field()
         creator_cert = decode_certificate(r.field())
@@ -547,8 +534,8 @@ def encode_chain(blocks: Iterable[Block]) -> bytes:
 
 
 def chain_size(blocks: Iterable[Block]) -> int:
-    """len(encode_chain(blocks)), sized block by block without building the image."""
-    return len(LEDGER_MAGIC) + 1 + sum(4 + block.encoded_size() for block in blocks)
+    """len(encode_chain(blocks)), encoded block by block without building the image."""
+    return len(LEDGER_MAGIC) + 1 + sum(4 + len(block.encode()) for block in blocks)
 
 
 def decode_chain(data: bytes) -> List[Block]:

@@ -52,17 +52,6 @@ class TxLifecycle:
         last = self.last_commit_ms
         return None if last is None else last - self.submit_ms
 
-    def check_monotone(self) -> bool:
-        times = [self.submit_ms, self.admit_ms]
-        if self.cut_ms is not None:
-            times.append(self.cut_ms)
-        for earlier, later in zip(times, times[1:]):
-            if later < earlier:
-                return False
-        if self.cut_ms is not None and any(t < self.cut_ms for t in self.commits.values()):
-            return False
-        return True
-
     def to_json(self) -> dict:
         return {
             "tx_id": self.tx_id.hex(),
@@ -143,19 +132,6 @@ def read_report(obj) -> Tuple[List[TxLifecycle], Dict[str, int]]:
         [TxLifecycle.from_json(lc) for lc in lifecycles],
         {channel: _count(size, f"ledger size of {channel!r}") for channel, size in sizes.items()},
     )
-
-
-def record_tx_lifecycle(report) -> List[TxLifecycle]:
-    """Lifecycles of every admitted transaction from a finished run.
-
-    Rejected submissions are not lifecycles; they stay in the report's
-    rejection log with their reasons.
-    """
-    lifecycles = list(report.lifecycles)
-    for lc in lifecycles:
-        if not lc.check_monotone():
-            raise MetricsError(f"non-monotone lifecycle for {lc.tx_id.hex()}")
-    return lifecycles
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:

@@ -1,11 +1,12 @@
 """The single ordering service: genesis, admission, block cutting.
 
-One sequencer per deployment admits transactions, assigns them gapless
-per-channel sequence numbers, and cuts signed blocks in admission order, so
-no two honest nodes can ever be handed conflicting chains.  Admission runs
-the full contract checks against a speculative state (committed state plus
-the pending queue), so a block cut from admitted transactions always passes
-every peer's local re-verification.
+One sequencer per deployment admits transactions into a FIFO queue per
+channel and cuts signed blocks from the queue's head, so a channel's blocks
+carry its transactions in admission order and no two honest nodes can ever
+be handed conflicting chains.  Admission runs the full contract checks
+against a speculative state (committed state plus the pending queue), so a
+block cut from admitted transactions always passes every peer's local
+re-verification.
 """
 
 from __future__ import annotations
@@ -172,13 +173,16 @@ def create_genesis(
 
 @dataclass
 class _Pending:
-    seq: int
     arrival_ms: int
     tx: Transaction
 
 
 class OrderingService:
-    """Admission, per-channel FIFO queues, and deterministic block cutting."""
+    """Admission, per-channel FIFO queues, and deterministic block cutting.
+
+    A channel's queue order is its admission order, and the order of its
+    transactions on the chain.
+    """
 
     def __init__(self, config: ConsortiumConfig, osp: Identity, node: Node):
         """The sequencer osp runs over node's committed state; config must have passed ``validate``."""
@@ -187,7 +191,6 @@ class OrderingService:
         self.node = node
         self._members = {cert.subject_unique_id: cert for cert in config.members}
         self._pending: Dict[Channel, Deque[_Pending]] = {channel: deque() for channel in Channel}
-        self._next_seq: Dict[Channel, int] = {Channel.GCCF: 0, Channel.GPF: 0}
         # Ids of the queued transactions, not yet on the chain.
         self._pending_ids: Set[bytes] = set()
         # Speculative state = committed state plus the pending queues applied
@@ -199,8 +202,8 @@ class OrderingService:
     def pending_count(self, channel: Channel) -> int:
         return len(self._pending[channel])
 
-    def submit_tx(self, tx: Transaction, *, now_ms: int) -> int:
-        """Admit and return the sequence number, or raise Rejected."""
+    def submit_tx(self, tx: Transaction, *, now_ms: int) -> None:
+        """Admit tx to the back of its channel's queue, or raise Rejected."""
         if not tx.verify_submitter_signature():
             raise Rejected("bad-signature")
         member = self._members.get(tx.submitter_cert.subject_unique_id)
@@ -225,11 +228,8 @@ class OrderingService:
                 gpf.apply_tx(self._spec_gpf, self._spec_gccf, tx, block_number=next_number)
         except ContractRejection as exc:
             raise Rejected(exc.reason) from exc
-        seq = self._next_seq[tx.channel]
-        self._next_seq[tx.channel] = seq + 1
-        self._pending[tx.channel].append(_Pending(seq=seq, arrival_ms=now_ms, tx=tx))
+        self._pending[tx.channel].append(_Pending(arrival_ms=now_ms, tx=tx))
         self._pending_ids.add(tx.tx_id)
-        return seq
 
     def cut_block(self, channel: Channel, *, now_ms: int, force: bool = False) -> Optional[Block]:
         """Emit the next block when the size or age threshold is reached.

@@ -74,6 +74,14 @@ def check_int(value, what: str) -> int:
     return value
 
 
+def check_time(value, what: str) -> int:
+    """value, if it is an integer that is not negative: a time or spacing of the
+    run, whose virtual clock starts at zero and never moves back."""
+    if check_int(value, what) < 0:
+        raise SimulationError(f"config-invalid: {what} cannot be negative")
+    return value
+
+
 def check_validity(value) -> Tuple[int, int]:
     """value, a [not_before, not_after] pair, if both bounds are integers; config-invalid otherwise."""
     not_before, not_after = value
@@ -380,21 +388,21 @@ class Simulation:
         for fault in self.config.faults:
             if fault.node not in names:
                 raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
-            check_int(fault.crash_at_ms, "fault crash_at_ms")
+            check_time(fault.crash_at_ms, "fault crash_at_ms")
             if fault.recover_at_ms is not None:
-                check_int(fault.recover_at_ms, "fault recover_at_ms")
+                check_time(fault.recover_at_ms, "fault recover_at_ms")
         for action in self.config.workload:
             if not isinstance(action, dict):
                 raise SimulationError("config-invalid: a workload action is a JSON object")
-            check_int(action.get("at_ms"), "workload action at_ms")
+            check_time(action.get("at_ms"), "workload action at_ms")
             _check_action(action)
         spec = self.config.generate
         if spec is not None:
             if not isinstance(spec, dict):
                 raise SimulationError("config-invalid: generate must be a JSON object")
             check_int(spec.get("count"), "generate count")
-            check_int(spec.get("spacing_ms", 10), "generate spacing_ms")
-            check_int(spec.get("start_ms") or 0, "generate start_ms")
+            check_time(spec.get("spacing_ms", 10), "generate spacing_ms")
+            check_time(spec.get("start_ms") or 0, "generate start_ms")
 
     def _expand_workload(self) -> List[dict]:
         actions: List[dict] = []

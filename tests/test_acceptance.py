@@ -419,7 +419,7 @@ def test_acceptance_9_metrics_fidelity(big_run):
         policies=(("ballot_quorum", 2),),
     )
     report = Simulation(config).run()
-    lifecycles = metrics.record_tx_lifecycle(report)
+    lifecycles = report.lifecycles
     computed = metrics.compute_metrics(lifecycles, report.ledger_sizes)
     window_s = (1520 - 1000) / 1000.0
     assert computed.window_s == window_s
@@ -430,9 +430,7 @@ def test_acceptance_9_metrics_fidelity(big_run):
 
     # The simulator strictly exceeds the published cloud-deployment floors.
     _sim, big_report, _elapsed = big_run
-    big_metrics = metrics.compute_metrics(
-        metrics.record_tx_lifecycle(big_report), big_report.ledger_sizes
-    )
+    big_metrics = metrics.compute_metrics(big_report.lifecycles, big_report.ledger_sizes)
     gccf_rate = big_metrics.channels["GCCF"].throughput_tx_per_s
     gpf_rate = big_metrics.channels["GPF"].throughput_tx_per_s
     assert gccf_rate > GCCF_THROUGHPUT_FLOOR

@@ -82,7 +82,6 @@ class TestWorkCounts:
         for chain in (deployment / "gccf.chain", deployment / "gpf.chain"):
             assert _real_verifications(lambda: main(["ledger", "verify", str(chain)])) >= _signatures(chain)
         signatures = _signatures(exported)
-        assert _real_verifications(lambda: main(["ledger", "import", str(exported)])) >= signatures
         # Under --deployment both channels replay in full: the imported one and
         # the certificate channel read from its file, as on a load without a
         # savepoint.

@@ -391,6 +391,22 @@ class TestPolicyVerbs:
         # A first run keeps time 0; a repeat takes the height it is committed at.
         assert stamps == [0, 0, 3, 4, 0, 0, 7]
 
+    @pytest.mark.parametrize("rule, body", [
+        ("block_max_txs", '{"value": 0}'),
+        ("block_max_txs", '{"value": -3}'),
+        ("block_max_txs", '{"value": "abc"}'),
+        ("block_timeout_ms", '{"value": "abc"}'),
+    ])
+    def test_a_known_rule_value_it_cannot_use_reads_as_its_default(self, deployment, capsys, rule, body):
+        osp_rule = ["--deployment", str(deployment), "--entity", "OSP", "--rule", rule]
+        assert main(["policy", "add", *osp_rule, "--body", body]) == 0
+        assert main(["policy", "add", "--deployment", str(deployment), "--entity", "RA", "--rule", "r0"]) == 0
+        assert main(["policy", "revoke", *osp_rule]) == 0
+        capsys.readouterr()
+        assert main(["policy", "get", *osp_rule]) == 0
+        assert _last_json(capsys)["record"]["status"] == "death"
+        assert cli.load_deployment(str(deployment)).node.ledger(Channel.GPF).height == 4
+
     def test_get_absent_rule_fails(self, deployment, capsys):
         assert main(["policy", "get", "--deployment", str(deployment), "--entity", "RA", "--rule", "nope"]) == 1
 
@@ -454,7 +470,19 @@ class TestLedgerVerbs:
         capsys.readouterr()
         assert main(["ledger", "verify", str(out)]) == 0
         assert _last_json(capsys)["ok"] is True
-        assert main(["ledger", "import", str(out), "--channel", "GCCF"]) == 0
+        assert main(["ledger", "import", str(out), "--channel", "GCCF", "--deployment", str(deployment)]) == 0
+        assert _last_json(capsys)["ok"] is True
+
+    def test_import_without_a_deployment_is_a_usage_error(self, deployment, tmp_path, capsys):
+        out = tmp_path / "gccf.export"
+        assert main(["ledger", "export", "--deployment", str(deployment), "--channel", "GCCF", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["ledger", "import", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: the following arguments are required: --deployment\n")
 
     def test_failed_export_replace_keeps_the_old_file(self, deployment, tmp_path, monkeypatch):
         out = tmp_path / "gccf.export"
@@ -474,16 +502,11 @@ class TestLedgerVerbs:
         corrupted.write_bytes(bytes(data))
         assert main(["ledger", "verify", str(corrupted)]) == 1
 
-    @pytest.mark.parametrize("argv, message", [
-        (["verify"], "verification failed: GCCF chain has no genesis block"),
-        (["import"], "import failed: GCCF chain has no genesis block"),
-        (["import", "--channel", "GPF"], "import failed: GPF chain has no genesis block"),
-    ], ids=["verify", "import", "import-gpf"])
-    def test_chain_with_no_blocks_is_refused(self, tmp_path, capsys, argv, message):
+    def test_chain_with_no_blocks_is_refused(self, tmp_path, capsys):
         empty = tmp_path / "empty.chain"
         empty.write_bytes(encode_chain([]))
-        assert main(["ledger", argv[0], str(empty), *argv[1:]]) == 1
-        assert capsys.readouterr().out.strip() == message
+        assert main(["ledger", "verify", str(empty)]) == 1
+        assert capsys.readouterr().out.strip() == "verification failed: GCCF chain has no genesis block"
 
 
 class TestGccfExport:
@@ -819,6 +842,19 @@ class TestSimRunFiles:
         cli.write_atomic(target, iter([b"{", b"}\n"]))
         assert target.read_bytes() == b"{}\n"
 
+    def test_a_directory_target_is_refused_before_any_chunk(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.mkdir()
+
+        def chunks():
+            raise AssertionError("a chunk was asked for")
+            yield b""
+
+        with pytest.raises(IsADirectoryError) as exc:
+            cli.write_atomic(target, chunks())
+        assert exc.value.filename == str(target)
+        assert list(tmp_path.iterdir()) == [target]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
@@ -977,6 +1013,14 @@ class TestScenarioErrors:
         ({**SAMPLE_SCENARIO, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
         ({**SAMPLE_SCENARIO, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
         ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
+        # A time before zero would move the virtual clock backwards.
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": -1, "action": "query", "node": "RA-1", "target": "RA-1"}]},
+         "workload action at_ms cannot be negative"),
+        ({**SAMPLE_SCENARIO, "faults": [{"node": "RA-1", "crash_at_ms": -5}]}, "fault crash_at_ms cannot be negative"),
+        ({**SAMPLE_SCENARIO, "faults": [{"node": "RA-1", "crash_at_ms": 5, "recover_at_ms": -1}]},
+         "fault recover_at_ms cannot be negative"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20, "start_ms": -50}}, "generate start_ms cannot be negative"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": 200, "spacing_ms": -10}}, "generate spacing_ms cannot be negative"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"
@@ -988,6 +1032,48 @@ class TestScenarioErrors:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]]}))
         assert main(["sim", "run", "--scenario", str(path), "--seed", "4"]) == 0
+
+
+_TIMES = st.integers(-60, 600)
+_RULE_VALUES = st.integers(-3, 3)
+
+
+@st.composite
+def _boundary_scenarios(draw):
+    """A run of at most ten transactions whose times, spacing, fault times and
+    known-rule values are drawn with zero and negative values among them."""
+    (entity, rule), body_key, _default = gpf.KNOWN_RULES[draw(st.sampled_from(sorted(gpf.KNOWN_RULES)))]
+    generate = {"count": draw(st.integers(0, 6)), "spacing_ms": draw(st.integers(-20, 20))}
+    if draw(st.booleans()):
+        generate["start_ms"] = draw(_TIMES)
+    faults = [{"node": node, "crash_at_ms": crash, "recover_at_ms": recover}
+              for node, crash, recover in draw(st.lists(
+                  st.tuples(st.sampled_from(["RA-1", "OSP-1"]), _TIMES, st.none() | _TIMES), max_size=1))]
+    return {
+        "seed": draw(st.integers(0, 3)),
+        "nodes": [["Elector", 3], ["RCA", 1], ["ICA", 1], ["PG", 1], ["OSP", 1], ["RA", 1]],
+        "network": {"latency_min_ms": 5, "latency_max_ms": 20, "drop_rate": 0.0},
+        "generate": generate,
+        "policies": draw(st.dictionaries(st.sampled_from(sorted(gpf.KNOWN_RULES)), _RULE_VALUES, max_size=3)),
+        "workload": [{"at_ms": draw(_TIMES), "action": "policy_add", "entity": entity, "rule": rule,
+                      "body": {body_key: draw(_RULE_VALUES | st.just("abc"))}}],
+        "faults": faults,
+    }
+
+
+class TestScenarioBoundaries:
+    @settings(max_examples=15, deadline=None)
+    @given(scenario=_boundary_scenarios())
+    def test_a_run_ends_or_is_config_invalid(self, tmp_path_factory, scenario):
+        path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sim", "run", "--scenario", str(path)])
+        if code == 2:
+            assert err.getvalue().startswith("error: config-invalid: ") and err.getvalue().count("\n") == 1
+        else:
+            assert code in (0, 1) and err.getvalue() == "" and "converged" in json.loads(out.getvalue())
 
 
 def _chain_files(dep):
@@ -1202,7 +1288,7 @@ class TestLevelThreeWithoutADeployment:
         assert main(["ledger", "import", str(forbidden_issue), "--deployment", str(sample_deployment)]) == 1
         assert "role-violation" in capsys.readouterr().err
 
-    @pytest.mark.xfail(strict=True, reason="ledger verify and import check levels 1-2 only (ROADMAP item 2)")
-    @pytest.mark.parametrize("verb", [["ledger", "verify"], ["ledger", "import"]], ids=["verify", "import"])
+    @pytest.mark.xfail(strict=True, reason="ledger verify checks levels 1-2 only (ROADMAP item 2)")
+    @pytest.mark.parametrize("verb", [["ledger", "verify"]], ids=["verify"])
     def test_a_chain_check_without_a_deployment_refuses_it(self, forbidden_issue, capsys, verb):
         assert main([*verb, str(forbidden_issue)]) == 1

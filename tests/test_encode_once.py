@@ -136,7 +136,6 @@ class TestOneEncodingPerTransaction:
         assert len(grown_blocks) > 1 and len(genesis_only) == 1
         for blocks in (grown_blocks, genesis_only):
             assert chain_size(blocks) == len(encode_chain(blocks))
-            assert [block.encoded_size() for block in blocks] == [len(block.encode()) for block in blocks]
 
     def test_no_transaction_keeps_a_copy_of_its_body(self, sample_run):
         sim, _report = sample_run

@@ -112,6 +112,29 @@ class TestGetRule:
         assert gpf.block_timeout_ms(view) == 500
         assert ballot_quorum(view) == 2
 
+    @pytest.mark.parametrize("entity, rule, key, value", [
+        ("OSP", "block_max_txs", "value", 0),
+        ("OSP", "block_max_txs", "value", -4),
+        ("OSP", "block_max_txs", "value", "abc"),
+        ("OSP", "block_timeout_ms", "value", "soon"),
+        ("Elector", "ballot_quorum", "min_endorsements", "two"),
+    ])
+    def test_a_committed_value_it_cannot_use_reads_as_the_default(self, entity, rule, key, value):
+        bed = Bed()
+        view = GpfView()
+        record = PolicyRecord(entity=entity, rule_name=rule, rule_body={key: value}, status=PolicyStatus.ALIVE)
+        gpf.apply_tx(view, bed.view, make_policy_tx(record, bed.pg.cert, bed.pg.key, 0), block_number=1)
+        assert get_rule(view, entity, rule).rule_body == {key: value}
+        assert (gpf.block_max_txs(view), gpf.block_timeout_ms(view), ballot_quorum(view)) == (10, 500, 2)
+
+    def test_a_numeric_string_and_a_negative_timeout_are_read_as_committed(self):
+        bed = Bed()
+        view = GpfView()
+        for rule, value in (("block_max_txs", "3"), ("block_timeout_ms", -5)):
+            record = PolicyRecord(entity="OSP", rule_name=rule, rule_body={"value": value}, status=PolicyStatus.ALIVE)
+            gpf.apply_tx(view, bed.view, make_policy_tx(record, bed.pg.cert, bed.pg.key, 0), block_number=1)
+        assert (gpf.block_max_txs(view), gpf.block_timeout_ms(view)) == (3, -5)
+
 
 class TestEncoding:
     def test_policy_roundtrip(self):

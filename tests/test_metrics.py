@@ -17,7 +17,6 @@ from bbtm.metrics import (
     latency_stats,
     lifecycles_to_csv,
     quantile,
-    record_tx_lifecycle,
     report_to_csv,
     report_to_json_bytes,
 )
@@ -131,7 +130,7 @@ class TestExactScenario:
 
     def test_hand_computed_lifecycle_times(self):
         _sim, report = self._run()
-        lifecycles = record_tx_lifecycle(report)
+        lifecycles = report.lifecycles
         assert len(lifecycles) == 3
         peers = {"Elector-1", "Elector-2", "RCA-1", "PG-1"}
         for lc, submit in zip(lifecycles, (1000, 1100, 1200)):
@@ -144,7 +143,7 @@ class TestExactScenario:
 
     def test_hand_computed_metrics_exactly(self):
         sim, report = self._run()
-        lifecycles = record_tx_lifecycle(report)
+        lifecycles = report.lifecycles
         computed = compute_metrics(lifecycles, report.ledger_sizes)
         window_s = (1520 - 1000) / 1000.0
         assert computed.window_s == window_s
@@ -180,7 +179,7 @@ class TestConservationAndAccounting:
 
     def test_committed_count_equals_ledger_scan(self, tmp_path):
         _sim, report, paths = self._sim_report(tmp_path)
-        lifecycles = record_tx_lifecycle(report)
+        lifecycles = report.lifecycles
         computed = compute_metrics(lifecycles, report.ledger_sizes)
         scan = 0
         lifecycle_ids = {lc.tx_id for lc in lifecycles}
@@ -194,7 +193,7 @@ class TestConservationAndAccounting:
 
     def test_sizes_match_on_disk_growth_minus_overhead(self, tmp_path):
         _sim, report, paths = self._sim_report(tmp_path)
-        lifecycles = record_tx_lifecycle(report)
+        lifecycles = report.lifecycles
         lifecycle_sum = sum(lc.size_bytes for lc in lifecycles if lc.commits)
         total_tx_bytes = 0
         genesis_tx_bytes = 0
@@ -227,7 +226,7 @@ class TestCsvRecomputationOracle:
         )
         sim = Simulation(config)
         report = sim.run()
-        lifecycles = record_tx_lifecycle(report)
+        lifecycles = report.lifecycles
         computed = compute_metrics(lifecycles, report.ledger_sizes)
         csv_path = tmp_path / "lifecycles.csv"
         csv_path.write_text(lifecycles_to_csv(lifecycles))
@@ -266,22 +265,6 @@ class TestLifecycleIds:
         obj = {**_lc(b"\xaa", 0, 10, 20, {"OSP-1": 30}).to_json(), "tx_id": tx_id}
         with pytest.raises(MetricsError, match="lifecycle tx_id must be lowercase hex"):
             TxLifecycle.from_json(obj)
-
-
-class TestLifecycleValidation:
-    def test_non_monotone_lifecycle_rejected(self):
-        class _FakeReport:
-            lifecycles = [_lc(b"bad", 100, 50, 60, {"OSP-1": 70})]
-
-        with pytest.raises(MetricsError):
-            record_tx_lifecycle(_FakeReport())
-
-    def test_commit_before_cut_rejected(self):
-        class _FakeReport:
-            lifecycles = [_lc(b"bad", 0, 10, 50, {"OSP-1": 20})]
-
-        with pytest.raises(MetricsError):
-            record_tx_lifecycle(_FakeReport())
 
 
 class TestExports:

@@ -98,15 +98,16 @@ class TestCreateGenesis:
 
 
 class TestSubmitTx:
-    def test_pg_policy_admitted_with_gapless_seqs(self):
+    def test_pg_policies_are_admitted_and_cut_in_order(self):
         dep = _deployment()
         service, _node = _service(dep)
         pg = dep.identity("PG-1")
-        seqs = []
         for i in range(5):
             record = PolicyRecord(entity="RA", rule_name=f"r{i}", rule_body={}, status=PolicyStatus.ALIVE)
-            seqs.append(service.submit_tx(make_policy_tx(record, pg.cert, pg.key, i), now_ms=i))
-        assert seqs == [0, 1, 2, 3, 4]
+            service.submit_tx(make_policy_tx(record, pg.cert, pg.key, i), now_ms=i)
+        assert service.pending_count(Channel.GPF) == 5
+        block = service.cut_block(Channel.GPF, now_ms=5, force=True)
+        assert [tx.key for tx in block.transactions] == [f"policy/RA/r{i}" for i in range(5)]
 
     def test_ee_write_is_policy_denied(self):
         dep = _deployment(extra=[("EE", 1)])

@@ -166,7 +166,8 @@ class TestPerBlockCommits:
             committers = {name for name, node in sim.nodes.items() if node.ledger(channel).height > block.header.number}
             assert set(commits) == committers == set(sim.nodes)
             assert commits[sim.osp_name] == lifecycles[0].cut_ms
-            assert all(lc.check_monotone() for lc in lifecycles)
+            for lc in lifecycles:
+                assert lc.submit_ms <= lc.admit_ms <= lc.cut_ms <= min(lc.commits.values())
 
     def test_one_mapping_per_block_cut(self, faulty):
         sim, report = faulty
@@ -217,6 +218,28 @@ class TestCrashRecovery:
         sim.crash_node("RA-1")
         with pytest.raises(SimulationError, match="already-crashed"):
             sim.crash_node("RA-1")
+
+
+class TestKnownRuleValues:
+    """A rule value the sequencer cannot use reads as the rule's default; the run never stops on it."""
+
+    def _blocks_converge_at_the_default(self, config):
+        sim = Simulation(config)
+        report = sim.run()
+        assert report.converged and not report.stalled and not report.rejections
+        sizes = [len(b.transactions) for ch in Channel for b in sim.nodes[sim.osp_name].ledger(ch).blocks[1:]]
+        assert sizes and 1 <= min(sizes) and max(sizes) == 10
+        return report
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_a_genesis_block_max_txs_below_one(self, value):
+        self._blocks_converge_at_the_default(small_config(seed=43, policies=(("block_max_txs", value),)))
+
+    def test_a_committed_block_max_txs_that_is_not_an_integer(self):
+        action = {"at_ms": 10, "action": "policy_add", "entity": "OSP", "rule": "block_max_txs",
+                  "body": {"value": "abc"}}
+        report = self._blocks_converge_at_the_default(small_config(seed=47, count=60, workload=(action,)))
+        assert sum(1 for lc in report.lifecycles if lc.function == "AddPolicy" and lc.submit_ms == 10) == 1
 
 
 class TestSync:

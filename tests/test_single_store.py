@@ -2,7 +2,7 @@
 
 The contracts, the ledger and the convergence digest share one store per
 channel; a refused block is undone through a journal; the sample report's
-bytes are pinned; ``ledger verify``/``import`` check each block once; and
+bytes are pinned; ``ledger verify`` checks each block once; and
 scenario errors surface as ``config-invalid``.
 """
 
@@ -246,12 +246,11 @@ class TestLedgerVerifyOnePass:
             out.append(make_block(block.header.number, out[-1].header.hash(), txs, osp.cert, osp.key))
         return out
 
-    @pytest.mark.parametrize("verb", ["verify", "import"])
-    def test_one_data_hash_per_block(self, chain, verb, monkeypatch, capsys):
+    def test_one_data_hash_per_block(self, chain, monkeypatch, capsys):
         blocks, path = chain
         counter = _Counter(ledger.data_hash_of)
         monkeypatch.setattr(ledger, "data_hash_of", counter)
-        assert main(["ledger", verb, str(path)]) == 0
+        assert main(["ledger", "verify", str(path)]) == 0
         assert counter.calls == len(blocks)
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True and out["height"] == len(blocks)
@@ -261,9 +260,8 @@ class TestLedgerVerifyOnePass:
         blocks, _path = chain
         path = tmp_path / "forged.chain"
         path.write_bytes(encode_chain(self._forged_signature(finished, blocks, 2)))
-        for verb in ("verify", "import"):
-            assert main(["ledger", verb, str(path)]) == 1
-            assert json.loads(capsys.readouterr().out) == {"ok": False, "fail_at": 2}
+        assert main(["ledger", "verify", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"ok": False, "fail_at": 2}
 
     def test_structural_failure_wins_over_an_earlier_signature(self, finished, chain, tmp_path, capsys):
         blocks, _path = chain
@@ -275,8 +273,6 @@ class TestLedgerVerifyOnePass:
         path.write_bytes(encode_chain(forged))
         assert main(["ledger", "verify", str(path)]) == 1
         assert capsys.readouterr().out.startswith("verification failed: block 3 does not extend the tip")
-        assert main(["ledger", "import", str(path)]) == 1
-        assert capsys.readouterr().out.startswith("import failed: block 3 does not extend the tip")
 
     def test_fail_at_is_the_first_forged_block(self, finished, chain):
         blocks, _path = chain
