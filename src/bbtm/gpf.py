@@ -174,15 +174,21 @@ def _known_rule(view: GpfView, short_name: str) -> int:
         return default
 
 
+def count_rule(short_name: str, value: int) -> int:
+    """A count rule's value as it is read: its default below 1."""
+    return value if value >= 1 else KNOWN_RULES[short_name][2]
+
+
 def ballot_quorum(view: GpfView) -> int:
-    return _known_rule(view, "ballot_quorum")
+    """The committed quorum; its default below 1, where a ballot with no
+    endorsement would pass."""
+    return count_rule("ballot_quorum", _known_rule(view, "ballot_quorum"))
 
 
 def block_max_txs(view: GpfView) -> int:
     """The committed size threshold; its default below 1, where a cut would
     be a block of no transactions, which every peer refuses."""
-    value = _known_rule(view, "block_max_txs")
-    return value if value >= 1 else KNOWN_RULES["block_max_txs"][2]
+    return count_rule("block_max_txs", _known_rule(view, "block_max_txs"))
 
 
 def block_timeout_ms(view: GpfView) -> int:

@@ -198,25 +198,12 @@ def make_transaction(
     is never decoded into a second copy of it.  A payload must be exactly
     the record's encoding, which decodes back to an equal record.
     """
-    unsigned = Transaction(
-        channel=channel,
-        function=function,
-        key=key,
-        payload=payload,
-        submitter_cert=submitter_cert,
-        submitter_signature=b"",
+    fields = dict(
+        channel=channel, function=function, key=key, payload=payload, submitter_cert=submitter_cert,
         submit_time_ms=submit_time_ms,
     )
-    signing = unsigned.signing_bytes()
-    signed = Transaction(
-        channel=channel,
-        function=function,
-        key=key,
-        payload=payload,
-        submitter_cert=submitter_cert,
-        submitter_signature=submitter_key.sign(signing),
-        submit_time_ms=submit_time_ms,
-    )
+    signing = Transaction(**fields, submitter_signature=b"").signing_bytes()
+    signed = Transaction(**fields, submitter_signature=submitter_key.sign(signing))
     # The signature is outside what it signs: the signed transaction keeps the same signing bytes.
     keep(signed, "_signing_bytes", signing)
     if record is not None:
@@ -347,29 +334,20 @@ def decode_block(data: bytes) -> Block:
 
 @dataclass(frozen=True)
 class StateEntry:
-    # The fields, then the kept digest framing and decoded record, which are not fields.
-    __slots__ = ("payload", "function", "block_number", "digest_framing", "_decoded")
+    # The fields, then the kept decoded record, which is not a field.
+    __slots__ = ("payload", "function", "block_number", "_decoded")
 
     payload: bytes
     function: TxFunction
     block_number: int
 
-    # digest_framing is the entry's part of its world-state digest line,
-    # framed on first read (see identity.keep); committed entries are shared
-    # across nodes, so each is framed once per write, not once per node.
-    def __getattr__(self, name: str):
-        if name == "digest_framing":
-            framing = (
-                wire.field(self.payload)
-                + wire.field(self.function.value.encode("utf-8"))
-                + wire.field(wire.u64(self.block_number))
-            )
-            return keep(self, name, framing)
-        raise AttributeError(name)
-
     def decoded(self, decode: Callable[[bytes], T]) -> T:
         """The record the payload decodes to, shared like Transaction.decoded."""
         return _kept_decode(self, decode)
+
+
+# Each function's name as a world-state digest line frames it.
+_FUNCTION_FIELDS = {function: wire.field(function.value.encode("utf-8")) for function in TxFunction}
 
 
 class Ledger:
@@ -496,10 +474,12 @@ class Ledger:
         self.tx_ids.update(tx.tx_id for tx in block.transactions)
 
     def world_state_digest(self) -> bytes:
-        world = self.world_state
-        return sha256(
-            b"".join(wire.field(key.encode("utf-8")) + world[key].digest_framing for key in sorted(world))
-        )
+        """SHA-256 of every entry framed in key order (FORMAT.md "World-state digest")."""
+        return sha256(b"".join(
+            wire.field(key.encode("utf-8")) + wire.field(entry.payload) + _FUNCTION_FIELDS[entry.function]
+            + wire.field(wire.u64(entry.block_number))
+            for key, entry in sorted(self.world_state.items())
+        ))
 
 
 def verify_chain(channel: Channel, blocks: Iterable[Block]) -> Tuple[Ledger, Optional[int]]:

@@ -11,12 +11,14 @@ and re-verifying each one before committing it.
 from __future__ import annotations
 
 import bisect
+import collections
+import dataclasses
 import heapq
 import itertools
 import json
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from . import ballot as ballot_mod
 from . import gccf, gpf
@@ -67,6 +69,22 @@ class SimulationError(Exception):
     pass
 
 
+def world_state_digests(nodes: Iterable[Node]) -> Dict[str, bytes]:
+    """Each node's world-state digest by name, hashed once per distinct pair of stores: a node
+    whose GCCF and GPF stores equal a hashed node's takes its digest.  Nodes that applied the
+    same blocks share their entry objects, so comparing them is cheap."""
+    digests: Dict[str, bytes] = {}
+    hashed: List[Tuple[Tuple[dict, dict], bytes]] = []
+    for node in nodes:
+        stores = (node.ledger(Channel.GCCF).world_state, node.ledger(Channel.GPF).world_state)
+        digest = next((digest for other, digest in hashed if other == stores), None)
+        if digest is None:
+            digest = node.world_state_digest()
+            hashed.append((stores, digest))
+        digests[node.name] = digest
+    return digests
+
+
 def check_int(value, what: str) -> int:
     """value, if it is an integer (a bool is not one); config-invalid otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -74,9 +92,9 @@ def check_int(value, what: str) -> int:
     return value
 
 
-def check_time(value, what: str) -> int:
-    """value, if it is an integer that is not negative: a time or spacing of the
-    run, whose virtual clock starts at zero and never moves back."""
+def check_not_negative(value, what: str) -> int:
+    """value, if it is an integer that is not negative: a count, or a time or
+    spacing of the run, whose virtual clock starts at zero and never moves back."""
     if check_int(value, what) < 0:
         raise SimulationError(f"config-invalid: {what} cannot be negative")
     return value
@@ -237,17 +255,7 @@ class NodeReport:
     world_state_digest: str
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "role": self.role,
-            "status": self.status,
-            "gccf_head": self.gccf_head,
-            "gpf_head": self.gpf_head,
-            "gccf_height": self.gccf_height,
-            "gpf_height": self.gpf_height,
-            "committed": dict(sorted(self.committed.items())),
-            "world_state_digest": self.world_state_digest,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,10 @@ class Simulation:
             counts[role.value] = count
         if counts.get("PG", 0) < 1:
             raise SimulationError("config-invalid: a policy generator is required")
-        quorum = self.config.policy_dict().get("ballot_quorum", ballot_mod.DEFAULT_BALLOT_QUORUM)
+        # The quorum the run will read, so a value below 1 is checked as the default it reads as.
+        quorum = gpf.count_rule(
+            "ballot_quorum", self.config.policy_dict().get("ballot_quorum", ballot_mod.DEFAULT_BALLOT_QUORUM)
+        )
         deferred_electors = sum(1 for n in self.config.defer_bootstrap if n.startswith("Elector-"))
         if counts.get("Elector", 0) - deferred_electors < quorum:
             raise SimulationError("config-invalid: fewer electors than the ballot quorum")
@@ -388,21 +399,26 @@ class Simulation:
         for fault in self.config.faults:
             if fault.node not in names:
                 raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
-            check_time(fault.crash_at_ms, "fault crash_at_ms")
+            crash = check_not_negative(fault.crash_at_ms, "fault crash_at_ms")
             if fault.recover_at_ms is not None:
-                check_time(fault.recover_at_ms, "fault recover_at_ms")
+                recover = check_not_negative(fault.recover_at_ms, "fault recover_at_ms")
+                if recover < crash:
+                    raise SimulationError(
+                        f"config-invalid: fault of {fault.node} recovers at {recover} ms,"
+                        f" before it crashes at {crash} ms"
+                    )
         for action in self.config.workload:
             if not isinstance(action, dict):
                 raise SimulationError("config-invalid: a workload action is a JSON object")
-            check_time(action.get("at_ms"), "workload action at_ms")
+            check_not_negative(action.get("at_ms"), "workload action at_ms")
             _check_action(action)
         spec = self.config.generate
         if spec is not None:
             if not isinstance(spec, dict):
                 raise SimulationError("config-invalid: generate must be a JSON object")
-            check_int(spec.get("count"), "generate count")
-            check_time(spec.get("spacing_ms", 10), "generate spacing_ms")
-            check_time(spec.get("start_ms") or 0, "generate start_ms")
+            check_not_negative(spec.get("count"), "generate count")
+            check_not_negative(spec.get("spacing_ms", 10), "generate spacing_ms")
+            check_not_negative(spec.get("start_ms") or 0, "generate start_ms")
 
     def _expand_workload(self) -> List[dict]:
         actions: List[dict] = []
@@ -884,27 +900,24 @@ class Simulation:
     def assert_convergence(self, digests: Optional[Dict[str, bytes]] = None) -> ConvergenceResult:
         """Compare (GCCF head, GPF head, world-state digest) across live nodes.
 
-        ``digests`` holds world-state digests already computed, by node name.
+        ``digests`` holds world-state digests already computed, by node name;
+        without it, each distinct pair of live stores is hashed once.
         """
-        summaries: Dict[str, Tuple[bytes, bytes, bytes]] = {}
-        for name, node in self.nodes.items():
-            if node.is_live:
-                summaries[name] = (
-                    node.head(Channel.GCCF),
-                    node.head(Channel.GPF),
-                    digests[name] if digests is not None else node.world_state_digest(),
-                )
+        live = [node for node in self.nodes.values() if node.is_live]
+        if digests is None:
+            digests = world_state_digests(live)
+        summaries = {
+            node.name: (node.head(Channel.GCCF), node.head(Channel.GPF), digests[node.name]) for node in live
+        }
         if not summaries:
             return ConvergenceResult(ok=False, divergent=tuple(self.nodes))
-        tallies: Dict[Tuple[bytes, bytes, bytes], int] = {}
-        for summary in summaries.values():
-            tallies[summary] = tallies.get(summary, 0) + 1
+        tallies = collections.Counter(summaries.values())
         majority = max(tallies.items(), key=lambda kv: (kv[1], kv[0]))[0]
         divergent = tuple(name for name, summary in summaries.items() if summary != majority)
         return ConvergenceResult(ok=not divergent, divergent=divergent)
 
     def _build_report(self) -> SimulationReport:
-        digests = {name: node.world_state_digest() for name, node in self.nodes.items()}
+        digests = world_state_digests(self.nodes.values())
         convergence = self.assert_convergence(digests)
         osp_node = self.nodes[self.osp_name]
         pending_left = sum(self.orderer.pending_count(ch) for ch in (Channel.GCCF, Channel.GPF))

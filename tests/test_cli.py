@@ -1021,6 +1021,13 @@ class TestScenarioErrors:
          "fault recover_at_ms cannot be negative"),
         ({**SAMPLE_SCENARIO, "generate": {"count": 20, "start_ms": -50}}, "generate start_ms cannot be negative"),
         ({**SAMPLE_SCENARIO, "generate": {"count": 200, "spacing_ms": -10}}, "generate spacing_ms cannot be negative"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": -3}}, "generate count cannot be negative"),
+        # A fault must crash its node before it can recover it.
+        ({**SAMPLE_SCENARIO, "faults": [{"node": "RA-1", "crash_at_ms": 5000, "recover_at_ms": 100}]},
+         "fault of RA-1 recovers at 100 ms, before it crashes at 5000 ms"),
+        # A quorum below 1 is read as the default of 2, which one elector cannot reach.
+        ({**SAMPLE_SCENARIO, "nodes": [["Elector", 1] if r == "Elector" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]],
+          "policies": {"ballot_quorum": 0}}, "fewer electors than the ballot quorum"),
     ])
     def test_sim_run_exits_2_with_config_invalid(self, tmp_path, capsys, scenario, message):
         path = tmp_path / "scenario.json"
@@ -1033,6 +1040,13 @@ class TestScenarioErrors:
         path.write_text(json.dumps({"nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]]}))
         assert main(["sim", "run", "--scenario", str(path), "--seed", "4"]) == 0
 
+    def test_a_fault_that_recovers_as_it_crashes_runs(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SAMPLE_SCENARIO, "generate": {"count": 5},
+                                    "faults": [{"node": "RA-1", "crash_at_ms": 300, "recover_at_ms": 300}]}))
+        assert main(["sim", "run", "--scenario", str(path)]) == 0
+        assert _last_json(capsys)["converged"] is True
+
 
 _TIMES = st.integers(-60, 600)
 _RULE_VALUES = st.integers(-3, 3)
@@ -1040,10 +1054,11 @@ _RULE_VALUES = st.integers(-3, 3)
 
 @st.composite
 def _boundary_scenarios(draw):
-    """A run of at most ten transactions whose times, spacing, fault times and
-    known-rule values are drawn with zero and negative values among them."""
+    """A run of at most ten transactions whose count, times, spacing, fault times
+    and known-rule values are drawn with zero and negative values among them;
+    a drawn fault may recover before it crashes."""
     (entity, rule), body_key, _default = gpf.KNOWN_RULES[draw(st.sampled_from(sorted(gpf.KNOWN_RULES)))]
-    generate = {"count": draw(st.integers(0, 6)), "spacing_ms": draw(st.integers(-20, 20))}
+    generate = {"count": draw(st.integers(-2, 6)), "spacing_ms": draw(st.integers(-20, 20))}
     if draw(st.booleans()):
         generate["start_ms"] = draw(_TIMES)
     faults = [{"node": node, "crash_at_ms": crash, "recover_at_ms": recover}
@@ -1074,6 +1089,9 @@ class TestScenarioBoundaries:
             assert err.getvalue().startswith("error: config-invalid: ") and err.getvalue().count("\n") == 1
         else:
             assert code in (0, 1) and err.getvalue() == "" and "converged" in json.loads(out.getvalue())
+            # Only a scenario that passed every check before the run gets to run.
+            assert scenario["generate"]["count"] >= 0
+            assert all(f["recover_at_ms"] is None or f["recover_at_ms"] >= f["crash_at_ms"] for f in scenario["faults"])
 
 
 def _chain_files(dep):
@@ -1265,6 +1283,32 @@ class TestPolicyBody:
                      "--body", body]) == 2
         assert capsys.readouterr().err == "error: --body must be a JSON object of scalars\n"
         assert _chain_files(deployment) == before
+
+
+class TestQuorumBelowOne:
+    """A committed ballot_quorum below 1 is read as its default, so no ballot passes without endorsements."""
+
+    @pytest.mark.parametrize("quorum", [0, -1])
+    def test_no_ballot_passes_unendorsed(self, sample_deployment, tmp_path, capsys, quorum):
+        d = ["--deployment", str(sample_deployment)]
+        assert main(["policy", "add", *d, "--entity", "Elector", "--rule", "ballot_quorum",
+                     "--body", json.dumps({"min_endorsements": quorum})]) == 0
+        new_root = tmp_path / "rca2.bin"
+        assert main(["cert", "issue", *d, "--issuer", "RCA-2", "--subject", "RCA-2", "--out", str(new_root)]) == 0
+        capsys.readouterr()
+        assert main(["ballot", "tally", *d, "--type", "AddRootCert", "--target-cert", str(new_root)]) == 0
+        tally = _last_json(capsys)
+        assert (tally["status"], tally["valid_count"]) == ("open", 0)
+        meta = json.loads((sample_deployment / "consortium.json").read_text())
+        rca = tmp_path / "rca1.json"
+        rca.write_text(json.dumps(next(m for m in meta["config"]["members"] if m["name"] == "RCA-1")["cert"]))
+        before = _chain_files(sample_deployment)
+        assert main(["ballot", "apply", *d, "--type", "RevokeRootCert", "--target-cert", str(rca),
+                     "--elector", "Elector-1"]) == 1
+        assert capsys.readouterr().err == "error: cannot apply ballot: not-accepted\n"
+        assert _chain_files(sample_deployment) == before
+        assert main(["cert", "validate", *d, "--cert", str(rca)]) == 0
+        assert _last_json(capsys)["result"] == "Success"
 
 
 class TestLevelThreeWithoutADeployment:

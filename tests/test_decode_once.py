@@ -203,7 +203,7 @@ class TestMemoIsNotAField:
             Transaction: (("channel", "function", "key", "payload", "submitter_cert", "submitter_signature",
                            "submit_time_ms"), ("_signing_bytes", "_signature_field", "tx_id", "_decoded",
                                                "_state_entry")),
-            StateEntry: (("payload", "function", "block_number"), ("digest_framing", "_decoded")),
+            StateEntry: (("payload", "function", "block_number"), ("_decoded",)),
             Identity: (("key", "cert"), ()),
         }
         for value in (tx, entry, ident):
@@ -212,7 +212,7 @@ class TestMemoIsNotAField:
             if value is tx:
                 tx.decoded(gpf.decode_policy), tx.tx_id, tx.canonical_body()
             if value is entry:
-                entry.decoded(gpf.decode_policy), entry.digest_framing
+                entry.decoded(gpf.decode_policy)
             fields, kept = declared[type(value)]
             assert tuple(f.name for f in dataclasses.fields(value)) == fields
             assert type(value).__slots__ == fields + kept

@@ -365,7 +365,10 @@ def _format_2(node: Node, images: dict) -> bytes:
         parts += [wire.field(channel.value.encode("utf-8")), wire.field(hashlib.sha256(images[channel]).digest()),
                   wire.field(wire.u64(ledger.height)), wire.field(ledger.head_hash()),
                   wire.field(ledger.creator_cert_bytes), wire.field(wire.u32(len(world)))]
-        parts += [wire.field(key.encode("utf-8")) + world[key].digest_framing for key in sorted(world)]
+        for key in sorted(world):
+            entry = world[key]
+            parts += [wire.field(key.encode("utf-8")), wire.field(entry.payload),
+                      wire.field(entry.function.value.encode("utf-8")), wire.field(wire.u64(entry.block_number))]
         parts.append(wire.field(b"".join(sorted(ledger.tx_ids))))
     view = node.gccf_view
     parts += [wire.field(b"".join(sorted(view.serials))), wire.field(wire.u32(len(view.endorsement_log)))]

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from bbtm import gccf
+from bbtm import gccf, gpf
 from bbtm.identity import canonical_encode, dump_json
 from bbtm.ledger import Block, Channel, StateEntry, TxFunction, make_block
 from bbtm.node import BlockRefused
@@ -469,6 +469,30 @@ class TestQueriesAndBallotWorkload:
         first, second = report.queries
         assert first["result"] == "Success"
         assert second["result"] == "NotVerify" and second["reason"] == "revoked-on-path"
+
+    @pytest.mark.parametrize("quorum", [0, -2])
+    def test_a_scenario_quorum_below_one_runs_as_the_default(self, quorum):
+        # One endorsement falls short of the default quorum of 2, so the ballot stays open.
+        workload = [
+            {"at_ms": 700, "action": "endorse", "elector": "Elector-1", "type": "AddRootCert", "target": "RCA-2"},
+            {"at_ms": 1600, "action": "apply_ballot", "elector": "Elector-1", "type": "AddRootCert", "target": "RCA-2"},
+            {"at_ms": 2600, "action": "query", "node": "RA-1", "target": "RCA-2"},
+        ]
+        nodes = tuple(("RCA", 2) if role == "RCA" else (role, count) for role, count in BASE_NODES)
+        config = ScenarioConfig(
+            seed=79,
+            nodes=nodes,
+            network=NetworkParams(5, 20, 0.0),
+            workload=tuple(workload),
+            policies=(("ballot_quorum", quorum),),
+            defer_bootstrap=("RCA-2",),
+        )
+        sim = Simulation(config)
+        report = sim.run()
+        assert report.converged
+        assert all(gpf.ballot_quorum(node.gpf_view) == 2 for node in sim.nodes.values())
+        assert [r["reason"] for r in report.rejections] == ["not-accepted"]
+        assert report.queries[0]["result"] == "NotVerify"
 
     def test_new_root_action_mints_a_passive_ballot_target(self):
         # An elector record that is not a consortium node can still be voted
