@@ -3,8 +3,8 @@
 Electors vote on adding or revoking root and elector certificates by signing
 endorsements.  Endorsements travel as ordinary ledger transactions on the
 certificate channel under ``ballot/...`` keys; a ballot is accepted once the
-quorum configured in the policy channel is reached, and applying an accepted
-ballot turns into a regular add/revoke transaction for the target record.
+quorum the policy genesis sets is reached, and applying an accepted ballot
+turns into a regular add/revoke transaction for the target record.
 """
 
 from __future__ import annotations
@@ -211,17 +211,12 @@ def make_endorsement_tx(
     )
 
 
-def tally_ballot(
-    view,
-    endorsement_type: EndorsementType,
-    target_cert_digest: bytes,
-    quorum: int = DEFAULT_BALLOT_QUORUM,
-) -> Ballot:
+def tally_ballot(view, endorsement_type: EndorsementType, target_cert_digest: bytes) -> Ballot:
     """Count the committed endorsements for one (type, target) ballot.
 
     Duplicate endorsements from one elector count once, and votes from
     electors revoked as of the current state are discarded.  The ballot is
-    accepted at ``valid >= quorum``.
+    accepted at ``valid >= view.quorum``.
     """
     valid: Dict[bytes, Endorsement] = {}
     target_cert = None
@@ -238,7 +233,7 @@ def tally_ballot(
         valid[endorsement.elector_id] = endorsement
         if endorsement.target_cert is not None:
             target_cert = endorsement.target_cert
-    status = BallotStatus.ACCEPTED if len(valid) >= quorum else BallotStatus.OPEN
+    status = BallotStatus.ACCEPTED if len(valid) >= view.quorum else BallotStatus.OPEN
     return Ballot(
         endorsement_type=endorsement_type,
         target_cert_digest=target_cert_digest,

@@ -285,8 +285,7 @@ def cmd_cert_validate(args) -> int:
 
 def cmd_gccf_export(args) -> int:
     dep = load_deployment(args.deployment)
-    quorum = gpf.ballot_quorum(dep.node.gpf_view)
-    snapshot = gccf.export_gccf(dep.node.gccf_view, dep.node.ledger(Channel.GCCF).tip_number, quorum)
+    snapshot = gccf.export_gccf(dep.node.gccf_view, dep.node.ledger(Channel.GCCF).tip_number)
     base = pathlib.Path(args.out)
     with writing(args.out):
         write_all_atomic(
@@ -364,11 +363,10 @@ def cmd_ballot_endorse(args) -> int:
 
 
 def _tally(dep: CliDeployment, args) -> ballot_mod.Ballot:
-    """The ``--type`` ballot on the ``--target-cert`` bytes, at the committed quorum."""
+    """The ``--type`` ballot on the ``--target-cert`` bytes, at the genesis quorum."""
     target = read_cert_file(args.target_cert)
     etype = ballot_mod.EndorsementType(args.type)
-    quorum = gpf.ballot_quorum(dep.node.gpf_view)
-    return ballot_mod.tally_ballot(dep.node.gccf_view, etype, sha256(canonical_encode(target)), quorum)
+    return ballot_mod.tally_ballot(dep.node.gccf_view, etype, sha256(canonical_encode(target)))
 
 
 def cmd_ballot_tally(args) -> int:

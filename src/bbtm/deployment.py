@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from . import wire
 from .ballot import BallotError, decode_endorsement, encode_endorsement
 from .gccf import BALLOT_GOVERNED, ISSUANCE_MATRIX, make_add_cert_tx
-from .gpf import KNOWN_RULES, PolicyRecord, PolicyStatus, make_policy_tx
+from .gpf import KNOWN_RULES, RULE_BALLOT_QUORUM, PolicyRecord, PolicyStatus, ballot_quorum, make_policy_tx, policy_key
 from .identity import (
     AuthorityRole,
     CertificateRecord,
@@ -184,9 +184,9 @@ def restore_savepoint(node: Node, data: bytes, images: Dict[Channel, bytes], cre
     """Fill a new node with the state savepoint data holds, if it stands for exactly the chain file images.
 
     Returns False, and leaves the node as it was, if data is not an intact
-    savepoint of this format, names other chain bytes than images, or
-    names a chain creator other than the certificate encoding
-    creator_cert_bytes.
+    savepoint of this format, names other chain bytes than images, names
+    a chain creator other than the certificate encoding creator_cert_bytes,
+    or holds a ballot quorum written after the genesis (a replay refuses it).
     """
     try:
         channels, serials, log = _decode_savepoint(data, images, creator_cert_bytes)
@@ -198,6 +198,7 @@ def restore_savepoint(node: Node, data: bytes, images: Dict[Channel, bytes], cre
         ledger.world_state.update(world)
     node.gccf_view.serials.update(serials)
     node.gccf_view.endorsement_log.extend(log)
+    node.gccf_view.quorum = ballot_quorum(node.gpf_view)
     return True
 
 
@@ -217,6 +218,9 @@ def _decode_savepoint(data: bytes, images: Dict[Channel, bytes], creator_cert_by
         if r.field() != creator_cert_bytes:
             raise ValueError(f"the {channel.value} chain was cut by another ordering service")
         world = _read_world(r)
+        quorum = world.get(policy_key(*RULE_BALLOT_QUORUM))
+        if quorum is not None and quorum.block_number > 0:
+            raise ValueError("the savepoint holds a ballot quorum written after the genesis")
         channels.append((channel, height, head, world, _split(r.field(), TX_ID_LEN)))
     serials = _split(r.field(), SERIAL_LEN)
     log = [(r.u64_field(), decode_endorsement(r.field())) for _ in range(r.u32_field())]
@@ -312,10 +316,12 @@ class Deployment:
 
 
 def expand_node_counts(node_counts: Sequence[Tuple[str, int]]) -> List[Tuple[AuthorityRole, str]]:
-    """Turn [(role, count), ...] into named members Role-1..Role-n."""
+    """Turn [(role, count), ...] into named members Role-1..Role-n; ValueError for a negative count."""
     members = []
     for role_name, count in node_counts:
         role = AuthorityRole(role_name)
+        if count < 0:
+            raise ValueError("negative node count")
         for i in range(1, count + 1):
             members.append((role, f"{role.value}-{i}"))
     return members
@@ -357,11 +363,11 @@ def build_deployment(
 
     ValueError if the list does not hold exactly one ordering service,
     repeats a name, names a member other than for its role (``ICA-2``), or
-    lacks a member's issuer.  The certificate-channel genesis commits the
-    elector set, the root, and the PG; the policy-channel genesis commits
-    the configured rules.  Every other member's record is pre-built here
-    (signed by its proper issuer) but committed later through ordinary
-    transactions.
+    lacks a member's issuer, or if defer_bootstrap names a non-member.  The
+    certificate-channel genesis commits the elector set, the root, and the
+    PG; the policy-channel genesis commits the configured rules.  Every
+    other member's record is pre-built here (signed by its proper issuer)
+    but committed later through ordinary transactions.
     """
     member_list = list(members)
     # Every later block is cut by the one ordering service.  Checked before
@@ -372,6 +378,9 @@ def build_deployment(
     names = [name for _role, name in member_list]
     if len(set(names)) != len(names):
         raise ValueError("duplicate member names")
+    unknown = sorted(set(defer_bootstrap) - set(names))
+    if unknown:
+        raise ValueError(f"defer_bootstrap names no member {unknown[0]!r}")
     serial_rng = derive_rng(seed, "serials")
     identities: Dict[str, Identity] = {}
     by_role: Dict[AuthorityRole, List[Identity]] = {}
@@ -626,10 +635,11 @@ def _replay(node: Node, config: ConsortiumConfig, chains: Dict[Channel, List[Blo
             raise CliError(f"{channel.value} chain has no genesis block")
         if blocks[0].creator_cert != config.osp_cert:
             raise CliError(f"{channel.value} chain was not cut by this deployment's ordering service")
-    # Certificate history first: policy commits authenticate against it.
+    # The genesis pair sets the quorum, then certificate history first: policy commits authenticate against it.
     try:
+        node.commit_genesis(chains[Channel.GCCF][0], chains[Channel.GPF][0])
         for channel in (Channel.GCCF, Channel.GPF):
-            for block in chains[channel]:
+            for block in chains[channel][1:]:
                 node.commit_block(channel, block)
     except BlockRefused as exc:
         raise CliError(f"deployment chain does not replay: {exc}") from exc

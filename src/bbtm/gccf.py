@@ -89,18 +89,21 @@ class GccfView:
     ledger's own store) and keeps the two derived indexes the contract
     needs: the set of serials ever committed and the ordered endorsement
     log.  All three are rebuilt identically by replaying the block sequence.
+    ``quorum`` is the policy genesis's ballot quorum, which every tally reads.
     """
 
     def __init__(self, world: Optional[Dict[str, StateEntry]] = None):
         self.world: Dict[str, StateEntry] = {} if world is None else world
         self.serials: Set[bytes] = set()
         self.endorsement_log: List[Tuple[int, Endorsement]] = []
+        self.quorum = DEFAULT_BALLOT_QUORUM
 
     def copy(self) -> "GccfView":
         """An independent view over a copy of the store."""
         out = GccfView(dict(self.world))
         out.serials = set(self.serials)
         out.endorsement_log = list(self.endorsement_log)
+        out.quorum = self.quorum
         return out
 
     def entry(self, key: str) -> Optional[StateEntry]:
@@ -143,7 +146,7 @@ def holds_role(view: GccfView, cert: CertificateRecord, role: AuthorityRole) -> 
     return entry is not None and entry.function == TxFunction.ADD_CERT and cert.subject_role == role
 
 
-def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
+def add_cert(view: GccfView, tx: Transaction, *, block_number: int) -> None:
     """Check an addition and record its serial, or raise NotAddingVerify.
 
     Root and elector subjects are ballot-governed: outside the genesis
@@ -180,7 +183,7 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
                 if subject_role == AuthorityRole.RCA
                 else EndorsementType.ADD_ELECTOR
             )
-            tally = tally_ballot(view, etype, sha256(tx.payload), quorum)
+            tally = tally_ballot(view, etype, sha256(tx.payload))
             if tally.status != BallotStatus.ACCEPTED:
                 raise NotAddingVerify("role-violation")
         if not verify_certificate_signature(cert, cert.subject_public_key):
@@ -205,7 +208,7 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
     view.serials.add(cert.serial_number)
 
 
-def revoke_cert(view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
+def revoke_cert(view: GccfView, tx: Transaction) -> None:
     """Check a revocation, or raise NotRevokingVerify.
 
     Ordinary authority certificates are revoked by the policy generator;
@@ -234,7 +237,7 @@ def revoke_cert(view: GccfView, tx: Transaction, *, quorum: int = DEFAULT_BALLOT
             if target_role == AuthorityRole.RCA
             else EndorsementType.REVOKE_ELECTOR
         )
-        tally = tally_ballot(view, etype, sha256(target_entry.payload), quorum)
+        tally = tally_ballot(view, etype, sha256(target_entry.payload))
         if tally.status != BallotStatus.ACCEPTED:
             raise NotRevokingVerify("not-PG")
     elif not holds_role(view, submitter, AuthorityRole.PG):
@@ -272,7 +275,7 @@ def _check_validate(tx: Transaction) -> None:
         raise ContractRejection("bad-payload")
 
 
-def apply_tx(view: GccfView, tx: Transaction, *, block_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> None:
+def apply_tx(view: GccfView, tx: Transaction, *, block_number: int) -> None:
     """Check one committed transaction against the view, then write its entry.
 
     The function's own check raises ContractRejection before anything is
@@ -281,9 +284,9 @@ def apply_tx(view: GccfView, tx: Transaction, *, block_number: int, quorum: int 
     if tx.channel != Channel.GCCF:
         raise ContractRejection("wrong-channel")
     if tx.function == TxFunction.ADD_CERT:
-        add_cert(view, tx, block_number=block_number, quorum=quorum)
+        add_cert(view, tx, block_number=block_number)
     elif tx.function == TxFunction.REVOKE_CERT:
-        revoke_cert(view, tx, quorum=quorum)
+        revoke_cert(view, tx)
     elif tx.function == TxFunction.BALLOT_ENDORSE:
         _apply_endorse(view, tx, block_number)
     elif tx.function == TxFunction.VALIDATE_CERT:
@@ -416,7 +419,7 @@ class GccfSnapshot:
                 f'\n  "version": {int.__repr__(self.version)}\n}}\n').encode("utf-8")
 
 
-def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QUORUM) -> GccfSnapshot:
+def export_gccf(view: GccfView, tip_number: int) -> GccfSnapshot:
     """Deterministic chain-file snapshot of the current state.
 
     Version equals the channel tip block number; revoked records are
@@ -433,7 +436,7 @@ def export_gccf(view: GccfView, tip_number: int, quorum: int = DEFAULT_BALLOT_QU
         if group not in seen:
             seen.append(group)
     ballots = tuple(
-        tally_ballot(view, etype, digest, quorum)
+        tally_ballot(view, etype, digest)
         for etype, digest in sorted(seen, key=lambda g: (g[0].value, g[1]))
     )
     return GccfSnapshot(

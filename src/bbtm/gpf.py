@@ -124,8 +124,10 @@ class GpfView:
 def apply_tx(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_number: int) -> None:
     """Check one committed transaction, then write its entry: the channel's only state write.
 
-    Only the PG may write.  An AddPolicy carries a rule with status alive; a
-    RevokePolicy flips an existing rule to status death (a new appended state).
+    Only the PG may write, and only the genesis the ballot quorum, so the PG
+    alone cannot change how many electors govern the roots.  An AddPolicy
+    carries a rule with status alive; a RevokePolicy flips an existing rule
+    to status death (a new appended state).
     """
     if tx.channel != Channel.GPF or tx.function not in (TxFunction.ADD_POLICY, TxFunction.REVOKE_POLICY):
         raise ContractRejection("wrong-channel")
@@ -135,6 +137,8 @@ def apply_tx(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_numbe
     status = PolicyStatus.ALIVE if tx.function == TxFunction.ADD_POLICY else PolicyStatus.DEATH
     if record.status != status or tx.key != policy_key(record.entity, record.rule_name):
         raise ContractRejection("malformed-rule")
+    if block_number > 0 and tx.key == policy_key(*RULE_BALLOT_QUORUM):
+        raise ContractRejection("genesis-rule")
     if status == PolicyStatus.DEATH and view.entry(tx.key) is None:
         raise ContractRejection("unknown-rule")
     view.world[tx.key] = tx.state_entry(block_number)
@@ -180,8 +184,8 @@ def count_rule(short_name: str, value: int) -> int:
 
 
 def ballot_quorum(view: GpfView) -> int:
-    """The committed quorum; its default below 1, where a ballot with no
-    endorsement would pass."""
+    """The genesis quorum, which GccfView.quorum holds; its default below 1,
+    where a ballot with no endorsement would pass."""
     return count_rule("ballot_quorum", _known_rule(view, "ballot_quorum"))
 
 

@@ -75,9 +75,8 @@ class Node:
         applied = 0
         try:
             if channel == Channel.GCCF:
-                quorum = gpf.ballot_quorum(self.gpf_view)
                 for tx in block.transactions:
-                    gccf.apply_tx(self.gccf_view, tx, block_number=number, quorum=quorum)
+                    gccf.apply_tx(self.gccf_view, tx, block_number=number)
                     applied += 1
             else:
                 for tx in block.transactions:
@@ -104,6 +103,7 @@ class Node:
         # PG, whose record is committed in the certificate bootstrap.
         self.commit_block(Channel.GCCF, gccf_genesis)
         self.commit_block(Channel.GPF, gpf_genesis)
+        self.gccf_view.quorum = gpf.ballot_quorum(self.gpf_view)
 
     def world_state_digest(self) -> bytes:
         return sha256(

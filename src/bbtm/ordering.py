@@ -218,12 +218,7 @@ class OrderingService:
         next_number = self.node.ledger(tx.channel).height
         try:
             if tx.channel == Channel.GCCF:
-                gccf.apply_tx(
-                    self._spec_gccf,
-                    tx,
-                    block_number=next_number,
-                    quorum=gpf.ballot_quorum(self._spec_gpf),
-                )
+                gccf.apply_tx(self._spec_gccf, tx, block_number=next_number)
             else:
                 gpf.apply_tx(self._spec_gpf, self._spec_gccf, tx, block_number=next_number)
         except ContractRejection as exc:

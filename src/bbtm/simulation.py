@@ -167,6 +167,18 @@ class Fault:
     def to_json(self) -> dict:
         return {"node": self.node, "crash_at_ms": self.crash_at_ms, "recover_at_ms": self.recover_at_ms}
 
+    def overlaps(self, other: "Fault") -> bool:
+        """True iff the two down windows share an instant: each runs from the crash to the recovery, both
+        included, or to the end of the run without one."""
+        return ((other.recover_at_ms is None or self.crash_at_ms <= other.recover_at_ms)
+                and (self.recover_at_ms is None or other.crash_at_ms <= self.recover_at_ms))
+
+    def window(self) -> str:
+        """The down window, as a refusal names it."""
+        if self.recover_at_ms is None:
+            return f"from {self.crash_at_ms} ms"
+        return f"{self.crash_at_ms}-{self.recover_at_ms} ms"
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -374,16 +386,18 @@ class Simulation:
                 raise SimulationError(f"config-invalid: unknown role {role_name!r}") from exc
             if role.value in counts:
                 raise SimulationError(f"config-invalid: role {role.value} repeated in nodes")
-            if count < 0:
-                raise SimulationError("config-invalid: negative node count")
             counts[role.value] = count
+        try:
+            names = {name for _role, name in expand_node_counts(self.config.nodes)}
+        except ValueError as exc:
+            raise SimulationError(f"config-invalid: {exc}") from exc
         if counts.get("PG", 0) < 1:
             raise SimulationError("config-invalid: a policy generator is required")
         # The quorum the run will read, so a value below 1 is checked as the default it reads as.
         quorum = gpf.count_rule(
             "ballot_quorum", self.config.policy_dict().get("ballot_quorum", ballot_mod.DEFAULT_BALLOT_QUORUM)
         )
-        deferred_electors = sum(1 for n in self.config.defer_bootstrap if n.startswith("Elector-"))
+        deferred_electors = sum(1 for n in self.config.defer_bootstrap if n in names and n.startswith("Elector-"))
         if counts.get("Elector", 0) - deferred_electors < quorum:
             raise SimulationError("config-invalid: fewer electors than the ballot quorum")
         net = self.config.network
@@ -395,7 +409,7 @@ class Simulation:
             raise SimulationError("config-invalid: bad network parameters")
         if any(not 0 <= rate <= 1 for _name, rate in net.link_drop):
             raise SimulationError("config-invalid: bad link drop rate")
-        names = {name for _role, name in expand_node_counts(self.config.nodes)}
+        checked: List[Fault] = []
         for fault in self.config.faults:
             if fault.node not in names:
                 raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
@@ -407,6 +421,13 @@ class Simulation:
                         f"config-invalid: fault of {fault.node} recovers at {recover} ms,"
                         f" before it crashes at {crash} ms"
                     )
+            # A node crashed twice at one instant stops the run, in whichever order the faults are listed.
+            for other in checked:
+                if other.node == fault.node and other.overlaps(fault):
+                    raise SimulationError(
+                        f"config-invalid: faults of {fault.node} overlap: down {other.window()} and {fault.window()}"
+                    )
+            checked.append(fault)
         for action in self.config.workload:
             if not isinstance(action, dict):
                 raise SimulationError("config-invalid: a workload action is a JSON object")
@@ -662,10 +683,9 @@ class Simulation:
                 elector = self._identity(action["elector"])
                 etype = EndorsementType(action["type"])
                 target = self._identity(action["target"]).cert
-                node = self._node(elector.name)
-                quorum = gpf.ballot_quorum(node.gpf_view)
-                tally = ballot_mod.tally_ballot(node.gccf_view, etype, sha256(canonical_encode(target)), quorum)
-                tx = ballot_mod.apply_ballot(node.gccf_view, tally, elector.cert, elector.key, now)
+                view = self._node(elector.name).gccf_view
+                tally = ballot_mod.tally_ballot(view, etype, sha256(canonical_encode(target)))
+                tx = ballot_mod.apply_ballot(view, tally, elector.cert, elector.key, now)
                 self._submit(elector.name, tx)
         except BallotError as exc:
             self._reject(action.get("elector", "?"), "GCCF", "Ballot", exc.reason, now)

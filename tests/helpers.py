@@ -48,15 +48,14 @@ class Bed:
         self.rng = Random(7)
         self.view = GccfView()
         self.gpf_view = GpfView()
-        self.quorum = quorum
         self.electors = [make_identity(f"Elector-{i}", rng=self.rng) for i in (1, 2, 3)]
         self.rca = make_identity("RCA-1", rng=self.rng)
         self.pg = make_identity("PG-1", self.rca, rng=self.rng)
         self.ica = make_identity("ICA-1", self.rca, rng=self.rng)
         for ident in self.electors + [self.rca]:
-            gccf.apply_tx(self.view, self._add_tx(ident.cert, ident), block_number=0, quorum=quorum)
-        gccf.apply_tx(self.view, self._add_tx(self.pg.cert, self.rca), block_number=0, quorum=quorum)
-        gccf.apply_tx(self.view, self._add_tx(self.ica.cert, self.rca), block_number=1, quorum=quorum)
+            gccf.apply_tx(self.view, self._add_tx(ident.cert, ident), block_number=0)
+        gccf.apply_tx(self.view, self._add_tx(self.pg.cert, self.rca), block_number=0)
+        gccf.apply_tx(self.view, self._add_tx(self.ica.cert, self.rca), block_number=1)
         record = PolicyRecord(
             entity="Elector", rule_name="ballot_quorum",
             rule_body={"min_endorsements": quorum}, status=PolicyStatus.ALIVE,
@@ -66,6 +65,8 @@ class Bed:
             gpf.make_policy_tx(record, self.pg.cert, self.pg.key, 0),
             block_number=0,
         )
+        # As a node does once its policy genesis commits.
+        self.view.quorum = gpf.ballot_quorum(self.gpf_view)
         self.next_block = 2
 
     def _add_tx(self, cert: CertificateRecord, submitter: Identity) -> Transaction:
@@ -73,14 +74,14 @@ class Bed:
 
     def add(self, cert: CertificateRecord, submitter: Identity) -> Transaction:
         tx = self._add_tx(cert, submitter)
-        gccf.apply_tx(self.view, tx, block_number=self.next_block, quorum=self.quorum)
+        gccf.apply_tx(self.view, tx, block_number=self.next_block)
         self.next_block += 1
         return tx
 
     def revoke(self, target: CertificateRecord, authorizer: Optional[Identity] = None) -> Transaction:
         authorizer = authorizer or self.pg
         tx = gccf.make_revoke_cert_tx(target, authorizer.cert, authorizer.key, 0)
-        gccf.apply_tx(self.view, tx, block_number=self.next_block, quorum=self.quorum)
+        gccf.apply_tx(self.view, tx, block_number=self.next_block)
         self.next_block += 1
         return tx
 

@@ -281,20 +281,20 @@ def test_acceptance_6_quorum_voting():
         )
         tx = ballot_mod.make_endorsement_tx(endorsement, rca2.cert.serial_number,
                                             elector.cert, elector.key, 0)
-        gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=2)
+        gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         bed.next_block += 1
 
     # Duplicate endorsements from one elector never reach quorum.
     for _ in range(6):
         endorse(0)
-    tally = ballot_mod.tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+    tally = ballot_mod.tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
     assert tally.status == BallotStatus.OPEN and tally.valid_count == 1
     endorse(1)
-    tally = ballot_mod.tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+    tally = ballot_mod.tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
     assert tally.status == BallotStatus.ACCEPTED
 
     apply_tx = ballot_mod.apply_ballot(bed.view, tally, bed.electors[0].cert, bed.electors[0].key, 0)
-    gccf.apply_tx(bed.view, apply_tx, block_number=bed.next_block, quorum=2)
+    gccf.apply_tx(bed.view, apply_tx, block_number=bed.next_block)
     bed.next_block += 1
     assert gccf.validate_cert(bed.view, rca2.cert, 10.0).ok
     ica9 = make_identity("ICA-9", rca2, rng=bed.rng)
@@ -309,13 +309,13 @@ def test_acceptance_6_quorum_voting():
         )
         tx = ballot_mod.make_endorsement_tx(endorsement, rca2.cert.serial_number,
                                             elector.cert, elector.key, 0)
-        gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=2)
+        gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         bed.next_block += 1
-    revoke_tally = ballot_mod.tally_ballot(bed.view, EndorsementType.REVOKE_ROOT, digest, 2)
+    revoke_tally = ballot_mod.tally_ballot(bed.view, EndorsementType.REVOKE_ROOT, digest)
     assert revoke_tally.status == BallotStatus.ACCEPTED
     revoke_tx = ballot_mod.apply_ballot(bed.view, revoke_tally, bed.electors[1].cert,
                                         bed.electors[1].key, 0)
-    gccf.apply_tx(bed.view, revoke_tx, block_number=bed.next_block, quorum=2)
+    gccf.apply_tx(bed.view, revoke_tx, block_number=bed.next_block)
     result = gccf.validate_cert(bed.view, ica9.cert, 10.0)
     assert not result.ok and result.reason == "revoked-on-path"
     _ok(6, "quorum 2-of-3: open at 1 vote, accepted at 2, duplicate-proof; "
@@ -457,9 +457,8 @@ def test_acceptance_10_snapshot(big_run):
     node_a, node_b = sim.nodes["RA-1"], sim.nodes["PCA-1"]
     snapshots = []
     for node in (node_a, node_b):
-        quorum = gpf.ballot_quorum(node.gpf_view)
         tip = node.ledger(Channel.GCCF).tip_number
-        snapshots.append(gccf.export_gccf(node.gccf_view, tip, quorum))
+        snapshots.append(gccf.export_gccf(node.gccf_view, tip))
     assert snapshots[0].encode() == snapshots[1].encode()
     assert snapshots[0].version == node_a.ledger(Channel.GCCF).tip_number
     names = {c.subject_name for c in snapshots[0].certificates}

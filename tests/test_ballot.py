@@ -30,7 +30,7 @@ def _endorse(bed: Bed, elector_index: int, etype: EndorsementType, target_cert, 
     endorsement = create_endorsement(elector.key, elector.cert, etype, target_cert, bed.view)
     tx = make_endorsement_tx(endorsement, target_cert.serial_number, elector.cert, elector.key, 0)
     number = block_number if block_number is not None else bed.next_block
-    gccf.apply_tx(bed.view, tx, block_number=number, quorum=bed.quorum)
+    gccf.apply_tx(bed.view, tx, block_number=number)
     bed.next_block = number + 1
     return endorsement
 
@@ -79,9 +79,9 @@ class TestTally:
         target = make_identity("RCA-2", rng=bed.rng)
         digest = sha256(canonical_encode(target.cert))
         _endorse(bed, 0, EndorsementType.ADD_ROOT, target.cert)
-        assert tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2).status == BallotStatus.OPEN
+        assert tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest).status == BallotStatus.OPEN
         _endorse(bed, 1, EndorsementType.ADD_ROOT, target.cert)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         assert tally.status == BallotStatus.ACCEPTED
         assert tally.valid_count == 2
 
@@ -91,7 +91,7 @@ class TestTally:
         digest = sha256(canonical_encode(target.cert))
         for _ in range(5):
             _endorse(bed, 0, EndorsementType.ADD_ROOT, target.cert)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         assert tally.valid_count == 1
         assert tally.status == BallotStatus.OPEN
 
@@ -112,7 +112,7 @@ class TestTally:
             if entry is None or entry.function != TxFunction.ADD_CERT:
                 continue
             valid.add(e.elector_id)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         assert len(valid) == 1
         assert tally.valid_count == len(valid)
         assert tally.status == BallotStatus.OPEN
@@ -125,7 +125,7 @@ class TestTally:
         digest = sha256(canonical_encode(target.cert))
         for elector_index in dups:
             _endorse(bed, elector_index, EndorsementType.ADD_ROOT, target.cert)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         assert tally.valid_count == len(set(dups))
         assert (tally.status == BallotStatus.ACCEPTED) == (len(set(dups)) >= 2)
 
@@ -136,7 +136,7 @@ class TestTally:
         statuses = []
         for i in range(3):
             _endorse(bed, i, EndorsementType.ADD_ROOT, target.cert)
-            statuses.append(tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2).status)
+            statuses.append(tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest).status)
         accepted_seen = False
         for status in statuses:
             if status == BallotStatus.ACCEPTED:
@@ -151,9 +151,9 @@ class TestApplyBallot:
         digest = sha256(canonical_encode(rca2.cert))
         _endorse(bed, 0, EndorsementType.ADD_ROOT, rca2.cert)
         _endorse(bed, 1, EndorsementType.ADD_ROOT, rca2.cert)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         tx = apply_ballot(bed.view, tally, bed.electors[0].cert, bed.electors[0].key, 0)
-        gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=2)
+        gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         bed.next_block += 1
         # The new root anchors validation for records chained under it.
         assert gccf.validate_cert(bed.view, rca2.cert, 10.0).ok
@@ -166,7 +166,7 @@ class TestApplyBallot:
         rca2 = make_identity("RCA-2", rng=bed.rng)
         digest = sha256(canonical_encode(rca2.cert))
         _endorse(bed, 0, EndorsementType.ADD_ROOT, rca2.cert)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         with pytest.raises(BallotError) as exc:
             apply_ballot(bed.view, tally, bed.electors[0].cert, bed.electors[0].key, 0)
         assert exc.value.reason == "not-accepted"
@@ -177,9 +177,9 @@ class TestApplyBallot:
         digest = sha256(canonical_encode(rca2.cert))
         _endorse(bed, 0, EndorsementType.ADD_ROOT, rca2.cert)
         _endorse(bed, 1, EndorsementType.ADD_ROOT, rca2.cert)
-        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest)
         tx = apply_ballot(bed.view, tally, bed.electors[0].cert, bed.electors[0].key, 0)
-        gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=2)
+        gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         with pytest.raises(BallotError) as exc:
             apply_ballot(bed.view, tally, bed.electors[0].cert, bed.electors[0].key, 1)
         assert exc.value.reason == "already-applied"
@@ -189,9 +189,9 @@ class TestApplyBallot:
         digest = sha256(canonical_encode(bed.rca.cert))
         _endorse(bed, 0, EndorsementType.REVOKE_ROOT, bed.rca.cert)
         _endorse(bed, 1, EndorsementType.REVOKE_ROOT, bed.rca.cert)
-        tally = tally_ballot(bed.view, EndorsementType.REVOKE_ROOT, digest, 2)
+        tally = tally_ballot(bed.view, EndorsementType.REVOKE_ROOT, digest)
         tx = apply_ballot(bed.view, tally, bed.electors[0].cert, bed.electors[0].key, 0)
-        gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=2)
+        gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         result = gccf.validate_cert(bed.view, bed.ica.cert, 10.0)
         assert not result.ok and result.reason == "revoked-on-path"
 
@@ -201,7 +201,7 @@ class TestApplyBallot:
         rca2 = make_identity("RCA-2", rng=bed.rng)
         tx = gccf.make_add_cert_tx(rca2.cert, bed.electors[0].cert, bed.electors[0].key, 0)
         with pytest.raises(gccf.NotAddingVerify) as exc:
-            gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=2)
+            gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         assert exc.value.reason == "role-violation"
 
 
@@ -217,4 +217,4 @@ class TestHistoryAudit:
         ]
         log = [e for _n, e in bed.view.endorsement_log if e.target_cert_digest == digest]
         assert log == recorded
-        assert tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest, 2).valid_count == 2
+        assert tally_ballot(bed.view, EndorsementType.ADD_ROOT, digest).valid_count == 2

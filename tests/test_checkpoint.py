@@ -11,7 +11,8 @@ import pytest
 from bbtm import cli, identity
 from bbtm.cli import main
 from bbtm.deployment import CHAIN_FILES, SAVEPOINT_FILE, CliError
-from bbtm.ledger import Block, Channel, data_hash_of, decode_chain, encode_chain
+from bbtm.gpf import PolicyRecord, PolicyStatus, make_policy_tx
+from bbtm.ledger import Block, Channel, data_hash_of, decode_chain, encode_chain, make_block
 from bbtm.simulation import ScenarioConfig, Simulation
 
 NODES = [("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)]
@@ -107,7 +108,7 @@ class TestWorkCounts:
 
 def _outcome(dep: pathlib.Path):
     """What load_deployment makes of a directory: its error, or its heights, world-state digest,
-    heads, GCCF indexes and tx-id indexes."""
+    heads, GCCF indexes, ballot quorum and tx-id indexes."""
     try:
         node = cli.load_deployment(str(dep)).node
     except Exception as exc:  # any failure is an outcome to compare, whatever its type
@@ -119,6 +120,7 @@ def _outcome(dep: pathlib.Path):
         tuple(ledger.head_hash() for ledger in ledgers),
         frozenset(node.gccf_view.serials),
         tuple(node.gccf_view.endorsement_log),
+        node.gccf_view.quorum,
         tuple(frozenset(ledger.tx_ids) for ledger in ledgers),
     )
 
@@ -258,6 +260,44 @@ class TestTamper:
         (deployment / SAVEPOINT_FILE).unlink()
         with pytest.raises(CliError, match="^deployment chain does not replay: "):
             cli.load_deployment(str(deployment))
+
+
+class TestGenesisQuorum:
+    """The ballot quorum is the genesis's: a load reads it there, however it reaches the state."""
+
+    @pytest.mark.parametrize("quorum", [1, 2])
+    def test_a_root_ballot_loads_alike_restored_and_replayed(self, tmp_path, capsys, quorum):
+        dep = _init(tmp_path, {**CONFIG, "policies": {"ballot_quorum": quorum}})
+        target = tmp_path / "rca9.bin"
+        assert main(["cert", "issue", "--deployment", str(dep), "--issuer", "RCA-9", "--subject", "RCA-9",
+                     "--out", str(target)]) == 0
+        ballot = ["--deployment", str(dep), "--type", "AddRootCert", "--target-cert", str(target)]
+        for i in range(1, quorum + 1):
+            assert main(["ballot", "endorse", *ballot, "--elector", f"Elector-{i}"]) == 0
+        assert main(["ballot", "apply", *ballot, "--elector", "Elector-1"]) == 0
+        capsys.readouterr()
+        restored = _outcome(dep)
+        assert restored[0] == (2 + quorum, 1) and restored[5] == quorum
+        (dep / SAVEPOINT_FILE).unlink()
+        assert _outcome(dep) == restored
+
+    def test_a_quorum_written_after_the_genesis_is_refused_whatever_the_savepoint_says(self, deployment):
+        """A chain and savepoint holding a later write of the quorum, as an older version wrote them: built by hand."""
+        loaded = cli.load_deployment(str(deployment))
+        pg, osp = loaded.identity("PG-1"), loaded.identity("OSP-1")
+        record = PolicyRecord(entity="Elector", rule_name="ballot_quorum", rule_body={"min_endorsements": 1},
+                              status=PolicyStatus.ALIVE)
+        tx = make_policy_tx(record, pg.cert, pg.key, 0)
+        ledger = loaded.node.ledger(Channel.GPF)
+        block = make_block(ledger.height, ledger.head_hash(), [tx], osp.cert, osp.key)
+        # Committed as the contract once did: the entry written, then the block linked.
+        ledger.world_state[tx.key] = tx.state_entry(block.header.number)
+        ledger._link(block)
+        loaded.save_chains()
+        refused = ("CliError", "deployment chain does not replay: block 1 refused: genesis-rule")
+        assert _outcome(deployment) == refused
+        (deployment / SAVEPOINT_FILE).unlink()
+        assert _outcome(deployment) == refused
 
 
 def _sealed(body: bytes) -> bytes:

@@ -133,10 +133,13 @@ class TestNetworkInit:
         ({**BASE_CONFIG, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
         ({**BASE_CONFIG, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
         ({**BASE_CONFIG, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
+        ({**BASE_CONFIG, "defer_bootstrap": ["Nobody-9"]}, "defer_bootstrap names no member 'Nobody-9'"),
+        ({**BASE_CONFIG, "nodes": BASE_CONFIG["nodes"] + [{"role": "RA", "count": -2}]}, "negative node count"),
     ], ids=["no-seed", "unknown-role", "ica-without-rca", "no-osp", "two-osp-nodes", "two-osp-members",
             "not-an-object", "ra-named-pca", "ra-named-roadside", "osp-named-orderer", "float-count",
             "string-count", "bool-count", "string-seed", "float-seed", "float-rule", "bool-rule",
-            "float-not-before", "float-not-after", "string-defer", "non-name-defer"])
+            "float-not-before", "float-not-after", "string-defer", "non-name-defer", "non-member-defer",
+            "negative-count"])
     def test_config_errors_are_config_invalid(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -571,8 +574,7 @@ class TestGccfExportOfAGrownDeployment:
     def test_encode_frames_the_committed_bytes(self, tmp_path, monkeypatch):
         dep = _grown_for_export(tmp_path)
         node = cli.load_deployment(str(dep)).node
-        snapshot = gccf.export_gccf(node.gccf_view, node.ledger(Channel.GCCF).tip_number,
-                                    gpf.ballot_quorum(node.gpf_view))
+        snapshot = gccf.export_gccf(node.gccf_view, node.ledger(Channel.GCCF).tip_number)
         calls = []
         for module in (identity, gccf):
             original = module.canonical_encode
@@ -1013,6 +1015,11 @@ class TestScenarioErrors:
         ({**SAMPLE_SCENARIO, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
         ({**SAMPLE_SCENARIO, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
         ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
+        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["Nobody-9"]}, "defer_bootstrap names no member 'Nobody-9'"),
+        # Not counted against the quorum first: the message names the real fault.
+        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["Elector-8", "Elector-9"]},
+         "defer_bootstrap names no member 'Elector-8'"),
+        ({**SAMPLE_SCENARIO, "nodes": SAMPLE_SCENARIO["nodes"] + [["LA", -2]]}, "negative node count"),
         # A time before zero would move the virtual clock backwards.
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": -1, "action": "query", "node": "RA-1", "target": "RA-1"}]},
          "workload action at_ms cannot be negative"),
@@ -1025,6 +1032,22 @@ class TestScenarioErrors:
         # A fault must crash its node before it can recover it.
         ({**SAMPLE_SCENARIO, "faults": [{"node": "RA-1", "crash_at_ms": 5000, "recover_at_ms": 100}]},
          "fault of RA-1 recovers at 100 ms, before it crashes at 5000 ms"),
+        # Two faults on one node whose down windows share an instant would crash it twice, in either order.
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20},
+          "faults": [{"node": "RA-1", "crash_at_ms": 100, "recover_at_ms": 500},
+                     {"node": "RA-1", "crash_at_ms": 300, "recover_at_ms": 800}]},
+         "faults of RA-1 overlap: down 100-500 ms and 300-800 ms"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20},
+          "faults": [{"node": "RA-1", "crash_at_ms": 100}, {"node": "RA-1", "crash_at_ms": 300, "recover_at_ms": 400}]},
+         "faults of RA-1 overlap: down from 100 ms and 300-400 ms"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20},
+          "faults": [{"node": "RA-1", "crash_at_ms": 100, "recover_at_ms": 300},
+                     {"node": "RA-1", "crash_at_ms": 300, "recover_at_ms": 500}]},
+         "faults of RA-1 overlap: down 100-300 ms and 300-500 ms"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20},
+          "faults": [{"node": "RA-1", "crash_at_ms": 300, "recover_at_ms": 500},
+                     {"node": "RA-1", "crash_at_ms": 100, "recover_at_ms": 300}]},
+         "faults of RA-1 overlap: down 300-500 ms and 100-300 ms"),
         # A quorum below 1 is read as the default of 2, which one elector cannot reach.
         ({**SAMPLE_SCENARIO, "nodes": [["Elector", 1] if r == "Elector" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]],
           "policies": {"ballot_quorum": 0}}, "fewer electors than the ballot quorum"),
@@ -1056,14 +1079,14 @@ _RULE_VALUES = st.integers(-3, 3)
 def _boundary_scenarios(draw):
     """A run of at most ten transactions whose count, times, spacing, fault times
     and known-rule values are drawn with zero and negative values among them;
-    a drawn fault may recover before it crashes."""
+    a drawn fault may recover before it crashes, and two may share a node."""
     (entity, rule), body_key, _default = gpf.KNOWN_RULES[draw(st.sampled_from(sorted(gpf.KNOWN_RULES)))]
     generate = {"count": draw(st.integers(-2, 6)), "spacing_ms": draw(st.integers(-20, 20))}
     if draw(st.booleans()):
         generate["start_ms"] = draw(_TIMES)
     faults = [{"node": node, "crash_at_ms": crash, "recover_at_ms": recover}
               for node, crash, recover in draw(st.lists(
-                  st.tuples(st.sampled_from(["RA-1", "OSP-1"]), _TIMES, st.none() | _TIMES), max_size=1))]
+                  st.tuples(st.sampled_from(["RA-1", "OSP-1"]), _TIMES, st.none() | _TIMES), max_size=2))]
     return {
         "seed": draw(st.integers(0, 3)),
         "nodes": [["Elector", 3], ["RCA", 1], ["ICA", 1], ["PG", 1], ["OSP", 1], ["RA", 1]],
@@ -1087,11 +1110,17 @@ class TestScenarioBoundaries:
             code = main(["sim", "run", "--scenario", str(path)])
         if code == 2:
             assert err.getvalue().startswith("error: config-invalid: ") and err.getvalue().count("\n") == 1
+            # Refused before the run, never stopped in it by a second crash of one node.
+            assert "already-crashed" not in err.getvalue()
         else:
             assert code in (0, 1) and err.getvalue() == "" and "converged" in json.loads(out.getvalue())
             # Only a scenario that passed every check before the run gets to run.
             assert scenario["generate"]["count"] >= 0
             assert all(f["recover_at_ms"] is None or f["recover_at_ms"] >= f["crash_at_ms"] for f in scenario["faults"])
+            if len(scenario["faults"]) == 2:
+                first, second = sorted(scenario["faults"], key=lambda f: f["crash_at_ms"])
+                assert first["node"] != second["node"] or (
+                    first["recover_at_ms"] is not None and first["recover_at_ms"] < second["crash_at_ms"])
 
 
 def _chain_files(dep):
@@ -1285,14 +1314,44 @@ class TestPolicyBody:
         assert _chain_files(deployment) == before
 
 
+class TestGenesisQuorum:
+    """Only the genesis sets the ballot quorum: a later write of it is refused and changes no tally."""
+
+    QUORUM = ["--entity", "Elector", "--rule", "ballot_quorum"]
+
+    @pytest.mark.parametrize("verb", [["add", "--body", '{"min_endorsements": 1}'], ["revoke"]],
+                             ids=["add", "revoke"])
+    def test_a_write_of_the_quorum_is_refused(self, sample_deployment, capsys, verb):
+        before = {p.name: p.read_bytes() for p in sample_deployment.iterdir()}
+        assert main(["policy", verb[0], "--deployment", str(sample_deployment), *self.QUORUM, *verb[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: rejected: genesis-rule\n")
+        assert {p.name: p.read_bytes() for p in sample_deployment.iterdir()} == before
+
+    def test_one_endorsement_stays_short_of_the_genesis_quorum(self, sample_deployment, tmp_path, capsys):
+        d = ["--deployment", str(sample_deployment)]
+        assert main(["policy", "add", *d, *self.QUORUM, "--body", '{"min_endorsements": 1}']) == 1
+        target = tmp_path / "rca7.bin"
+        assert main(["cert", "issue", *d, "--issuer", "RCA-7", "--subject", "RCA-7", "--out", str(target)]) == 0
+        ballot = [*d, "--type", "AddRootCert", "--target-cert", str(target), "--elector", "Elector-1"]
+        assert main(["ballot", "endorse", *ballot]) == 0
+        capsys.readouterr()
+        assert main(["ballot", "apply", *ballot]) == 1
+        assert capsys.readouterr().err == "error: cannot apply ballot: not-accepted\n"
+        assert main(["cert", "validate", *d, "--cert", str(target)]) == 1
+        assert _last_json(capsys)["result"] == "NotVerify"
+
+
 class TestQuorumBelowOne:
-    """A committed ballot_quorum below 1 is read as its default, so no ballot passes without endorsements."""
+    """A genesis ballot_quorum below 1 is read as its default, so no ballot passes without endorsements."""
 
     @pytest.mark.parametrize("quorum", [0, -1])
-    def test_no_ballot_passes_unendorsed(self, sample_deployment, tmp_path, capsys, quorum):
+    def test_no_ballot_passes_unendorsed(self, tmp_path, capsys, quorum):
+        config = tmp_path / "genesis.json"
+        genesis = json.loads(GENESIS.read_text())
+        config.write_text(json.dumps({**genesis, "policies": {**genesis["policies"], "ballot_quorum": quorum}}))
+        sample_deployment = tmp_path / "dep"
+        assert main(["network", "init", "--config", str(config), "--out", str(sample_deployment)]) == 0
         d = ["--deployment", str(sample_deployment)]
-        assert main(["policy", "add", *d, "--entity", "Elector", "--rule", "ballot_quorum",
-                     "--body", json.dumps({"min_endorsements": quorum})]) == 0
         new_root = tmp_path / "rca2.bin"
         assert main(["cert", "issue", *d, "--issuer", "RCA-2", "--subject", "RCA-2", "--out", str(new_root)]) == 0
         capsys.readouterr()

@@ -284,15 +284,15 @@ class TestPolicyRuleReads:
     def test_a_new_entry_is_read_afresh(self, grown):
         view = self._view(grown)
         pg = grown.deployment.identity("PG-1")
-        quorum = gpf.ballot_quorum(view)
+        max_txs = gpf.block_max_txs(view)
         record = gpf.PolicyRecord(
-            entity="Elector", rule_name="ballot_quorum",
-            rule_body={"min_endorsements": quorum + 1}, status=gpf.PolicyStatus.ALIVE,
+            entity="OSP", rule_name="block_max_txs",
+            rule_body={"value": max_txs + 1}, status=gpf.PolicyStatus.ALIVE,
         )
         tx = gpf.make_policy_tx(record, pg.cert, pg.key, 0)
         gpf.apply_tx(view, grown.nodes["PG-1"].gccf_view, tx, block_number=99)
-        assert gpf.ballot_quorum(view) == quorum + 1
-        assert gpf.ballot_quorum(self._view(grown)) == quorum
+        assert gpf.block_max_txs(view) == max_txs + 1
+        assert gpf.block_max_txs(self._view(grown)) == max_txs
 
     def test_rule_body_handed_out_is_never_shared(self, grown):
         view = self._view(grown)

@@ -96,7 +96,7 @@ class TestAddCert:
         forged = replace(ma.cert, subject_name="MA-3")
         tx = make_add_cert_tx(forged, bed.rca.cert, bed.rca.key, 0)
         with pytest.raises(NotAddingVerify) as exc:
-            gccf.apply_tx(bed.view, tx, block_number=5, quorum=2)
+            gccf.apply_tx(bed.view, tx, block_number=5)
         assert reject_reason(exc) == "bad-signature"
 
     def test_submitter_must_be_issuer(self):
@@ -104,7 +104,7 @@ class TestAddCert:
         ma = make_identity("MA-4", bed.rca, rng=bed.rng)
         tx = make_add_cert_tx(ma.cert, bed.pg.cert, bed.pg.key, 0)
         with pytest.raises(NotAddingVerify) as exc:
-            gccf.apply_tx(bed.view, tx, block_number=5, quorum=2)
+            gccf.apply_tx(bed.view, tx, block_number=5)
         assert reject_reason(exc) == "role-violation"
 
     def test_direct_root_add_needs_ballot(self):
@@ -358,7 +358,7 @@ class TestAccessMatrixFuzz:
             allowed = subject_role in ISSUANCE_MATRIX.get(issuer.role, frozenset())
             ballot_governed = subject_role in (AuthorityRole.ELECTOR, AuthorityRole.RCA)
             try:
-                gccf.apply_tx(bed.view.copy(), tx, block_number=3, quorum=2)
+                gccf.apply_tx(bed.view.copy(), tx, block_number=3)
                 committed = True
             except NotAddingVerify as exc:
                 committed = False
@@ -373,9 +373,16 @@ class TestMonotoneRevocation:
         retry = replace(bed.ica.cert)  # same serial, same bytes
         tx = make_add_cert_tx(retry, bed.rca.cert, bed.rca.key, 0)
         with pytest.raises(NotAddingVerify) as exc:
-            gccf.apply_tx(bed.view, tx, block_number=9, quorum=2)
+            gccf.apply_tx(bed.view, tx, block_number=9)
         assert reject_reason(exc) == "duplicate-serial"
         assert not validate_cert(bed.view, bed.ica.cert, now_s=10.0).ok
+
+
+class TestViewCopy:
+    def test_a_copy_carries_the_genesis_quorum(self):
+        bed = Bed(quorum=3)
+        assert bed.view.quorum == 3
+        assert bed.view.copy().quorum == 3
 
 
 class TestExportSnapshot:
@@ -646,7 +653,7 @@ class TestAnchorRecordsChangeOnlyByBallot:
             else:
                 tx = gccf.make_validate_tx(known[j % len(known)], signer.cert, signer.key, 0)
             try:
-                gccf.apply_tx(bed.view, tx, block_number=bed.next_block, quorum=bed.quorum)
+                gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
             except ContractRejection:
                 pass
             bed.next_block += 1

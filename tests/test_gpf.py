@@ -31,21 +31,26 @@ def _quorum_record(n=2) -> PolicyRecord:
     )
 
 
+def _max_txs_record(n=2) -> PolicyRecord:
+    """A known rule that may change after the genesis."""
+    return PolicyRecord(entity="OSP", rule_name="block_max_txs", rule_body={"value": n}, status=PolicyStatus.ALIVE)
+
+
 class TestAddPolicy:
     def test_pg_adds_rule_alive(self):
         bed = Bed()
         view = GpfView()
-        tx = make_policy_tx(_quorum_record(3), bed.pg.cert, bed.pg.key, 0)
+        tx = make_policy_tx(_max_txs_record(3), bed.pg.cert, bed.pg.key, 0)
         gpf.apply_tx(view, bed.view, tx, block_number=1)
-        record = get_rule(view, "Elector", "ballot_quorum")
+        record = get_rule(view, "OSP", "block_max_txs")
         assert record.status == PolicyStatus.ALIVE
-        assert record.rule_body == {"min_endorsements": 3}
-        assert ballot_quorum(view) == 3
+        assert record.rule_body == {"value": 3}
+        assert gpf.block_max_txs(view) == 3
 
     def test_rca_submission_is_not_pg(self):
         bed = Bed()
         view = GpfView()
-        tx = make_policy_tx(_quorum_record(), bed.rca.cert, bed.rca.key, 0)
+        tx = make_policy_tx(_max_txs_record(), bed.rca.cert, bed.rca.key, 0)
         with pytest.raises(NotPG):
             gpf.apply_tx(view, bed.view, tx, block_number=1)
 
@@ -53,32 +58,63 @@ class TestAddPolicy:
         bed = Bed()
         bed.inject_revoked(bed.pg.cert)
         view = GpfView()
-        tx = make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0)
+        tx = make_policy_tx(_max_txs_record(), bed.pg.cert, bed.pg.key, 0)
         with pytest.raises(NotPG):
             gpf.apply_tx(view, bed.view, tx, block_number=1)
 
     def test_readd_overwrites_alive(self):
         bed = Bed()
         view = GpfView()
-        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(2), bed.pg.cert, bed.pg.key, 0), block_number=1)
-        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(5), bed.pg.cert, bed.pg.key, 1), block_number=2)
-        record = get_rule(view, "Elector", "ballot_quorum")
+        gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(2), bed.pg.cert, bed.pg.key, 0), block_number=1)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(5), bed.pg.cert, bed.pg.key, 1), block_number=2)
+        record = get_rule(view, "OSP", "block_max_txs")
         assert record.status == PolicyStatus.ALIVE
-        assert record.rule_body == {"min_endorsements": 5}
+        assert record.rule_body == {"value": 5}
         assert record.updated_block == 2
+
+
+class TestGenesisRule:
+    """The ballot quorum commits in the genesis block and is refused in every later one."""
+
+    def test_the_genesis_commits_the_quorum(self):
+        bed = Bed()
+        view = GpfView()
+        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(3), bed.pg.cert, bed.pg.key, 0), block_number=0)
+        assert ballot_quorum(view) == 3
+
+    @pytest.mark.parametrize("in_genesis", [True, False], ids=["set-in-genesis", "absent-from-genesis"])
+    def test_a_later_add_or_revoke_is_refused(self, in_genesis):
+        bed = Bed()
+        view = GpfView()
+        if in_genesis:
+            gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(3), bed.pg.cert, bed.pg.key, 0), block_number=0)
+        before = dict(view.world)
+        for tx in (make_policy_tx(_quorum_record(1), bed.pg.cert, bed.pg.key, 1),
+                   make_revoke_policy_tx(view, "Elector", "ballot_quorum", bed.pg.cert, bed.pg.key, 2)):
+            with pytest.raises(ContractRejection) as exc:
+                gpf.apply_tx(view, bed.view, tx, block_number=1)
+            assert exc.value.reason == "genesis-rule"
+        assert view.world == before
+        assert ballot_quorum(view) == (3 if in_genesis else 2)
+
+    def test_a_non_pg_write_is_still_not_pg(self):
+        bed = Bed()
+        with pytest.raises(NotPG):
+            gpf.apply_tx(GpfView(), bed.view, make_policy_tx(_quorum_record(1), bed.rca.cert, bed.rca.key, 0),
+                         block_number=1)
 
 
 class TestRevokePolicy:
     def test_revoke_flips_to_death(self):
         bed = Bed()
         view = GpfView()
-        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
-        tx = make_revoke_policy_tx(view, "Elector", "ballot_quorum", bed.pg.cert, bed.pg.key, 1)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
+        tx = make_revoke_policy_tx(view, "OSP", "block_max_txs", bed.pg.cert, bed.pg.key, 1)
         gpf.apply_tx(view, bed.view, tx, block_number=2)
-        record = get_rule(view, "Elector", "ballot_quorum")
+        record = get_rule(view, "OSP", "block_max_txs")
         assert record.status == PolicyStatus.DEATH
         # Dead rules are not in force: consumers fall back to the default.
-        assert ballot_quorum(view) == 2
+        assert gpf.block_max_txs(view) == 10
 
     def test_unknown_rule(self):
         bed = Bed()
@@ -91,15 +127,15 @@ class TestRevokePolicy:
     def test_revoke_then_readd_is_alive(self):
         bed = Bed()
         view = GpfView()
-        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
+        gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
         gpf.apply_tx(
             view, bed.view,
-            make_revoke_policy_tx(view, "Elector", "ballot_quorum", bed.pg.cert, bed.pg.key, 1),
+            make_revoke_policy_tx(view, "OSP", "block_max_txs", bed.pg.cert, bed.pg.key, 1),
             block_number=2,
         )
-        gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(4), bed.pg.cert, bed.pg.key, 2), block_number=3)
-        assert get_rule(view, "Elector", "ballot_quorum").status == PolicyStatus.ALIVE
-        assert ballot_quorum(view) == 4
+        gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(4), bed.pg.cert, bed.pg.key, 2), block_number=3)
+        assert get_rule(view, "OSP", "block_max_txs").status == PolicyStatus.ALIVE
+        assert gpf.block_max_txs(view) == 4
 
 
 class TestGetRule:
@@ -123,7 +159,8 @@ class TestGetRule:
         bed = Bed()
         view = GpfView()
         record = PolicyRecord(entity=entity, rule_name=rule, rule_body={key: value}, status=PolicyStatus.ALIVE)
-        gpf.apply_tx(view, bed.view, make_policy_tx(record, bed.pg.cert, bed.pg.key, 0), block_number=1)
+        # Committed in the genesis, the one block that may write the quorum.
+        gpf.apply_tx(view, bed.view, make_policy_tx(record, bed.pg.cert, bed.pg.key, 0), block_number=0)
         assert get_rule(view, entity, rule).rule_body == {key: value}
         assert (gpf.block_max_txs(view), gpf.block_timeout_ms(view), ballot_quorum(view)) == (10, 500, 2)
 
@@ -146,7 +183,7 @@ class TestEncoding:
 
     def test_status_totality(self):
         # No third status is decodable.
-        record = _quorum_record()
+        record = _max_txs_record()
         raw = encode_policy(record)
         bad = raw.replace(b"alive", b"zombi")
         with pytest.raises(ContractRejection):

@@ -474,10 +474,6 @@ def test_a_restore_reads_as_many_fields_however_many_entries(tmp_path, monkeypat
     assert reads[200][0] == reads[10][0]
 
 
-@pytest.mark.xfail(strict=True, reason="a replay commits every GCCF block before any GPF block, so a tally "
-                                       "reads the default ballot quorum, not the committed one; the fix records "
-                                       "the cross-channel commit order in the chain files, which changes the "
-                                       "chain bytes the benchmark pins")
 def test_a_replay_tallies_at_the_committed_quorum(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**CONFIG, "policies": {"ballot_quorum": 1}}))
@@ -494,5 +490,5 @@ def test_a_replay_tallies_at_the_committed_quorum(tmp_path, capsys):
     _run(*validate)  # restored from the savepoint
     (dep / SAVEPOINT_FILE).unlink()
     capsys.readouterr()
-    # Replayed: today "deployment chain does not replay: block 2 refused: role-violation".
+    # Replayed: the genesis pair commits first, so the tally reads the genesis quorum of 1.
     assert main(validate) == 0, capsys.readouterr().err

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from bbtm import gccf, gpf
+from bbtm import gccf
 from bbtm.identity import canonical_encode, dump_json
 from bbtm.ledger import Block, Channel, StateEntry, TxFunction, make_block
 from bbtm.node import BlockRefused
@@ -490,7 +490,7 @@ class TestQueriesAndBallotWorkload:
         sim = Simulation(config)
         report = sim.run()
         assert report.converged
-        assert all(gpf.ballot_quorum(node.gpf_view) == 2 for node in sim.nodes.values())
+        assert all(node.gccf_view.quorum == 2 for node in sim.nodes.values())
         assert [r["reason"] for r in report.rejections] == ["not-accepted"]
         assert report.queries[0]["result"] == "NotVerify"
 
@@ -524,6 +524,29 @@ class TestQueriesAndBallotWorkload:
         sim = Simulation(small_config(count=0, workload=(action,), generate=None))
         with pytest.raises(SimulationError, match="subject name 'Nobody-1' carries no role"):
             sim.run()
+
+
+class TestGenesisQuorum:
+    """A run that tries to lower the quorum mid-ballot. Were the write to commit, a peer could tally the
+    apply_ballot at another quorum than the sequencer's and refuse the sequencer's block."""
+
+    @pytest.mark.parametrize("gap", [80, 90])
+    def test_no_peer_refuses_a_block_and_the_quorum_write_is_refused(self, gap):
+        target = {"elector": "Elector-1", "type": "AddRootCert", "target": "RCA-9"}
+        workload = (
+            {"at_ms": 100, "action": "new_root", "name": "RCA-9"},
+            {"at_ms": 200, "action": "endorse", **target},
+            {"at_ms": 1000, "action": "policy_add", "entity": "Elector", "rule": "ballot_quorum",
+             "body": {"min_endorsements": 1}},
+            {"at_ms": 1000 + gap, "action": "apply_ballot", **target},
+        )
+        config = small_config(seed=26, generate=None, network=NetworkParams(5, 80, 0.0), workload=workload,
+                              policies=(("ballot_quorum", 2), ("block_max_txs", 1), ("block_timeout_ms", 1)))
+        report = Simulation(config).run()
+        assert report.converged
+        assert not [r for r in report.rejections if r["reason"].startswith("refused-by")]
+        assert [(r["function"], r["reason"]) for r in report.rejections if r["channel"] == "GPF"] == [
+            ("AddPolicy", "genesis-rule")]
 
 
 class TestGeneratedWorkload:

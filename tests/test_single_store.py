@@ -151,8 +151,7 @@ class TestRefusedBlockRollsBack:
         pg, rca = dep.identity("PG-1"), dep.identity("RCA-1")
         node = finished.nodes["RA-1"]
         record = gpf.PolicyRecord(
-            entity="Elector", rule_name="ballot_quorum",
-            rule_body={"min_endorsements": 3}, status=gpf.PolicyStatus.ALIVE,
+            entity="OSP", rule_name="block_max_txs", rule_body={"value": 3}, status=gpf.PolicyStatus.ALIVE,
         )
         valid = gpf.make_policy_tx(record, pg.cert, pg.key, 0)
         other = gpf.PolicyRecord(
@@ -160,7 +159,7 @@ class TestRefusedBlockRollsBack:
         )
         non_pg = gpf.make_policy_tx(other, rca.cert, rca.key, 0)
 
-        quorum = gpf.ballot_quorum(node.gpf_view)
+        max_txs = gpf.block_max_txs(node.gpf_view)
         before = _snapshot(node)
         height = node.ledger(Channel.GPF).height
         with pytest.raises(BlockRefused) as exc:
@@ -171,11 +170,11 @@ class TestRefusedBlockRollsBack:
             _assert_same_entries(before[0][channel], after[0][channel])
         assert after[1:] == before[1:]
         assert node.ledger(Channel.GPF).height == height
-        assert gpf.ballot_quorum(node.gpf_view) == quorum
+        assert gpf.block_max_txs(node.gpf_view) == max_txs
 
         node.commit_block(Channel.GPF, _next_block(finished, node, Channel.GPF, [valid]))
         assert node.ledger(Channel.GPF).height == height + 1
-        assert gpf.ballot_quorum(node.gpf_view) == 3
+        assert gpf.block_max_txs(node.gpf_view) == 3
 
 
 class TestContractsWriteOnlyTheirKey:
