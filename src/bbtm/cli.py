@@ -23,11 +23,11 @@ from . import ballot as ballot_mod
 from . import gccf, gpf, metrics
 from .deployment import (  # CHAIN_FILES: re-exported
     CHAIN_FILES,
-    DEFAULT_NOT_AFTER,
-    DEFAULT_NOT_BEFORE,
     CliDeployment,
     CliError,
     build_deployment,
+    check_list,
+    check_role,
     derive_bytes,
     derive_identity,
     expand_node_counts,
@@ -52,7 +52,7 @@ from .identity import (
     write_atomic,
 )
 from .ledger import Channel, LedgerError, decode_chain, infer_channel, verify_chain
-from .simulation import ScenarioConfig, Simulation, SimulationError, check_deferred, check_int, check_validity
+from .simulation import ScenarioConfig, Simulation, SimulationError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -114,23 +114,15 @@ def cmd_network_init(args) -> int:
         raise CliError("config-invalid: a network config is a JSON object", EXIT_USAGE)
     try:
         if "members" in config:
-            members = [(AuthorityRole(m["role"]), m["name"]) for m in config["members"]]
+            members = [(check_role(m["role"]), m["name"]) for m in check_list(config["members"], "members")]
         elif "nodes" in config:
-            members = expand_node_counts(
-                [(n["role"], check_int(n["count"], f"node count of {n['role']}")) for n in config["nodes"]]
-            )
+            members = expand_node_counts([(n["role"], n["count"]) for n in check_list(config["nodes"], "nodes")])
         else:
             raise CliError("config-invalid: config needs a 'members' or 'nodes' section", EXIT_USAGE)
-        dep = build_deployment(
-            check_int(config["seed"], "seed"),
-            members,
-            {str(k): check_int(v, f"policy {k}") for k, v in config.get("policies", {}).items()},
-            validity=check_validity(config.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
-            defer_bootstrap=frozenset(check_deferred(config.get("defer_bootstrap", ()))),
-        )
+        # build_deployment checks the fields and holds the defaults.
+        given = {key: config[key] for key in ("validity", "defer_bootstrap") if key in config}
+        dep = build_deployment(config["seed"], members, config.get("policies", {}), **given)
         node = genesis_node(dep, dep.osp.cert)
-    except SimulationError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
     except KeyError as exc:
         raise CliError(f"config-invalid: missing key {exc.args[0]!r}", EXIT_USAGE) from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -161,10 +153,7 @@ def cmd_sim_run(args) -> int:
         sim = Simulation(ScenarioConfig.from_json(scenario))
         report = sim.run()
     except SimulationError as exc:
-        message = str(exc)
-        if not message.startswith("config-invalid"):
-            message = f"config-invalid: {message}"
-        raise CliError(message, EXIT_USAGE) from exc
+        raise CliError(str(exc), EXIT_USAGE) from exc
     if args.report:
         with writing(args.report):
             write_atomic(pathlib.Path(args.report), report.iter_json())

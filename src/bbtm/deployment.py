@@ -315,15 +315,41 @@ class Deployment:
         ]
 
 
+def check_int(value, what: str) -> int:
+    """value, if it is an integer (a bool is not one); ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
+def check_list(value, what: str) -> list:
+    """value, if it is a list of a config's entries; ValueError otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def check_role(value) -> AuthorityRole:
+    """The role value names; ValueError for a name that is no role."""
+    try:
+        return AuthorityRole(value)
+    except ValueError:
+        raise ValueError(f"unknown role {value!r}") from None
+
+
 def expand_node_counts(node_counts: Sequence[Tuple[str, int]]) -> List[Tuple[AuthorityRole, str]]:
-    """Turn [(role, count), ...] into named members Role-1..Role-n; ValueError for a negative count."""
+    """Turn [(role, count), ...] into named members Role-1..Role-n; ValueError for an unknown
+    or repeated role, or a count that is not an integer or is negative."""
     members = []
+    roles: Set[AuthorityRole] = set()
     for role_name, count in node_counts:
-        role = AuthorityRole(role_name)
-        if count < 0:
+        role = check_role(role_name)
+        if role in roles:
+            raise ValueError(f"role {role.value} repeated in nodes")
+        roles.add(role)
+        if check_int(count, f"node count of {role.value}") < 0:
             raise ValueError("negative node count")
-        for i in range(1, count + 1):
-            members.append((role, f"{role.value}-{i}"))
+        members += [(role, f"{role.value}-{i}") for i in range(1, count + 1)]
     return members
 
 
@@ -354,21 +380,32 @@ def derive_identity(
 def build_deployment(
     seed: int,
     members: Sequence[Tuple[AuthorityRole, str]],
-    policies: Optional[Dict[str, int]] = None,
+    policies: Dict[str, int],
     *,
     validity: Tuple[int, int] = (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER),
-    defer_bootstrap: frozenset = frozenset(),
+    defer_bootstrap: Sequence[str] = (),
 ) -> Deployment:
     """Derive the whole consortium from the seed and the member list, minting each member once.
 
-    ValueError if the list does not hold exactly one ordering service,
+    ValueError if the seed, a policy value or a validity bound is no integer,
+    policies is no mapping, validity is no pair, defer_bootstrap is no list of
+    member names, or the list does not hold exactly one ordering service,
     repeats a name, names a member other than for its role (``ICA-2``), or
-    lacks a member's issuer, or if defer_bootstrap names a non-member.  The
-    certificate-channel genesis commits the elector set, the root, and the
-    PG; the policy-channel genesis commits the configured rules.  Every
-    other member's record is pre-built here (signed by its proper issuer)
-    but committed later through ordinary transactions.
+    lacks a member's issuer.  The certificate-channel genesis commits the
+    elector set, the root, and the PG; the policy-channel genesis commits the
+    configured rules.  Every other member's record is pre-built here (signed
+    by its proper issuer) but committed later through ordinary transactions.
     """
+    check_int(seed, "seed")
+    if not isinstance(policies, dict):
+        raise ValueError("policies must be an object")
+    policies = {rule: check_int(value, f"policy {rule}") for rule, value in policies.items()}
+    if not isinstance(validity, (list, tuple)) or len(validity) != 2:
+        raise ValueError("validity must be a [not_before, not_after] pair")
+    not_before, not_after = validity
+    validity = (check_int(not_before, "validity not_before"), check_int(not_after, "validity not_after"))
+    if not isinstance(defer_bootstrap, (list, tuple)) or not all(isinstance(name, str) for name in defer_bootstrap):
+        raise ValueError("defer_bootstrap must be a list of names")
     member_list = list(members)
     # Every later block is cut by the one ordering service.  Checked before
     # the names, so two OSP entries get this message and not the vaguer one.
@@ -426,7 +463,7 @@ def build_deployment(
             # A rule the system does not read is a consortium-wide value.
             (entity, rule_name), body_key, _default = KNOWN_RULES.get(rule, (("Consortium", rule), "value", None))
             record = PolicyRecord(
-                entity=entity, rule_name=rule_name, rule_body={body_key: int(value)}, status=PolicyStatus.ALIVE
+                entity=entity, rule_name=rule_name, rule_body={body_key: value}, status=PolicyStatus.ALIVE
             )
             gpf_txs.append(make_policy_tx(record, pg.cert, pg.key, 0))
 

@@ -30,6 +30,8 @@ from .deployment import (
     DEFAULT_NOT_BEFORE,
     Deployment,
     build_deployment,
+    check_int,
+    check_list,
     derive_identity,
     derive_rng,
     expand_node_counts,
@@ -85,32 +87,17 @@ def world_state_digests(nodes: Iterable[Node]) -> Dict[str, bytes]:
     return digests
 
 
-def check_int(value, what: str) -> int:
-    """value, if it is an integer (a bool is not one); config-invalid otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SimulationError(f"config-invalid: {what} must be an integer")
-    return value
+def _as_tuple(value):
+    """A JSON list as a tuple, so that a parsed config equals the one it was written from; any other value as given."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def check_not_negative(value, what: str) -> int:
     """value, if it is an integer that is not negative: a count, or a time or
     spacing of the run, whose virtual clock starts at zero and never moves back."""
     if check_int(value, what) < 0:
-        raise SimulationError(f"config-invalid: {what} cannot be negative")
+        raise ValueError(f"{what} cannot be negative")
     return value
-
-
-def check_validity(value) -> Tuple[int, int]:
-    """value, a [not_before, not_after] pair, if both bounds are integers; config-invalid otherwise."""
-    not_before, not_after = value
-    return check_int(not_before, "validity not_before"), check_int(not_after, "validity not_after")
-
-
-def check_deferred(value) -> Tuple[str, ...]:
-    """value, the names of the members deferred from the genesis, if it is a list of strings (a string is not)."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(name, str) for name in value):
-        raise SimulationError("config-invalid: defer_bootstrap must be a list of names")
-    return tuple(value)
 
 
 def _check_action(action: dict) -> None:
@@ -120,15 +107,18 @@ def _check_action(action: dict) -> None:
     """
     kind = action.get("action")
     if kind not in ACTION_FIELDS:
-        raise SimulationError(f"config-invalid: unknown workload action {kind!r}")
+        raise ValueError(f"unknown workload action {kind!r}")
     for key in ACTION_FIELDS[kind] + (("by",) if "by" in action else ()):
         if not isinstance(action.get(key), str):
-            raise SimulationError(f"config-invalid: {kind} action needs a string {key!r}")
+            raise ValueError(f"{kind} action needs a string {key!r}")
+    minted = {"issue": "subject_name", "new_root": "name"}.get(kind)  # the field naming a subject it mints
+    if minted and role_of_name(action[minted]) is None:
+        raise ValueError(f"subject name {action[minted]!r} carries no role")
     if "type" in ACTION_FIELDS[kind] and action["type"] not in ENDORSEMENT_TYPES:
-        raise SimulationError(f"config-invalid: unknown endorsement type {action['type']!r}")
+        raise ValueError(f"unknown endorsement type {action['type']!r}")
     body = action.get("body", {})
     if not isinstance(body, dict) or not all(isinstance(v, (int, str, bool)) for v in body.values()):
-        raise SimulationError(f"config-invalid: {kind} action body must map names to scalars")
+        raise ValueError(f"{kind} action body must map names to scalars")
     for key in ("not_before", "not_after"):
         if key in action:
             check_int(action[key], f"{kind} action {key}")
@@ -193,9 +183,6 @@ class ScenarioConfig:
     defer_bootstrap: Tuple[str, ...] = ()
     auto_commit_members: bool = True
 
-    def policy_dict(self) -> Dict[str, int]:
-        return dict(self.policies)
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -222,28 +209,30 @@ class ScenarioConfig:
 
     @classmethod
     def _parse(cls, obj: dict) -> "ScenarioConfig":
+        """The scenario's fields as given; Simulation checks their values."""
         network = obj.get("network", {})
         link_drop = network.get("link_drop", {})
-        if not all(isinstance(rate, (int, float)) for rate in link_drop.values()):
+        policies = obj.get("policies", {})
+        if not all(type(rate) in (int, float) for rate in link_drop.values()):  # a bool is not a number
             raise ValueError("network link_drop rates must be numbers")
         return cls(
-            seed=check_int(obj["seed"], "seed"),
-            nodes=tuple((str(role), check_int(count, f"node count of {role}")) for role, count in obj["nodes"]),
+            seed=obj["seed"],
+            nodes=tuple((role, count) for role, count in check_list(obj["nodes"], "nodes")),
             network=NetworkParams(
                 latency_min_ms=network.get("latency_min_ms", 5),
                 latency_max_ms=network.get("latency_max_ms", 50),
                 drop_rate=network.get("drop_rate", 0.0),
                 link_drop=tuple(sorted((str(k), float(v)) for k, v in link_drop.items())),
             ),
-            workload=tuple(obj.get("workload", ())),
+            workload=tuple(check_list(obj.get("workload", ()), "workload")),
             generate=obj.get("generate"),
             faults=tuple(
                 Fault(node=f["node"], crash_at_ms=f["crash_at_ms"], recover_at_ms=f.get("recover_at_ms"))
-                for f in obj.get("faults", ())
+                for f in check_list(obj.get("faults", ()), "faults")
             ),
-            policies=tuple(sorted((str(k), check_int(v, f"policy {k}")) for k, v in obj.get("policies", {}).items())),
-            validity=check_validity(obj.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
-            defer_bootstrap=check_deferred(obj.get("defer_bootstrap", ())),
+            policies=tuple(sorted(policies.items())) if isinstance(policies, dict) else policies,
+            validity=_as_tuple(obj.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),
+            defer_bootstrap=_as_tuple(obj.get("defer_bootstrap", ())),
             auto_commit_members=obj.get("auto_commit_members", True),
         )
 
@@ -335,26 +324,27 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self._validate_config()
-        self._members = expand_node_counts(config.nodes)
-        # The default signer of revocations and rules: the first PG.
-        self._pg_name = next(name for role, name in self._members if role == AuthorityRole.PG)
+        # The consortium's rules are build_deployment's; the run's are checked against its members.
         try:
+            self._members = expand_node_counts(config.nodes)
             self.deployment: Deployment = build_deployment(
                 config.seed,
                 self._members,
-                config.policy_dict(),
+                dict(config.policies) if isinstance(config.policies, tuple) else config.policies,
                 validity=config.validity,
-                defer_bootstrap=frozenset(config.defer_bootstrap),
+                defer_bootstrap=config.defer_bootstrap,
             )
+            self.osp_name = self.deployment.osp.name
             self.nodes: Dict[str, Node] = {
                 name: genesis_node(self.deployment, self.deployment.identity(name).cert)
                 for _role, name in self._members
             }
+            self._validate_config()
         except ValueError as exc:
             raise SimulationError(f"config-invalid: {exc}") from exc
+        # The default signer of revocations and rules: the first PG.
+        self._pg_name = next(name for role, name in self._members if role == AuthorityRole.PG)
         self.clock = VirtualClock()
-        self.osp_name = self.deployment.osp.name
         self.orderer = OrderingService(
             self.deployment.consortium, self.deployment.osp, self.nodes[self.osp_name]
         )
@@ -378,65 +368,47 @@ class Simulation:
     # ------------------------------------------------------------------ setup
 
     def _validate_config(self) -> None:
-        counts: Dict[str, int] = {}
-        for role_name, count in self.config.nodes:
-            try:
-                role = AuthorityRole(role_name)
-            except ValueError as exc:
-                raise SimulationError(f"config-invalid: unknown role {role_name!r}") from exc
-            if role.value in counts:
-                raise SimulationError(f"config-invalid: role {role.value} repeated in nodes")
-            counts[role.value] = count
-        try:
-            names = {name for _role, name in expand_node_counts(self.config.nodes)}
-        except ValueError as exc:
-            raise SimulationError(f"config-invalid: {exc}") from exc
-        if counts.get("PG", 0) < 1:
-            raise SimulationError("config-invalid: a policy generator is required")
-        # The quorum the run will read, so a value below 1 is checked as the default it reads as.
-        quorum = gpf.count_rule(
-            "ballot_quorum", self.config.policy_dict().get("ballot_quorum", ballot_mod.DEFAULT_BALLOT_QUORUM)
-        )
-        deferred_electors = sum(1 for n in self.config.defer_bootstrap if n in names and n.startswith("Elector-"))
-        if counts.get("Elector", 0) - deferred_electors < quorum:
-            raise SimulationError("config-invalid: fewer electors than the ballot quorum")
+        """The run's fields, checked against the members and the genesis; ValueError for the first fault."""
+        if not any(role == AuthorityRole.PG for role, _name in self._members):
+            raise ValueError("a policy generator is required")
+        # The genesis electors against the genesis quorum the run reads, a value below 1 read as its default.
+        electors = sum(role_of_name(name) == AuthorityRole.ELECTOR for name in self.deployment.gccf_bootstrap_names)
+        if electors < self.nodes[self.osp_name].gccf_view.quorum:
+            raise ValueError("fewer electors than the ballot quorum")
+        if not isinstance(self.config.auto_commit_members, bool):
+            raise ValueError("auto_commit_members must be true or false")
         net = self.config.network
         check_int(net.latency_min_ms, "network latency_min_ms")
         check_int(net.latency_max_ms, "network latency_max_ms")
-        if not isinstance(net.drop_rate, (int, float)):
-            raise SimulationError("config-invalid: network drop_rate must be a number")
+        if type(net.drop_rate) not in (int, float):
+            raise ValueError("network drop_rate must be a number")
         if not 0 <= net.drop_rate <= 1 or net.latency_min_ms < 0 or net.latency_max_ms < net.latency_min_ms:
-            raise SimulationError("config-invalid: bad network parameters")
+            raise ValueError("bad network parameters")
         if any(not 0 <= rate <= 1 for _name, rate in net.link_drop):
-            raise SimulationError("config-invalid: bad link drop rate")
+            raise ValueError("bad link drop rate")
         checked: List[Fault] = []
         for fault in self.config.faults:
-            if fault.node not in names:
-                raise SimulationError(f"config-invalid: fault names unknown node {fault.node}")
+            if fault.node not in self.nodes:
+                raise ValueError(f"fault names unknown node {fault.node}")
             crash = check_not_negative(fault.crash_at_ms, "fault crash_at_ms")
             if fault.recover_at_ms is not None:
                 recover = check_not_negative(fault.recover_at_ms, "fault recover_at_ms")
                 if recover < crash:
-                    raise SimulationError(
-                        f"config-invalid: fault of {fault.node} recovers at {recover} ms,"
-                        f" before it crashes at {crash} ms"
-                    )
+                    raise ValueError(f"fault of {fault.node} recovers at {recover} ms, before it crashes at {crash} ms")
             # A node crashed twice at one instant stops the run, in whichever order the faults are listed.
             for other in checked:
                 if other.node == fault.node and other.overlaps(fault):
-                    raise SimulationError(
-                        f"config-invalid: faults of {fault.node} overlap: down {other.window()} and {fault.window()}"
-                    )
+                    raise ValueError(f"faults of {fault.node} overlap: down {other.window()} and {fault.window()}")
             checked.append(fault)
         for action in self.config.workload:
             if not isinstance(action, dict):
-                raise SimulationError("config-invalid: a workload action is a JSON object")
+                raise ValueError("a workload action is a JSON object")
             check_not_negative(action.get("at_ms"), "workload action at_ms")
             _check_action(action)
         spec = self.config.generate
         if spec is not None:
             if not isinstance(spec, dict):
-                raise SimulationError("config-invalid: generate must be a JSON object")
+                raise ValueError("generate must be a JSON object")
             check_not_negative(spec.get("count"), "generate count")
             check_not_negative(spec.get("spacing_ms", 10), "generate spacing_ms")
             check_not_negative(spec.get("start_ms") or 0, "generate start_ms")
@@ -478,7 +450,7 @@ class Simulation:
         issuers = [
             (name, role)
             for role, name in self._members
-            if role in subject_roles and name not in self.config.defer_bootstrap
+            if role in subject_roles and name not in self.deployment.deferred
         ]
         if not issuers:
             raise SimulationError("config-invalid: generated workload needs an RCA or ICA")
@@ -595,8 +567,6 @@ class Simulation:
 
     def _mint(self, name: str, issuer: Optional[Identity], validity: Tuple[int, int], now_s: float) -> Identity:
         """Derive a workload subject; a serial comes from its signer's stream."""
-        if role_of_name(name) is None:
-            raise SimulationError(f"subject name {name!r} carries no role")
         serial = self._serial_rng(issuer.name if issuer else name).randbytes(16)
         ident = derive_identity(self.config.seed, name, issuer, validity=validity, serial=serial, now_s=now_s)
         self._identities[name] = ident

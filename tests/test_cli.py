@@ -43,10 +43,6 @@ MEMBERS = [{"role": role, "name": f"{role}-{i}"} for role, count in
            (("Elector", 3), ("RCA", 1), ("ICA", 1), ("PG", 1), ("OSP", 1)) for i in range(1, count + 1)]
 
 
-def _with_ica_count(count):
-    return [{**n, "count": count} if n["role"] == "ICA" else n for n in BASE_CONFIG["nodes"]]
-
-
 @pytest.fixture
 def deployment(tmp_path):
     config = tmp_path / "config.json"
@@ -88,27 +84,11 @@ class TestNetworkInit:
             assert {p.name for p in deployment.iterdir()} == DEPLOYMENT_FILES, argv
         capsys.readouterr()
 
-    def test_a_genesis_that_does_not_commit_is_config_invalid(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**BASE_CONFIG, "defer_bootstrap": ["PG-1"]}))
-        out = tmp_path / "dep"
-        assert main(["network", "init", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: config-invalid: genesis does not commit: block 0 refused: not-PG\n"
-        assert not out.exists()
-
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["network", "init", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")]) == 2
 
+    # The consortium faults that sim run shares are TestConsortiumFaults'; these concern network init alone.
     @pytest.mark.parametrize("config, message", [
-        ({"nodes": BASE_CONFIG["nodes"]}, "missing key 'seed'"),
-        ({**BASE_CONFIG, "nodes": BASE_CONFIG["nodes"] + [{"role": "Bogus", "count": 1}]},
-         "'Bogus' is not a valid AuthorityRole"),
-        ({**BASE_CONFIG, "nodes": [n for n in BASE_CONFIG["nodes"] if n["role"] != "RCA"]},
-         "ICA-1 requires a root CA member before it"),
-        ({**BASE_CONFIG, "nodes": [n for n in BASE_CONFIG["nodes"] if n["role"] != "OSP"]},
-         "exactly one ordering service required"),
-        ({**BASE_CONFIG, "nodes": BASE_CONFIG["nodes"] + [{"role": "OSP", "count": 1}]},
-         "exactly one ordering service required"),
         ({"seed": 1, "members": [{"role": "Elector", "name": "Elector-1"}, {"role": "RCA", "name": "RCA-1"},
                                  {"role": "OSP", "name": "OSP-1"}, {"role": "OSP", "name": "OSP-2"}]},
          "exactly one ordering service required"),
@@ -120,26 +100,10 @@ class TestNetworkInit:
          "member 'roadside' is not named for its role RA"),
         ({"seed": 1, "members": [m for m in MEMBERS if m["role"] != "OSP"] + [{"role": "OSP", "name": "orderer"}]},
          "member 'orderer' is not named for its role OSP"),
-        # Counts, the seed and rule values are integers, never coerced.
-        ({**BASE_CONFIG, "nodes": _with_ica_count(2.9)}, "node count of ICA must be an integer"),
-        ({**BASE_CONFIG, "nodes": _with_ica_count("2")}, "node count of ICA must be an integer"),
-        ({**BASE_CONFIG, "nodes": _with_ica_count(True)}, "node count of ICA must be an integer"),
-        ({**BASE_CONFIG, "seed": "42"}, "seed must be an integer"),
-        ({**BASE_CONFIG, "seed": 4.5}, "seed must be an integer"),
-        ({**BASE_CONFIG, "policies": {"ballot_quorum": 1.7}}, "policy ballot_quorum must be an integer"),
-        ({**BASE_CONFIG, "policies": {"ballot_quorum": True}}, "policy ballot_quorum must be an integer"),
-        # Both validity bounds are integers, and the deferred members a list of names.
-        ({**BASE_CONFIG, "validity": [0.5, 1000.5]}, "validity not_before must be an integer"),
-        ({**BASE_CONFIG, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
-        ({**BASE_CONFIG, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
-        ({**BASE_CONFIG, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
-        ({**BASE_CONFIG, "defer_bootstrap": ["Nobody-9"]}, "defer_bootstrap names no member 'Nobody-9'"),
-        ({**BASE_CONFIG, "nodes": BASE_CONFIG["nodes"] + [{"role": "RA", "count": -2}]}, "negative node count"),
-    ], ids=["no-seed", "unknown-role", "ica-without-rca", "no-osp", "two-osp-nodes", "two-osp-members",
-            "not-an-object", "ra-named-pca", "ra-named-roadside", "osp-named-orderer", "float-count",
-            "string-count", "bool-count", "string-seed", "float-seed", "float-rule", "bool-rule",
-            "float-not-before", "float-not-after", "string-defer", "non-name-defer", "non-member-defer",
-            "negative-count"])
+        ({"seed": 1, "members": MEMBERS + [{"role": "Bogus", "name": "Bogus-1"}]}, "unknown role 'Bogus'"),
+        ({"seed": 1, "members": {"role": "OSP", "name": "OSP-1"}}, "members must be a list"),
+    ], ids=["two-osp-members", "not-an-object", "ra-named-pca", "ra-named-roadside", "osp-named-orderer",
+            "member-of-unknown-role", "members-not-a-list"])
     def test_config_errors_are_config_invalid(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -187,6 +151,89 @@ class TestNetworkInit:
         # The PG signs the transaction and the ordering service the block.
         assert [seed.hex() for seed in derived] == [keys["PG-1"], keys["OSP-1"]]
         capsys.readouterr()
+
+
+# The consortium section both verbs read, with its nodes as (role, count) pairs: _in_shape_of gives each verb its own.
+CONSORTIUM = {**BASE_CONFIG, "nodes": [(n["role"], n["count"]) for n in BASE_CONFIG["nodes"]]}
+
+
+def _consortium(nodes=CONSORTIUM["nodes"], **fields):
+    return {**CONSORTIUM, "nodes": nodes, **fields}
+
+
+def _ica_count(count):
+    return [(role, count if role == "ICA" else n) for role, n in CONSORTIUM["nodes"]]
+
+
+def _without(role):
+    return [(r, n) for r, n in CONSORTIUM["nodes"] if r != role]
+
+
+def _in_shape_of(verb, consortium):
+    """The consortium as verb reads it: network init's nodes are objects, sim run's [role, count] pairs."""
+    nodes = consortium["nodes"]
+    if isinstance(nodes, list):
+        nodes = [{"role": role, "count": count} if verb == "network-init" else [role, count] for role, count in nodes]
+    return {**consortium, "nodes": nodes}
+
+
+def _run_verb(tmp_path, verb, consortium):
+    """Exit code of verb on the consortium, and whether it made its output directory."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_in_shape_of(verb, consortium)))
+    out = tmp_path / "out"
+    flag = "--config" if verb == "network-init" else "--scenario"
+    return main([*verb.split("-"), flag, str(path), "--out", str(out)]), out.exists()
+
+
+class TestConsortiumFaults:
+    """A fault of the consortium section is refused by network init and sim run alike, with one message."""
+
+    @pytest.mark.parametrize("verb", ["network-init", "sim-run"])
+    def test_both_verbs_take_the_base_consortium(self, tmp_path, capsys, verb):
+        assert _run_verb(tmp_path, verb, CONSORTIUM) == (0, True)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("consortium, message", [
+        ({key: value for key, value in CONSORTIUM.items() if key != "seed"}, "missing key 'seed'"),
+        (_consortium({"a": 1}), "nodes must be a list"),
+        (_consortium(CONSORTIUM["nodes"] + [("Bogus", 1)]), "unknown role 'Bogus'"),
+        (_consortium(CONSORTIUM["nodes"] + [("RA", 1), ("RA", 2)]), "role RA repeated in nodes"),
+        (_consortium(CONSORTIUM["nodes"] + [("OSP", 1)]), "role OSP repeated in nodes"),
+        (_consortium(_without("RCA")), "ICA-1 requires a root CA member before it"),
+        (_consortium(_without("OSP")), "exactly one ordering service required"),
+        # Counts, the seed and rule values are integers, never coerced.
+        (_consortium(_ica_count(2.9)), "node count of ICA must be an integer"),
+        (_consortium(_ica_count("2")), "node count of ICA must be an integer"),
+        (_consortium(_ica_count(True)), "node count of ICA must be an integer"),
+        (_consortium(CONSORTIUM["nodes"] + [("RA", -2)]), "negative node count"),
+        (_consortium(seed="42"), "seed must be an integer"),
+        (_consortium(seed=4.5), "seed must be an integer"),
+        (_consortium(policies={"ballot_quorum": 1.7}), "policy ballot_quorum must be an integer"),
+        (_consortium(policies={"ballot_quorum": True}), "policy ballot_quorum must be an integer"),
+        (_consortium(policies=None), "policies must be an object"),
+        (_consortium(policies=[]), "policies must be an object"),
+        # Both validity bounds are integers, and the deferred members a list of member names.
+        (_consortium(validity=[0.5, 1000.5]), "validity not_before must be an integer"),
+        (_consortium(validity=[0, 1000.5]), "validity not_after must be an integer"),
+        (_consortium(validity=5), "validity must be a [not_before, not_after] pair"),
+        (_consortium(validity=None), "validity must be a [not_before, not_after] pair"),
+        (_consortium(validity=[0, 1, 2]), "validity must be a [not_before, not_after] pair"),
+        (_consortium(defer_bootstrap="PG-1"), "defer_bootstrap must be a list of names"),
+        (_consortium(defer_bootstrap=["PG-1", 1]), "defer_bootstrap must be a list of names"),
+        (_consortium(defer_bootstrap=["Nobody-9"]), "defer_bootstrap names no member 'Nobody-9'"),
+        # The policy genesis is submitted by PG-1, whose record is deferred.
+        (_consortium(defer_bootstrap=["PG-1"]), "genesis does not commit: block 0 refused: not-PG"),
+    ], ids=["no-seed", "nodes-not-a-list", "unknown-role", "repeated-role", "two-osp-nodes", "ica-without-rca",
+            "no-osp", "float-count", "string-count", "bool-count", "negative-count", "string-seed", "float-seed",
+            "float-rule", "bool-rule", "null-policies", "list-policies", "float-not-before", "float-not-after",
+            "int-validity", "null-validity", "three-bound-validity", "string-defer", "non-name-defer",
+            "non-member-defer", "genesis-does-not-commit"])
+    @pytest.mark.parametrize("verb", ["network-init", "sim-run"])
+    def test_both_verbs_refuse_with_one_message(self, tmp_path, capsys, verb, consortium, message):
+        assert _run_verb(tmp_path, verb, consortium) == (2, False)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: config-invalid: {message}\n")
 
 
 def _bbtm(*argv) -> subprocess.Popen:
@@ -967,7 +1014,6 @@ class TestOneVerbParser:
 class TestScenarioErrors:
     @pytest.mark.parametrize("scenario, message", [
         ({"seed": 1}, "missing key 'nodes'"),
-        ({"nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]]}, "missing key 'seed'"),
         ({"seed": 1, "nodes": [["Elector", 3], ["RCA", 1], ["PG", 1], ["OSP", 1]],
           "faults": [{"crash_at_ms": 5}]}, "missing key 'node'"),
         ([1, 2], "a scenario is a JSON object"),
@@ -997,29 +1043,29 @@ class TestScenarioErrors:
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-1",
                                            "subject_name": "PCA-w0", "not_after": "later"}]},
          "issue action not_after must be an integer"),
-        # The policy genesis is submitted by PG-1, whose record is deferred.
-        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1"]}, "genesis does not commit: block 0 refused: not-PG"),
         ({**SAMPLE_SCENARIO, "faults": [{"node": "nobody", "crash_at_ms": 10}]}, "fault names unknown node nobody"),
-        # Counts, the seed and rule values are integers and drop rates numbers, never coerced.
-        ({**SAMPLE_SCENARIO, "nodes": [["ICA", 2.9] if r == "ICA" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]]},
-         "node count of ICA must be an integer"),
-        ({**SAMPLE_SCENARIO, "nodes": [["ICA", "2"] if r == "ICA" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]]},
-         "node count of ICA must be an integer"),
-        ({**SAMPLE_SCENARIO, "seed": "42"}, "seed must be an integer"),
-        ({**SAMPLE_SCENARIO, "seed": 4.5}, "seed must be an integer"),
-        ({**SAMPLE_SCENARIO, "policies": {"ballot_quorum": 1.7}}, "policy ballot_quorum must be an integer"),
-        ({**SAMPLE_SCENARIO, "policies": {"ballot_quorum": True}}, "policy ballot_quorum must be an integer"),
+        # Drop rates are numbers, never parsed, and a bool is not one.
         ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "link_drop": {"RA-1": "0.5"}}},
          "network link_drop rates must be numbers"),
-        ({**SAMPLE_SCENARIO, "validity": [0.5, 1000.5]}, "validity not_before must be an integer"),
-        ({**SAMPLE_SCENARIO, "validity": [0, 1000.5]}, "validity not_after must be an integer"),
-        ({**SAMPLE_SCENARIO, "defer_bootstrap": "PG-1"}, "defer_bootstrap must be a list of names"),
-        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["PG-1", 1]}, "defer_bootstrap must be a list of names"),
-        ({**SAMPLE_SCENARIO, "defer_bootstrap": ["Nobody-9"]}, "defer_bootstrap names no member 'Nobody-9'"),
+        ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "link_drop": {"RA-1": True}}},
+         "network link_drop rates must be numbers"),
+        ({**SAMPLE_SCENARIO, "network": {**SAMPLE_SCENARIO["network"], "drop_rate": True}},
+         "network drop_rate must be a number"),
+        # Nor is anything but a JSON boolean read for its truth.
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20}, "auto_commit_members": "no"},
+         "auto_commit_members must be true or false"),
+        ({**SAMPLE_SCENARIO, "generate": {"count": 20}, "auto_commit_members": 0},
+         "auto_commit_members must be true or false"),
+        # A section of entries is a list.
+        ({**SAMPLE_SCENARIO, "faults": {"node": "RA-1"}}, "faults must be a list"),
+        ({**SAMPLE_SCENARIO, "workload": {"action": "query"}}, "workload must be a list"),
+        # A minted subject is named for its role, checked before the run and not when the action runs.
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 10**9, "action": "issue", "issuer": "RCA-1",
+                                           "subject_name": "Nobody-1"}]},
+         "subject name 'Nobody-1' carries no role"),
         # Not counted against the quorum first: the message names the real fault.
         ({**SAMPLE_SCENARIO, "defer_bootstrap": ["Elector-8", "Elector-9"]},
          "defer_bootstrap names no member 'Elector-8'"),
-        ({**SAMPLE_SCENARIO, "nodes": SAMPLE_SCENARIO["nodes"] + [["LA", -2]]}, "negative node count"),
         # A time before zero would move the virtual clock backwards.
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": -1, "action": "query", "node": "RA-1", "target": "RA-1"}]},
          "workload action at_ms cannot be negative"),
@@ -1048,6 +1094,9 @@ class TestScenarioErrors:
           "faults": [{"node": "RA-1", "crash_at_ms": 300, "recover_at_ms": 500},
                      {"node": "RA-1", "crash_at_ms": 100, "recover_at_ms": 300}]},
          "faults of RA-1 overlap: down 300-500 ms and 100-300 ms"),
+        # A generated issue needs an issuer in the genesis.
+        ({"seed": 1, "nodes": [["Elector", 2], ["RCA", 1], ["PG", 1], ["OSP", 1]], "generate": {"count": 3},
+          "defer_bootstrap": ["RCA-1"]}, "generated workload needs an RCA or ICA"),
         # A quorum below 1 is read as the default of 2, which one elector cannot reach.
         ({**SAMPLE_SCENARIO, "nodes": [["Elector", 1] if r == "Elector" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]],
           "policies": {"ballot_quorum": 0}}, "fewer electors than the ballot quorum"),

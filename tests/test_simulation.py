@@ -418,8 +418,9 @@ class TestScenarioMissingKeys:
         ["not", "an", "object"],
     ])
     def test_malformed_field_is_config_invalid(self, scenario):
+        # A field is refused as it is parsed, or its value when the simulation checks it.
         with pytest.raises(SimulationError, match="^config-invalid: "):
-            ScenarioConfig.from_json(scenario)
+            Simulation(ScenarioConfig.from_json(scenario))
 
     def test_a_defect_inside_an_action_is_not_config_invalid(self, monkeypatch):
         # Only the scenario's own fields are config errors; a KeyError raised
@@ -521,9 +522,8 @@ class TestQueriesAndBallotWorkload:
         {"at_ms": 500, "action": "issue", "issuer": "RCA-1", "subject_name": "Nobody-1"},
     ], ids=["new_root", "issue"])
     def test_subject_without_a_role_prefix_is_refused(self, action):
-        sim = Simulation(small_config(count=0, workload=(action,), generate=None))
-        with pytest.raises(SimulationError, match="subject name 'Nobody-1' carries no role"):
-            sim.run()
+        with pytest.raises(SimulationError, match="^config-invalid: subject name 'Nobody-1' carries no role$"):
+            Simulation(small_config(count=0, workload=(action,), generate=None))
 
 
 class TestGenesisQuorum:
