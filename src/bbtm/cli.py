@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import pathlib
 import sys
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
@@ -26,7 +25,7 @@ from .deployment import (  # CHAIN_FILES: re-exported
     CliDeployment,
     CliError,
     build_deployment,
-    check_list,
+    check_objects,
     check_role,
     derive_bytes,
     derive_identity,
@@ -34,6 +33,7 @@ from .deployment import (  # CHAIN_FILES: re-exported
     genesis_node,
     load_deployment,
     locked,
+    read_node_counts,
     write_deployment,
 )
 from .identity import (
@@ -68,28 +68,15 @@ def _print_json(obj) -> None:
 UNWRITABLE = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
-def _unwritable_file(exc: OSError, path) -> str:
-    """The file a failed write names; write_atomic's temp file and
-    write_all_atomic's aside link stand for the file they replace."""
-    if exc.filename is None:
-        return str(path)
-    name = os.fsdecode(exc.filename)
-    if exc.filename2 is not None and os.fsdecode(exc.filename2) == name + ".old":
-        return name  # hard-linking name aside
-    for suffix in (".tmp", ".old"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
 @contextlib.contextmanager
 def writing(path) -> Iterator[None]:
     """Report a file the block cannot write (path, a file beside it, a
-    deployment file) as a failure that names it."""
+    deployment file) as a failure that names it; write_atomic and
+    write_all_atomic name the file a failed write was to replace."""
     try:
         yield
     except UNWRITABLE as exc:
-        raise CliError(f"cannot write {_unwritable_file(exc, path)}: {exc.strerror}") from exc
+        raise CliError(f"cannot write {exc.filename if exc.filename is not None else path}: {exc.strerror}") from exc
 
 
 def read_cert_file(path_str: str) -> CertificateRecord:
@@ -114,9 +101,10 @@ def cmd_network_init(args) -> int:
         raise CliError("config-invalid: a network config is a JSON object", EXIT_USAGE)
     try:
         if "members" in config:
-            members = [(check_role(m["role"]), m["name"]) for m in check_list(config["members"], "members")]
+            entries = check_objects(config["members"], "members", '{"role", "name"}')
+            members = [(check_role(m["role"]), m["name"]) for m in entries]
         elif "nodes" in config:
-            members = expand_node_counts([(n["role"], n["count"]) for n in check_list(config["nodes"], "nodes")])
+            members = expand_node_counts(read_node_counts(config["nodes"]))
         else:
             raise CliError("config-invalid: config needs a 'members' or 'nodes' section", EXIT_USAGE)
         # build_deployment checks the fields and holds the defaults.
@@ -212,7 +200,7 @@ def cmd_ledger_import(args) -> int:
     except (OSError, LedgerError) as exc:
         print(f"import failed: {exc}")
         return EXIT_FAIL
-    channel = Channel(args.channel) if args.channel else infer_channel(blocks)
+    channel = Channel(args.channel)
     # The deployment's replay of the imported chain is the gate: it runs
     # verify_chain's levels and the contracts, so a refusal is reported as a
     # deployment error, and the chain files change only once it passes.  The
@@ -453,7 +441,7 @@ VERBS = (
     Verb("ledger", "import", "verify a ledger file and install it in a deployment", cmd_ledger_import, (
         arg("file"),
         _DEPLOYMENT,
-        arg("--channel", choices=_CHANNELS),
+        arg("--channel", required=True, choices=_CHANNELS),
     )),
     Verb("cert", "issue", "issue a certificate from a deployment identity", cmd_cert_issue, (
         _DEPLOYMENT,

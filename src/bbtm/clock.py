@@ -2,17 +2,16 @@
 
 Every time-dependent check in the system reads one of these instead of the
 wall clock, so simulations and tests are fully deterministic.  Time is kept
-in integer milliseconds; certificate validity windows use whole seconds.
+in integer milliseconds from zero; certificate validity windows use whole
+seconds.
 """
 
 from __future__ import annotations
 
 
 class VirtualClock:
-    def __init__(self, start_ms: int = 0):
-        if start_ms < 0:
-            raise ValueError("clock cannot start before zero")
-        self._ms = start_ms
+    def __init__(self):
+        self._ms = 0
 
     @property
     def now_ms(self) -> int:

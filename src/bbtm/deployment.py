@@ -329,6 +329,26 @@ def check_list(value, what: str) -> list:
     return value
 
 
+def check_objects(value, what: str, keys: str) -> List[dict]:
+    """value, if it is a list of JSON objects (each with the keys named by keys); ValueError otherwise."""
+    if not all(isinstance(entry, dict) for entry in check_list(value, what)):
+        raise ValueError(f"{what} entries must be {keys} objects")
+    return value
+
+
+def read_node_counts(value) -> List[Tuple[str, int]]:
+    """A config's nodes list as (role, count) pairs; each entry is a [role, count] pair or a
+    {"role", "count"} object.  ValueError for any other entry."""
+    pairs = []
+    for entry in check_list(value, "nodes"):
+        if isinstance(entry, dict):
+            entry = (entry["role"], entry["count"])
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError('nodes entries must be [role, count] pairs or {"role", "count"} objects')
+        pairs.append(tuple(entry))
+    return pairs
+
+
 def check_role(value) -> AuthorityRole:
     """The role value names; ValueError for a name that is no role."""
     try:

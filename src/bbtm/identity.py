@@ -10,6 +10,7 @@ byte layout is documented in FORMAT.md.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import hashlib
@@ -18,10 +19,8 @@ import itertools
 import json
 import os
 import pathlib
-import secrets
 from dataclasses import dataclass, replace
 from enum import Enum
-from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from cryptography.exceptions import InvalidSignature
@@ -151,10 +150,8 @@ class KeyPair:
             )
 
 
-def generate_keypair(seed: Optional[bytes] = None) -> KeyPair:
+def generate_keypair(seed: bytes) -> KeyPair:
     """Create a signing pair; the same 32-byte seed always yields the same pair."""
-    if seed is None:
-        seed = secrets.token_bytes(SEED_LEN)
     if len(seed) != SEED_LEN:
         raise CertificateError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     return KeyPair(ed25519.Ed25519PrivateKey.from_private_bytes(seed))
@@ -331,12 +328,10 @@ def issue_certificate(
     issuer_cert: Optional[CertificateRecord],
     subject: Subject,
     *,
-    now_s: float = 0.0,
-    function_type: CertFunction = CertFunction.ADD,
-    serial: Optional[bytes] = None,
-    rng: Optional[Random] = None,
+    now_s: float,
+    serial: bytes,
 ) -> CertificateRecord:
-    """Sign a new record over the subject.
+    """Sign a new addition record with the given serial over the subject.
 
     With ``issuer_cert=None`` the record is self-signed (elector and root
     bootstrap): the subject's key must be the signing key, and the issuer
@@ -356,8 +351,6 @@ def issue_certificate(
             raise CertificateError("issuer certificate is expired or not yet valid")
         issuer_name = issuer_cert.subject_name
         issuer_uid = issuer_cert.subject_unique_id
-    if serial is None:
-        serial = rng.randbytes(SERIAL_LEN) if rng is not None else secrets.token_bytes(SERIAL_LEN)
     if len(serial) != SERIAL_LEN:
         raise CertificateError(f"serial must be {SERIAL_LEN} bytes")
 
@@ -373,7 +366,7 @@ def issue_certificate(
         not_after=subject.not_after,
         hash_id=HASH_ID,
         sign_id=SIGN_ID,
-        function_type=function_type,
+        function_type=CertFunction.ADD,
         digital_signature=bytes(SIGNATURE_LEN),
     )
     signature = issuer_key.sign(signing_bytes(unsigned))
@@ -506,23 +499,36 @@ def dump_json(obj, default: Optional[Callable] = None) -> bytes:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _failing_as(path: pathlib.Path) -> Iterator[None]:
+    """Re-raise a block's OSError that names a file as path's: the temp file and aside link stand for path."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None:
+            exc.filename, exc.filename2 = str(path), None
+        raise
+
+
 def write_atomic(path: pathlib.Path, data: Union[bytes, Iterable[bytes]]) -> None:
     """Replace path's content with data, all or nothing.
 
     data is the bytes or an iterable of chunks of them.  They go to a temp
     file beside path, which os.replace then renames over it, so a failed or
     interrupted write leaves the old file whole.  A directory at path is
-    refused before the temp file is opened.
+    refused before the temp file is opened.  A failure that names a file
+    names path instead, with its type kept.
     """
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.writelines([data] if isinstance(data, bytes) else data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _failing_as(path):
+        try:
+            with open(tmp, "wb") as fh:
+                fh.writelines([data] if isinstance(data, bytes) else data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def write_all_atomic(files: Iterable[Tuple[pathlib.Path, Union[bytes, Iterable[bytes]]]]) -> None:
@@ -532,18 +538,20 @@ def write_all_atomic(files: Iterable[Tuple[pathlib.Path, Union[bytes, Iterable[b
     path is replaced, its old file is hard-linked aside (``<name>.old``), so
     nothing is read.  If one fails, every file already replaced gets its old
     file renamed back, or is removed if it is new, and the failure
-    propagates.  No aside link outlives the call.
+    propagates, naming the path it was to replace.  No aside link outlives
+    the call.
     """
     kept = []  # (path, its aside link, or None for a new file), in order
     written = 0
     try:
         for path, data in files:
             aside = path.with_name(path.name + ".old")
-            aside.unlink(missing_ok=True)
-            try:
-                os.link(path, aside)
-            except FileNotFoundError:
-                aside = None
+            with _failing_as(path):
+                aside.unlink(missing_ok=True)
+                try:
+                    os.link(path, aside)
+                except FileNotFoundError:
+                    aside = None
             kept.append((path, aside))
             write_atomic(path, data)
             written += 1

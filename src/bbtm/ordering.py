@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from . import gccf, gpf
@@ -38,12 +38,20 @@ from .ledger import (
 )
 from .node import Node
 
-ALL_ROLES = frozenset(AuthorityRole)
-# Writers on the certificate channel are the issuing authorities of the
-# issuance matrix plus the PG (revocations) and the RA (validation
-# transactions).  Policy writes are PG-only; end entities only read.
+# Who may write each channel, a protocol constant beside the issuance
+# matrix: on the certificate channel the matrix's issuing authorities plus
+# the PG (revocations) and the RA (validation transactions), on the policy
+# channel the PG alone.  End entities only read.
 GCCF_WRITERS = frozenset(ISSUANCE_MATRIX) | {AuthorityRole.PG, AuthorityRole.RA}
 GPF_WRITERS = frozenset({AuthorityRole.PG})
+CHANNEL_WRITERS = {Channel.GCCF: GCCF_WRITERS, Channel.GPF: GPF_WRITERS}
+# What consortium.json records of the protocol: its one sequencer, and that
+# every role reads each channel and CHANNEL_WRITERS write it.
+CONSENSUS_ID = "single-sequencer"
+CHANNEL_POLICIES_JSON = {
+    channel.value: {"readers": sorted(r.value for r in AuthorityRole), "writers": sorted(w.value for w in writers)}
+    for channel, writers in CHANNEL_WRITERS.items()
+}
 
 
 class ConfigError(ValueError):
@@ -56,33 +64,12 @@ class Rejected(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ChannelPolicy:
-    readers: frozenset
-    writers: frozenset
-
-    def to_json(self) -> dict:
-        return {
-            "readers": sorted(r.value for r in self.readers),
-            "writers": sorted(w.value for w in self.writers),
-        }
-
-
-def default_channel_policies() -> Dict[Channel, ChannelPolicy]:
-    return {
-        Channel.GCCF: ChannelPolicy(readers=ALL_ROLES, writers=GCCF_WRITERS),
-        Channel.GPF: ChannelPolicy(readers=ALL_ROLES, writers=GPF_WRITERS),
-    }
-
-
 @dataclass
 class ConsortiumConfig:
     """The ordering service's and the members' certificates: the one record of each name and its role prefix."""
 
     osp_cert: CertificateRecord
     members: Tuple[CertificateRecord, ...]
-    consensus_id: str = "single-sequencer"
-    channel_policies: Dict[Channel, ChannelPolicy] = dc_field(default_factory=default_channel_policies)
 
     def validate(self) -> None:
         if self.osp_cert.subject_role != AuthorityRole.OSP:
@@ -100,19 +87,16 @@ class ConsortiumConfig:
             if cert.subject_unique_id in seen_uids:
                 raise ConfigError("duplicate member certificates")
             seen_uids.add(cert.subject_unique_id)
-        for channel, policy in self.channel_policies.items():
-            if AuthorityRole.EE in policy.writers:
-                raise ConfigError("end entities are read-only")
 
     def to_json(self) -> dict:
         return {
-            "consensus_id": self.consensus_id,
+            "consensus_id": CONSENSUS_ID,
             "osp_cert": cert_to_json(self.osp_cert),
             "members": [
                 {"name": cert.subject_name, "role": cert.subject_role.value, "cert": cert_to_json(cert)}
                 for cert in self.members
             ],
-            "channel_policies": {ch.value: p.to_json() for ch, p in sorted(self.channel_policies.items())},
+            "channel_policies": CHANNEL_POLICIES_JSON,
         }
 
     def canonical_bytes(self) -> bytes:
@@ -120,18 +104,14 @@ class ConsortiumConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConsortiumConfig":
-        policies = {
-            Channel(ch): ChannelPolicy(
-                readers=frozenset(AuthorityRole(r) for r in p["readers"]),
-                writers=frozenset(AuthorityRole(w) for w in p["writers"]),
-            )
-            for ch, p in obj["channel_policies"].items()
-        }
+        """The config to_json wrote; ConfigError for one that records another protocol."""
+        if obj["consensus_id"] != CONSENSUS_ID:
+            raise ConfigError(f"consensus_id must be {CONSENSUS_ID!r}")
+        if obj["channel_policies"] != CHANNEL_POLICIES_JSON:
+            raise ConfigError("channel_policies must be the protocol's channel writers")
         return cls(
             osp_cert=cert_from_json(obj["osp_cert"]),
             members=tuple(cert_from_json(m["cert"]) for m in obj["members"]),
-            consensus_id=obj["consensus_id"],
-            channel_policies=policies,
         )
 
 
@@ -209,8 +189,7 @@ class OrderingService:
         member = self._members.get(tx.submitter_cert.subject_unique_id)
         if member is None or member.subject_public_key != tx.submitter_cert.subject_public_key:
             raise Rejected("unknown-member")
-        policy = self.config.channel_policies[tx.channel]
-        if member.subject_role not in policy.writers:
+        if member.subject_role not in CHANNEL_WRITERS[tx.channel]:
             raise Rejected("policy-denied")
         # A replay can pass its contract again (an AddPolicy after a revocation): admit each once.
         if tx.tx_id in self._pending_ids or self.node.ledger(tx.channel).has_tx(tx):

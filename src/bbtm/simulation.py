@@ -32,10 +32,12 @@ from .deployment import (
     build_deployment,
     check_int,
     check_list,
+    check_objects,
     derive_identity,
     derive_rng,
     expand_node_counts,
     genesis_node,
+    read_node_counts,
     write_chains,
 )
 from .identity import (
@@ -217,7 +219,7 @@ class ScenarioConfig:
             raise ValueError("network link_drop rates must be numbers")
         return cls(
             seed=obj["seed"],
-            nodes=tuple((role, count) for role, count in check_list(obj["nodes"], "nodes")),
+            nodes=tuple(read_node_counts(obj["nodes"])),
             network=NetworkParams(
                 latency_min_ms=network.get("latency_min_ms", 5),
                 latency_max_ms=network.get("latency_max_ms", 50),
@@ -228,7 +230,7 @@ class ScenarioConfig:
             generate=obj.get("generate"),
             faults=tuple(
                 Fault(node=f["node"], crash_at_ms=f["crash_at_ms"], recover_at_ms=f.get("recover_at_ms"))
-                for f in check_list(obj.get("faults", ()), "faults")
+                for f in check_objects(obj.get("faults", ()), "faults", '{"node", "crash_at_ms"}')
             ),
             policies=tuple(sorted(policies.items())) if isinstance(policies, dict) else policies,
             validity=_as_tuple(obj.get("validity", (DEFAULT_NOT_BEFORE, DEFAULT_NOT_AFTER))),

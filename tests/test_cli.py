@@ -102,8 +102,10 @@ class TestNetworkInit:
          "member 'orderer' is not named for its role OSP"),
         ({"seed": 1, "members": MEMBERS + [{"role": "Bogus", "name": "Bogus-1"}]}, "unknown role 'Bogus'"),
         ({"seed": 1, "members": {"role": "OSP", "name": "OSP-1"}}, "members must be a list"),
+        ({"seed": 1, "members": MEMBERS + ["RA-1"]}, 'members entries must be {"role", "name"} objects'),
+        ({"seed": 1, "members": MEMBERS + [["RA", "RA-1"]]}, 'members entries must be {"role", "name"} objects'),
     ], ids=["two-osp-members", "not-an-object", "ra-named-pca", "ra-named-roadside", "osp-named-orderer",
-            "member-of-unknown-role", "members-not-a-list"])
+            "member-of-unknown-role", "members-not-a-list", "string-member", "pair-member"])
     def test_config_errors_are_config_invalid(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -153,7 +155,8 @@ class TestNetworkInit:
         capsys.readouterr()
 
 
-# The consortium section both verbs read, with its nodes as (role, count) pairs: _in_shape_of gives each verb its own.
+# The consortium section both verbs read, with its nodes as (role, count) tuples, which _in_shape_of writes in
+# either shape a nodes entry may take.
 CONSORTIUM = {**BASE_CONFIG, "nodes": [(n["role"], n["count"]) for n in BASE_CONFIG["nodes"]]}
 
 
@@ -169,21 +172,32 @@ def _without(role):
     return [(r, n) for r, n in CONSORTIUM["nodes"] if r != role]
 
 
-def _in_shape_of(verb, consortium):
-    """The consortium as verb reads it: network init's nodes are objects, sim run's [role, count] pairs."""
+def _in_shape_of(shape, consortium):
+    """The consortium with each (role, count) tuple of its nodes written as a {"role", "count"} object or a
+    [role, count] pair; any other entry stays as it is."""
     nodes = consortium["nodes"]
     if isinstance(nodes, list):
-        nodes = [{"role": role, "count": count} if verb == "network-init" else [role, count] for role, count in nodes]
+        nodes = [
+            ({"role": entry[0], "count": entry[1]} if shape == "objects" else list(entry))
+            if isinstance(entry, tuple) else entry
+            for entry in nodes
+        ]
     return {**consortium, "nodes": nodes}
 
 
-def _run_verb(tmp_path, verb, consortium):
-    """Exit code of verb on the consortium, and whether it made its output directory."""
+def _run_verb(tmp_path, verb, consortium, shape=None):
+    """Exit code of verb on the consortium, and whether it made its output directory.
+
+    The nodes are objects for network init and pairs for sim run unless shape names one for both."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_in_shape_of(verb, consortium)))
+    shape = shape or ("objects" if verb == "network-init" else "pairs")
+    path.write_text(json.dumps(_in_shape_of(shape, consortium)))
     out = tmp_path / "out"
     flag = "--config" if verb == "network-init" else "--scenario"
     return main([*verb.split("-"), flag, str(path), "--out", str(out)]), out.exists()
+
+
+NODES_ENTRIES = 'nodes entries must be [role, count] pairs or {"role", "count"} objects'
 
 
 class TestConsortiumFaults:
@@ -194,10 +208,20 @@ class TestConsortiumFaults:
         assert _run_verb(tmp_path, verb, CONSORTIUM) == (0, True)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("shape", ["objects", "pairs"])
+    @pytest.mark.parametrize("verb", ["network-init", "sim-run"])
+    def test_both_verbs_take_either_nodes_shape(self, tmp_path, capsys, verb, shape):
+        assert _run_verb(tmp_path, verb, CONSORTIUM, shape) == (0, True)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("consortium, message", [
         ({key: value for key, value in CONSORTIUM.items() if key != "seed"}, "missing key 'seed'"),
         (_consortium({"a": 1}), "nodes must be a list"),
         (_consortium(CONSORTIUM["nodes"] + [("Bogus", 1)]), "unknown role 'Bogus'"),
+        # A nodes entry is a [role, count] pair or a {"role", "count"} object.
+        (_consortium(CONSORTIUM["nodes"] + ["RA"]), NODES_ENTRIES),
+        (_consortium(CONSORTIUM["nodes"] + [["RA", 1, 2]]), NODES_ENTRIES),
+        (_consortium(CONSORTIUM["nodes"] + [{"role": "RA"}]), "missing key 'count'"),
         (_consortium(CONSORTIUM["nodes"] + [("RA", 1), ("RA", 2)]), "role RA repeated in nodes"),
         (_consortium(CONSORTIUM["nodes"] + [("OSP", 1)]), "role OSP repeated in nodes"),
         (_consortium(_without("RCA")), "ICA-1 requires a root CA member before it"),
@@ -224,7 +248,8 @@ class TestConsortiumFaults:
         (_consortium(defer_bootstrap=["Nobody-9"]), "defer_bootstrap names no member 'Nobody-9'"),
         # The policy genesis is submitted by PG-1, whose record is deferred.
         (_consortium(defer_bootstrap=["PG-1"]), "genesis does not commit: block 0 refused: not-PG"),
-    ], ids=["no-seed", "nodes-not-a-list", "unknown-role", "repeated-role", "two-osp-nodes", "ica-without-rca",
+    ], ids=["no-seed", "nodes-not-a-list", "unknown-role", "string-entry", "three-item-entry", "countless-entry",
+            "repeated-role", "two-osp-nodes", "ica-without-rca",
             "no-osp", "float-count", "string-count", "bool-count", "negative-count", "string-seed", "float-seed",
             "float-rule", "bool-rule", "null-policies", "list-policies", "float-not-before", "float-not-after",
             "int-validity", "null-validity", "three-bound-validity", "string-defer", "non-name-defer",
@@ -528,11 +553,31 @@ class TestLedgerVerbs:
         assert main(["ledger", "export", "--deployment", str(deployment), "--channel", "GCCF", "--out", str(out)]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main(["ledger", "import", str(out)])
+            main(["ledger", "import", str(out), "--channel", "GCCF"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: the following arguments are required: --deployment\n")
+
+    def test_import_needs_the_channel(self, tmp_path, capsys):
+        # With no policy rules the policy genesis holds no transaction, so nothing in the file names its channel.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value for key, value in BASE_CONFIG.items() if key != "policies"}))
+        deployment = tmp_path / "dep"
+        d = ["--deployment", str(deployment)]
+        assert main(["network", "init", "--config", str(config), "--out", str(deployment)]) == 0
+        exported = tmp_path / "gpf.export"
+        assert main(["ledger", "export", *d, "--channel", "GPF", "--out", str(exported)]) == 0
+        chain = (deployment / "gccf.chain").read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["ledger", "import", str(exported), *d])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: the following arguments are required: --channel\n")
+        assert (deployment / "gccf.chain").read_bytes() == chain
+        assert main(["ledger", "import", str(exported), "--channel", "GPF", *d]) == 0
+        assert main(["policy", "add", *d, "--entity", "RA", "--rule", "r0"]) == 0
+        capsys.readouterr()
 
     def test_failed_export_replace_keeps_the_old_file(self, deployment, tmp_path, monkeypatch):
         out = tmp_path / "gccf.export"
@@ -1058,6 +1103,8 @@ class TestScenarioErrors:
          "auto_commit_members must be true or false"),
         # A section of entries is a list.
         ({**SAMPLE_SCENARIO, "faults": {"node": "RA-1"}}, "faults must be a list"),
+        ({**SAMPLE_SCENARIO, "faults": ["RA-1"]}, 'faults entries must be {"node", "crash_at_ms"} objects'),
+        ({**SAMPLE_SCENARIO, "faults": [["RA-1", 5]]}, 'faults entries must be {"node", "crash_at_ms"} objects'),
         ({**SAMPLE_SCENARIO, "workload": {"action": "query"}}, "workload must be a list"),
         # A minted subject is named for its role, checked before the run and not when the action runs.
         ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 10**9, "action": "issue", "issuer": "RCA-1",
@@ -1280,6 +1327,41 @@ def sample_deployment(tmp_path):
     return dep
 
 
+# SHA-256 of the consortium file and system block network init writes for samples/genesis.json.
+SAMPLE_CONSORTIUM_SHA256 = "83b9264de62a307ccf446814bb6a35e2561bdebe260661017ab87f926e20c6e7"
+SAMPLE_SYSTEM_BLOCK_SHA256 = "4284b5e264871c58b90754a75aa5ddbc3ad4ad357c2b9ed05ab7fae222986791"
+
+
+class TestProtocolConstants:
+    """consortium.json records the channel writers and the consensus name, which the protocol fixes."""
+
+    def test_network_init_writes_the_pinned_files(self, sample_deployment):
+        digests = {name: hashlib.sha256((sample_deployment / name).read_bytes()).hexdigest()
+                   for name in ("consortium.json", "system.block")}
+        assert digests == {"consortium.json": SAMPLE_CONSORTIUM_SHA256, "system.block": SAMPLE_SYSTEM_BLOCK_SHA256}
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda config: config["channel_policies"]["GCCF"]["writers"].remove("RCA"),
+         "channel_policies must be the protocol's channel writers"),
+        (lambda config: config["channel_policies"]["GPF"]["writers"].append("RA"),
+         "channel_policies must be the protocol's channel writers"),
+        (lambda config: config["channel_policies"]["GCCF"]["readers"].remove("EE"),
+         "channel_policies must be the protocol's channel writers"),
+        (lambda config: config.update(consensus_id="pbft"), "consensus_id must be 'single-sequencer'"),
+    ], ids=["gccf-without-rca", "gpf-with-ra", "gccf-without-ee-readers", "other-consensus"])
+    def test_an_edited_protocol_is_not_a_deployment(self, sample_deployment, tmp_path, capsys, spoil, message):
+        path = sample_deployment / "consortium.json"
+        meta = json.loads(path.read_text())
+        spoil(meta["config"])
+        path.write_text(json.dumps(meta))
+        chain = (sample_deployment / "gccf.chain").read_bytes()
+        capsys.readouterr()
+        assert main(["cert", "issue", "--deployment", str(sample_deployment), "--issuer", "RCA-1",
+                     "--subject", "ICA-7", "--out", str(tmp_path / "ica7.bin"), "--submit"]) == 1
+        assert capsys.readouterr() == ("", f"error: not a deployment directory: {message}\n")
+        assert (sample_deployment / "gccf.chain").read_bytes() == chain
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written is a reported failure naming it, never a traceback."""
 
@@ -1437,7 +1519,8 @@ class TestLevelThreeWithoutADeployment:
         return path
 
     def test_the_deployment_refuses_the_block(self, sample_deployment, forbidden_issue, capsys):
-        assert main(["ledger", "import", str(forbidden_issue), "--deployment", str(sample_deployment)]) == 1
+        assert main(["ledger", "import", str(forbidden_issue), "--channel", "GCCF",
+                     "--deployment", str(sample_deployment)]) == 1
         assert "role-violation" in capsys.readouterr().err
 
     @pytest.mark.xfail(strict=True, reason="ledger verify checks levels 1-2 only (ROADMAP item 2)")

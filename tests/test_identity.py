@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbtm import wire
-from bbtm.deployment import derive_bytes
+from bbtm.deployment import derive_bytes, derive_rng
 from bbtm.identity import (
     CertFunction,
     CertificateError,
@@ -65,19 +65,16 @@ class TestKeyPair:
         assert a.public_key == b.public_key
         assert a.sign(b"x") == b.sign(b"x")
 
-    def test_fresh_pairs_differ(self):
-        assert generate_keypair().public_key != generate_keypair().public_key
-
     def test_malformed_seed_rejected(self):
         with pytest.raises(CertificateError):
             generate_keypair(b"short")
 
     def test_sign_verify_roundtrip(self):
-        kp = generate_keypair()
+        kp = generate_keypair(bytes(range(32)))
         sig = kp.sign(b"abc")
         assert verify_signature(kp.public_key, sig, b"abc")
         assert not verify_signature(kp.public_key, sig, b"abd")
-        assert not verify_signature(generate_keypair().public_key, sig, b"abc")
+        assert not verify_signature(generate_keypair(bytes(32)).public_key, sig, b"abc")
 
     def test_an_issued_subject_builds_its_signing_key_on_its_first_signature(self):
         rca = make_identity("RCA-1")
@@ -125,17 +122,17 @@ class TestIssueCertificate:
         assert ica.cert.function_type == CertFunction.ADD
 
     def test_empty_validity_window_rejected(self):
-        kp = generate_keypair()
+        kp = generate_keypair(bytes(32))
         subject = Subject("Elector-1", kp.public_key, bytes(16), 500, 500)
         with pytest.raises(CertificateError):
-            issue_certificate(kp, None, subject, now_s=500)
+            issue_certificate(kp, None, subject, now_s=500, serial=bytes(16))
 
     def test_expired_issuer_rejected(self):
         rca = make_identity("RCA-1", not_before=0, not_after=100)
-        kp = generate_keypair()
+        kp = generate_keypair(bytes(32))
         subject = Subject("ICA-2", kp.public_key, bytes(16), 0, BIG)
         with pytest.raises(CertificateError):
-            issue_certificate(rca.key, rca.cert, subject, now_s=200.0)
+            issue_certificate(rca.key, rca.cert, subject, now_s=200.0, serial=bytes(16))
 
     def test_serial_from_seeded_rng_is_deterministic(self):
         certs = []
@@ -146,18 +143,21 @@ class TestIssueCertificate:
         assert certs[0].serial_number == certs[1].serial_number
 
     def test_serial_uniqueness_over_10k_issuances(self):
-        rng = Random(99)
+        # Serials drawn as build_deployment draws them, from the seed's serial stream.
+        serials = derive_rng(SEED, "serials")
         rca = make_identity("RCA-1")
-        kp = generate_keypair()
+        kp = generate_keypair(bytes(32))
         seen = set()
         for _ in range(10_000):
+            serial = serials.randbytes(16)
             cert = issue_certificate(
                 rca.key,
                 rca.cert,
                 Subject("ICA-9", kp.public_key, bytes(16), 0, BIG),
                 now_s=0,
-                rng=rng,
+                serial=serial,
             )
+            assert cert.serial_number == serial
             assert cert.serial_number not in seen
             seen.add(cert.serial_number)
 
@@ -174,7 +174,7 @@ class TestVerifyCertificateSignature:
 
     def test_wrong_key_false(self):
         cert = _fixed_cert()
-        assert not verify_certificate_signature(cert, generate_keypair().public_key)
+        assert not verify_certificate_signature(cert, generate_keypair(bytes(range(32))).public_key)
 
 
 class TestCanonicalEncoding:

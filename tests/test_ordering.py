@@ -12,12 +12,12 @@ from bbtm.identity import AuthorityRole, sha256
 from bbtm.ledger import Channel, Transaction, ZERO_HASH
 from bbtm.node import Node
 from bbtm.ordering import (
+    CHANNEL_WRITERS,
     ConfigError,
     ConsortiumConfig,
     OrderingService,
     Rejected,
     create_genesis,
-    default_channel_policies,
 )
 
 from helpers import make_identity
@@ -227,7 +227,6 @@ class TestPolicySoundness:
         rng = Random(90210)
         dep = _deployment(extra=[("EE", 1), ("PCA", 1)])
         service, node = _service(dep)
-        writers = default_channel_policies()
         names = [cert.subject_name for cert in dep.consortium.members]
         admitted_ids = set()
         for trial in range(2_000):
@@ -244,7 +243,7 @@ class TestPolicySoundness:
             try:
                 service.submit_tx(tx, now_ms=trial)
                 admitted_ids.add(tx.tx_id)
-                assert ident.role in writers[tx.channel].writers
+                assert ident.role in CHANNEL_WRITERS[tx.channel]
             except Rejected:
                 continue
         committed_ids = []
