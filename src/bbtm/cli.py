@@ -85,18 +85,25 @@ def read_cert_file(path_str: str) -> CertificateRecord:
         if data.lstrip().startswith(b"{"):
             return cert_from_json(json.loads(data.decode("utf-8")))
         return decode_certificate(data)
-    except (CertificateError, OSError, ValueError) as exc:
+    except (CertificateError, OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep to parse.
         raise CliError(f"cannot read certificate: {exc}") from exc
+
+
+def read_json(path_str: str, what: str):
+    """The JSON value in the file; a usage error that names what the file is when it cannot be read or parsed."""
+    try:
+        return json.loads(pathlib.Path(path_str).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep to parse.
+        raise CliError(f"cannot read {what}: {exc}", EXIT_USAGE) from exc
 
 
 # ------------------------------------------------------------------ commands
 
 
 def cmd_network_init(args) -> int:
-    try:
-        config = json.loads(pathlib.Path(args.config).read_text())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read config: {exc}", EXIT_USAGE) from exc
+    config = read_json(args.config, "config")
     if not isinstance(config, dict):
         raise CliError("config-invalid: a network config is a JSON object", EXIT_USAGE)
     try:
@@ -129,10 +136,7 @@ def cmd_network_init(args) -> int:
 
 
 def cmd_sim_run(args) -> int:
-    try:
-        scenario = json.loads(pathlib.Path(args.scenario).read_text())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read scenario: {exc}", EXIT_USAGE) from exc
+    scenario = read_json(args.scenario, "scenario")
     if not isinstance(scenario, dict):
         raise CliError("config-invalid: a scenario is a JSON object", EXIT_USAGE)
     if args.seed is not None:
@@ -291,13 +295,16 @@ def cmd_policy_add(args) -> int:
     pg = dep.identity(args.by) if args.by else _pg_identity(dep)
     try:
         body = json.loads(args.body) if args.body else {}
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"--body must be JSON: {exc}", EXIT_USAGE) from exc
     if not gpf.is_rule_body(body):
         raise CliError("--body must be a JSON object of scalars", EXIT_USAGE)
-    record = gpf.PolicyRecord(
-        entity=args.entity, rule_name=args.rule, rule_body=body, status=gpf.PolicyStatus.ALIVE
-    )
+    try:
+        record = gpf.PolicyRecord(
+            entity=args.entity, rule_name=args.rule, rule_body=body, status=gpf.PolicyStatus.ALIVE
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
     block = dep.submit_command(pg, gpf.make_policy_tx, record)
     _print_json({"committed": True, "block": block, "record": record.to_json()})
     return EXIT_OK
@@ -306,7 +313,11 @@ def cmd_policy_add(args) -> int:
 def cmd_policy_revoke(args) -> int:
     dep = load_deployment(args.deployment)
     pg = dep.identity(args.by) if args.by else _pg_identity(dep)
-    block = dep.submit_command(pg, gpf.make_revoke_policy_tx, dep.node.gpf_view, args.entity, args.rule)
+    try:
+        record = gpf.death_record(dep.node.gpf_view, args.entity, args.rule)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
+    block = dep.submit_command(pg, gpf.make_policy_tx, record)
     _print_json({"committed": True, "block": block})
     return EXIT_OK
 
@@ -364,9 +375,10 @@ def cmd_ballot_apply(args) -> int:
 
 
 def cmd_metrics_report(args) -> int:
+    report = read_json(args.report, "report")
     try:
-        lifecycles, ledger_sizes = metrics.read_report(json.loads(pathlib.Path(args.report).read_text()))
-    except (OSError, ValueError) as exc:
+        lifecycles, ledger_sizes = metrics.read_report(report)
+    except ValueError as exc:
         raise CliError(f"cannot read report: {exc}", EXIT_USAGE) from exc
     try:
         computed = metrics.compute_metrics(lifecycles, ledger_sizes)

@@ -66,14 +66,6 @@ class ContractRejection(Exception):
         self.reason = reason
 
 
-class NotAddingVerify(ContractRejection):
-    """Certificate addition refused; reason carries the failed precondition."""
-
-
-class NotRevokingVerify(ContractRejection):
-    """Certificate revocation refused."""
-
-
 def issuance_allowed(issuer_role: AuthorityRole, subject_role: AuthorityRole) -> bool:
     return subject_role in ISSUANCE_MATRIX.get(issuer_role, frozenset())
 
@@ -125,11 +117,11 @@ class GccfView:
                 yield self.world[key]
 
 
-def _decoded_cert(tx: Transaction, exc_type, reason: str) -> CertificateRecord:
+def _decoded_cert(tx: Transaction, reason: str) -> CertificateRecord:
     try:
         return tx.decoded(decode_certificate)
     except CertificateError:
-        raise exc_type(reason) from None
+        raise ContractRejection(reason) from None
 
 
 def committed_identity(view: GccfView, submitter: CertificateRecord) -> Optional[StateEntry]:
@@ -147,37 +139,37 @@ def holds_role(view: GccfView, cert: CertificateRecord, role: AuthorityRole) -> 
 
 
 def add_cert(view: GccfView, tx: Transaction, *, block_number: int) -> None:
-    """Check an addition and record its serial, or raise NotAddingVerify.
+    """Check an addition and record its serial, or raise ContractRejection.
 
     Root and elector subjects are ballot-governed: outside the genesis
     bootstrap they commit only when an accepted add ballot for the exact
     payload bytes exists in prior state.
     """
-    cert = _decoded_cert(tx, NotAddingVerify, "bad-signature")
+    cert = _decoded_cert(tx, "bad-signature")
     if cert.function_type != CertFunction.ADD or tx.key != cert.state_key:
-        raise NotAddingVerify("bad-signature")
+        raise ContractRejection("bad-signature")
     if cert.serial_number in view.serials:
-        raise NotAddingVerify("duplicate-serial")
+        raise ContractRejection("duplicate-serial")
     # A subject uid names one record for good: a second addition would
     # replace a committed (possibly ballot-governed) record or un-revoke one.
     if tx.key in view.world:
-        raise NotAddingVerify("duplicate-subject")
+        raise ContractRejection("duplicate-subject")
     subject_role = cert.subject_role
     if subject_role is None:
-        raise NotAddingVerify("role-violation")
+        raise ContractRejection("role-violation")
     submitter = tx.submitter_cert
 
     if subject_role in BALLOT_GOVERNED:
         if not cert.is_self_signed:
-            raise NotAddingVerify("role-violation")
+            raise ContractRejection("role-violation")
         if block_number == 0:
             # Genesis bootstrap: the initial electors and root are embedded
             # pre-approved, each submitting its own self-signed record.
             if submitter.subject_unique_id != cert.subject_unique_id:
-                raise NotAddingVerify("role-violation")
+                raise ContractRejection("role-violation")
         else:
             if not holds_role(view, submitter, AuthorityRole.ELECTOR):
-                raise NotAddingVerify("role-violation")
+                raise ContractRejection("role-violation")
             etype = (
                 EndorsementType.ADD_ROOT
                 if subject_role == AuthorityRole.RCA
@@ -185,53 +177,53 @@ def add_cert(view: GccfView, tx: Transaction, *, block_number: int) -> None:
             )
             tally = tally_ballot(view, etype, sha256(tx.payload))
             if tally.status != BallotStatus.ACCEPTED:
-                raise NotAddingVerify("role-violation")
+                raise ContractRejection("role-violation")
         if not verify_certificate_signature(cert, cert.subject_public_key):
-            raise NotAddingVerify("bad-signature")
+            raise ContractRejection("bad-signature")
     else:
         issuer_entry = view.cert_entry(cert.issuer_unique_id)
         if issuer_entry is None:
-            raise NotAddingVerify("unknown-issuer")
+            raise ContractRejection("unknown-issuer")
         if issuer_entry.function != TxFunction.ADD_CERT:
-            raise NotAddingVerify("revoked-issuer")
+            raise ContractRejection("revoked-issuer")
         issuer = issuer_entry.decoded(decode_certificate)
         issuer_role = issuer.subject_role
         if issuer_role is None or not issuance_allowed(issuer_role, subject_role):
-            raise NotAddingVerify("role-violation")
+            raise ContractRejection("role-violation")
         if submitter.subject_unique_id != issuer.subject_unique_id:
-            raise NotAddingVerify("role-violation")
+            raise ContractRejection("role-violation")
         if canonical_encode(submitter) != issuer_entry.payload:
-            raise NotAddingVerify("bad-signature")
+            raise ContractRejection("bad-signature")
         if not verify_certificate_signature(cert, issuer.subject_public_key):
-            raise NotAddingVerify("bad-signature")
+            raise ContractRejection("bad-signature")
 
     view.serials.add(cert.serial_number)
 
 
 def revoke_cert(view: GccfView, tx: Transaction) -> None:
-    """Check a revocation, or raise NotRevokingVerify.
+    """Check a revocation, or raise ContractRejection.
 
     Ordinary authority certificates are revoked by the policy generator;
     root and elector certificates only through an accepted revoke ballot
     submitted by an elector.
     """
-    cert = _decoded_cert(tx, NotRevokingVerify, "unknown-target")
+    cert = _decoded_cert(tx, "unknown-target")
     if cert.function_type != CertFunction.REVOKE or tx.key != cert.state_key:
-        raise NotRevokingVerify("unknown-target")
+        raise ContractRejection("unknown-target")
     target_entry = view.entry(tx.key)
     if target_entry is None:
-        raise NotRevokingVerify("unknown-target")
+        raise ContractRejection("unknown-target")
     if target_entry.function == TxFunction.REVOKE_CERT:
-        raise NotRevokingVerify("already-revoked")
+        raise ContractRejection("already-revoked")
     committed = target_entry.decoded(decode_certificate)
     if committed.serial_number != cert.serial_number:
-        raise NotRevokingVerify("unknown-target")
+        raise ContractRejection("unknown-target")
     target_role = committed.subject_role
     submitter = tx.submitter_cert
 
     if target_role in BALLOT_GOVERNED:
         if not holds_role(view, submitter, AuthorityRole.ELECTOR):
-            raise NotRevokingVerify("not-PG")
+            raise ContractRejection("not-PG")
         etype = (
             EndorsementType.REVOKE_ROOT
             if target_role == AuthorityRole.RCA
@@ -239,11 +231,11 @@ def revoke_cert(view: GccfView, tx: Transaction) -> None:
         )
         tally = tally_ballot(view, etype, sha256(target_entry.payload))
         if tally.status != BallotStatus.ACCEPTED:
-            raise NotRevokingVerify("not-PG")
+            raise ContractRejection("not-PG")
     elif not holds_role(view, submitter, AuthorityRole.PG):
-        raise NotRevokingVerify("not-PG")
+        raise ContractRejection("not-PG")
     if not verify_certificate_signature(cert, submitter.subject_public_key):
-        raise NotRevokingVerify("not-PG")
+        raise ContractRejection("not-PG")
 
 
 def _apply_endorse(view: GccfView, tx: Transaction, block_number: int) -> None:
@@ -270,7 +262,7 @@ def _check_validate(tx: Transaction) -> None:
     # A validation request is recorded for audit; the verdict itself is a
     # read-time computation so that committing it never depends on the local
     # clock of whichever node replays the block.
-    cert = _decoded_cert(tx, ContractRejection, "bad-payload")
+    cert = _decoded_cert(tx, "bad-payload")
     if tx.key != validate_key(cert.serial_number):
         raise ContractRejection("bad-payload")
 
@@ -281,8 +273,6 @@ def apply_tx(view: GccfView, tx: Transaction, *, block_number: int) -> None:
     The function's own check raises ContractRejection before anything is
     written; the entry written here is the channel's only state write.
     """
-    if tx.channel != Channel.GCCF:
-        raise ContractRejection("wrong-channel")
     if tx.function == TxFunction.ADD_CERT:
         add_cert(view, tx, block_number=block_number)
     elif tx.function == TxFunction.REVOKE_CERT:

@@ -32,13 +32,6 @@ KNOWN_RULES = {
 RULE_BALLOT_QUORUM = KNOWN_RULES["ballot_quorum"][0]
 
 
-class NotPG(ContractRejection):
-    """The submitter is not the committed, unrevoked policy generator."""
-
-    def __init__(self):
-        super().__init__("not-PG")
-
-
 class PolicyStatus(str, Enum):
     ALIVE = "alive"
     DEATH = "death"
@@ -53,8 +46,12 @@ class PolicyRecord:
     updated_block: Optional[int] = None
 
     def __post_init__(self):
-        if not self.entity or not self.rule_name or not is_rule_body(self.rule_body):
-            raise ContractRejection("malformed-rule")
+        if not self.entity:
+            raise ValueError("policy entity must be non-empty")
+        if not self.rule_name:
+            raise ValueError("policy rule name must be non-empty")
+        if not is_rule_body(self.rule_body):
+            raise ValueError("policy rule body must map names to scalars")
 
     def to_json(self) -> dict:
         return {
@@ -87,6 +84,11 @@ def encode_policy(record: PolicyRecord) -> bytes:
 
 
 def decode_policy(data: bytes, updated_block: Optional[int] = None) -> PolicyRecord:
+    """The record data encodes; malformed-rule for any payload that is not one.
+
+    A body nested too deep for json.loads raises RecursionError: the PG signs
+    its payloads, and a payload alone must not crash admission or a peer.
+    """
     r = wire.Reader(data)
     try:
         entity = r.str_field()
@@ -94,13 +96,11 @@ def decode_policy(data: bytes, updated_block: Optional[int] = None) -> PolicyRec
         body = json.loads(r.str_field())
         status = PolicyStatus(r.str_field())
         r.expect_end()
-    except (wire.WireError, ValueError) as exc:
+        return PolicyRecord(
+            entity=entity, rule_name=rule_name, rule_body=body, status=status, updated_block=updated_block
+        )
+    except (ValueError, RecursionError) as exc:  # a WireError is a ValueError
         raise ContractRejection("malformed-rule") from exc
-    if not isinstance(body, dict):
-        raise ContractRejection("malformed-rule")
-    return PolicyRecord(
-        entity=entity, rule_name=rule_name, rule_body=body, status=status, updated_block=updated_block
-    )
 
 
 class GpfView:
@@ -129,10 +129,10 @@ def apply_tx(view: GpfView, gccf_view: GccfView, tx: Transaction, *, block_numbe
     carries a rule with status alive; a RevokePolicy flips an existing rule
     to status death (a new appended state).
     """
-    if tx.channel != Channel.GPF or tx.function not in (TxFunction.ADD_POLICY, TxFunction.REVOKE_POLICY):
+    if tx.function not in (TxFunction.ADD_POLICY, TxFunction.REVOKE_POLICY):
         raise ContractRejection("wrong-channel")
     if not holds_role(gccf_view, tx.submitter_cert, AuthorityRole.PG):
-        raise NotPG()
+        raise ContractRejection("not-PG")
     record = tx.decoded(decode_policy)
     status = PolicyStatus.ALIVE if tx.function == TxFunction.ADD_POLICY else PolicyStatus.DEATH
     if record.status != status or tx.key != policy_key(record.entity, record.rule_name):
@@ -217,16 +217,8 @@ def make_policy_tx(
     )
 
 
-def make_revoke_policy_tx(
-    view: GpfView,
-    entity: str,
-    rule_name: str,
-    pg_cert: CertificateRecord,
-    pg_key: KeyPair,
-    submit_time_ms: int,
-) -> Transaction:
-    """Build the death record for a rule, carrying over its current body."""
+def death_record(view: GpfView, entity: str, rule_name: str) -> PolicyRecord:
+    """The death record for a rule, carrying over its current body; make_policy_tx signs it as a RevokePolicy."""
     current = get_rule(view, entity, rule_name)
     body = dict(current.rule_body) if current is not None else {}
-    record = PolicyRecord(entity=entity, rule_name=rule_name, rule_body=body, status=PolicyStatus.DEATH)
-    return make_policy_tx(record, pg_cert, pg_key, submit_time_ms)
+    return PolicyRecord(entity=entity, rule_name=rule_name, rule_body=body, status=PolicyStatus.DEATH)

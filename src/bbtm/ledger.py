@@ -55,22 +55,6 @@ class LedgerError(Exception):
     """Base class for chain integrity failures."""
 
 
-class BrokenLinkage(LedgerError):
-    pass
-
-
-class BadCreatorSignature(LedgerError):
-    pass
-
-
-class WrongChannel(LedgerError):
-    pass
-
-
-class NonMonotoneNumber(LedgerError):
-    pass
-
-
 class BadTxSignature(LedgerError):
     """A submitter signature fails; check_block raises it after every other check."""
 
@@ -419,11 +403,11 @@ class Ledger:
         BadTxSignature comes last, so it means every other check has passed.
         """
         if block.header.number != self.height:
-            raise NonMonotoneNumber(f"expected block {self.height}, got {block.header.number}")
+            raise LedgerError(f"expected block {self.height}, got {block.header.number}")
         if block.header.prev_header_hash != self.head_hash():
-            raise BrokenLinkage(f"block {block.header.number} does not extend the tip")
+            raise LedgerError(f"block {block.header.number} does not extend the tip")
         if block.header.data_hash != data_hash_of(block.transactions):
-            raise BrokenLinkage(f"block {block.header.number} data hash mismatch")
+            raise LedgerError(f"block {block.header.number} data hash mismatch")
         if block.header.number > 0 and not block.transactions:
             raise LedgerError("non-genesis block carries no transactions")
         ids = {tx.tx_id for tx in block.transactions}
@@ -431,9 +415,7 @@ class Ledger:
             raise LedgerError(f"block {block.header.number} repeats a transaction")
         for tx in block.transactions:
             if tx.channel != self.channel:
-                raise WrongChannel(
-                    f"transaction for {tx.channel.value} in a {self.channel.value} block"
-                )
+                raise LedgerError(f"transaction for {tx.channel.value} in a {self.channel.value} block")
         self._check_creator(block)
         for tx in block.transactions:
             if not tx.verify_submitter_signature():
@@ -445,19 +427,19 @@ class Ledger:
             # Genesis registers the ordering service: the creator record must
             # be a valid self-signed OSP certificate.
             if block.creator_cert.subject_role != AuthorityRole.OSP:
-                raise BadCreatorSignature("genesis creator is not an ordering service")
+                raise LedgerError("genesis creator is not an ordering service")
             if not block.creator_cert.is_self_signed or not verify_certificate_signature(
                 block.creator_cert, block.creator_cert.subject_public_key
             ):
-                raise BadCreatorSignature("genesis creator certificate does not self-verify")
+                raise LedgerError("genesis creator certificate does not self-verify")
         elif cert_bytes != self.creator_cert_bytes:
-            raise BadCreatorSignature("creator certificate differs from the genesis registration")
+            raise LedgerError("creator certificate differs from the genesis registration")
         if not verify_signature(
             block.creator_cert.subject_public_key,
             block.creator_signature,
             block.header.encode(),
         ):
-            raise BadCreatorSignature(f"block {block.header.number} creator signature invalid")
+            raise LedgerError(f"block {block.header.number} creator signature invalid")
 
     def append_block(self, block: Block) -> None:
         """Check the block, then chain it; writes no state."""

@@ -54,10 +54,6 @@ CHANNEL_POLICIES_JSON = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class Rejected(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -73,19 +69,19 @@ class ConsortiumConfig:
 
     def validate(self) -> None:
         if self.osp_cert.subject_role != AuthorityRole.OSP:
-            raise ConfigError("missing OSP certificate")
+            raise ValueError("missing OSP certificate")
         if not self.osp_cert.is_self_signed or not verify_certificate_signature(
             self.osp_cert, self.osp_cert.subject_public_key
         ):
-            raise ConfigError("OSP certificate does not self-verify")
+            raise ValueError("OSP certificate does not self-verify")
         seen_uids = {self.osp_cert.subject_unique_id}
         for cert in self.members:
             if cert.subject_role is None:
-                raise ConfigError(f"member {cert.subject_name!r} is not named for a role")
+                raise ValueError(f"member {cert.subject_name!r} is not named for a role")
             if cert.subject_role == AuthorityRole.OSP:
-                raise ConfigError("more than one OSP certificate")
+                raise ValueError("more than one OSP certificate")
             if cert.subject_unique_id in seen_uids:
-                raise ConfigError("duplicate member certificates")
+                raise ValueError("duplicate member certificates")
             seen_uids.add(cert.subject_unique_id)
 
     def to_json(self) -> dict:
@@ -104,11 +100,11 @@ class ConsortiumConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConsortiumConfig":
-        """The config to_json wrote; ConfigError for one that records another protocol."""
+        """The config to_json wrote; ValueError for one that records another protocol."""
         if obj["consensus_id"] != CONSENSUS_ID:
-            raise ConfigError(f"consensus_id must be {CONSENSUS_ID!r}")
+            raise ValueError(f"consensus_id must be {CONSENSUS_ID!r}")
         if obj["channel_policies"] != CHANNEL_POLICIES_JSON:
-            raise ConfigError("channel_policies must be the protocol's channel writers")
+            raise ValueError("channel_policies must be the protocol's channel writers")
         return cls(
             osp_cert=cert_from_json(obj["osp_cert"]),
             members=tuple(cert_from_json(m["cert"]) for m in obj["members"]),

@@ -113,13 +113,14 @@ def _check_action(action: dict) -> None:
     for key in ACTION_FIELDS[kind] + (("by",) if "by" in action else ()):
         if not isinstance(action.get(key), str):
             raise ValueError(f"{kind} action needs a string {key!r}")
+        if not action[key]:
+            raise ValueError(f"{kind} action {key} cannot be empty")
     minted = {"issue": "subject_name", "new_root": "name"}.get(kind)  # the field naming a subject it mints
     if minted and role_of_name(action[minted]) is None:
         raise ValueError(f"subject name {action[minted]!r} carries no role")
     if "type" in ACTION_FIELDS[kind] and action["type"] not in ENDORSEMENT_TYPES:
         raise ValueError(f"unknown endorsement type {action['type']!r}")
-    body = action.get("body", {})
-    if not isinstance(body, dict) or not all(isinstance(v, (int, str, bool)) for v in body.values()):
+    if not gpf.is_rule_body(action.get("body", {})):
         raise ValueError(f"{kind} action body must map names to scalars")
     for key in ("not_before", "not_after"):
         if key in action:
@@ -213,7 +214,11 @@ class ScenarioConfig:
     def _parse(cls, obj: dict) -> "ScenarioConfig":
         """The scenario's fields as given; Simulation checks their values."""
         network = obj.get("network", {})
+        if not isinstance(network, dict):
+            raise ValueError("network must be an object")
         link_drop = network.get("link_drop", {})
+        if not isinstance(link_drop, dict):
+            raise ValueError("network link_drop must be an object")
         policies = obj.get("policies", {})
         if not all(type(rate) in (int, float) for rate in link_drop.values()):  # a bool is not a number
             raise ValueError("network link_drop rates must be numbers")
@@ -407,6 +412,10 @@ class Simulation:
                 raise ValueError("a workload action is a JSON object")
             check_not_negative(action.get("at_ms"), "workload action at_ms")
             _check_action(action)
+            if action["action"] == "issue":
+                not_before, not_after = self._issue_validity(action)
+                if not_before >= not_after:
+                    raise ValueError(f"issue action validity window {not_before}-{not_after} is empty")
         spec = self.config.generate
         if spec is not None:
             if not isinstance(spec, dict):
@@ -414,6 +423,10 @@ class Simulation:
             check_not_negative(spec.get("count"), "generate count")
             check_not_negative(spec.get("spacing_ms", 10), "generate spacing_ms")
             check_not_negative(spec.get("start_ms") or 0, "generate start_ms")
+
+    def _issue_validity(self, action: dict) -> Tuple[int, int]:
+        """The validity window an issue action mints its subject with: its own bounds, else the scenario's."""
+        return action.get("not_before", self.config.validity[0]), action.get("not_after", self.config.validity[1])
 
     def _expand_workload(self) -> List[dict]:
         actions: List[dict] = []
@@ -602,11 +615,7 @@ class Simulation:
                 self._submit(issuer.name, tx)
             elif kind == "issue":
                 issuer = self._identity(action["issuer"])
-                validity = (
-                    action.get("not_before", self.config.validity[0]),
-                    action.get("not_after", self.config.validity[1]),
-                )
-                subject = self._mint(action["subject_name"], issuer, validity, self.clock.now_s)
+                subject = self._mint(action["subject_name"], issuer, self._issue_validity(action), self.clock.now_s)
                 tx = gccf.make_add_cert_tx(subject.cert, issuer.cert, issuer.key, now)
                 self._submit(issuer.name, tx)
             elif kind == "new_root":
@@ -639,9 +648,8 @@ class Simulation:
                 self._submit(pg.name, tx)
             elif kind == "policy_revoke":
                 pg = self._identity(action.get("by", self._pg_name))
-                tx = gpf.make_revoke_policy_tx(
-                    self._node(pg.name).gpf_view, action["entity"], action["rule"], pg.cert, pg.key, now
-                )
+                record = gpf.death_record(self._node(pg.name).gpf_view, action["entity"], action["rule"])
+                tx = gpf.make_policy_tx(record, pg.cert, pg.key, now)
                 self._submit(pg.name, tx)
             elif kind == "endorse":
                 elector = self._identity(action["elector"])

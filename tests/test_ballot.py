@@ -200,7 +200,7 @@ class TestApplyBallot:
         bed = Bed()
         rca2 = make_identity("RCA-2", rng=bed.rng)
         tx = gccf.make_add_cert_tx(rca2.cert, bed.electors[0].cert, bed.electors[0].key, 0)
-        with pytest.raises(gccf.NotAddingVerify) as exc:
+        with pytest.raises(gccf.ContractRejection) as exc:
             gccf.apply_tx(bed.view, tx, block_number=bed.next_block)
         assert exc.value.reason == "role-violation"
 

@@ -237,6 +237,8 @@ class TestConsortiumFaults:
         (_consortium(policies={"ballot_quorum": True}), "policy ballot_quorum must be an integer"),
         (_consortium(policies=None), "policies must be an object"),
         (_consortium(policies=[]), "policies must be an object"),
+        # A rule's record refuses an empty name as a value, not as a contract rejection.
+        (_consortium(policies={"": 3}), "policy rule name must be non-empty"),
         # Both validity bounds are integers, and the deferred members a list of member names.
         (_consortium(validity=[0.5, 1000.5]), "validity not_before must be an integer"),
         (_consortium(validity=[0, 1000.5]), "validity not_after must be an integer"),
@@ -251,7 +253,7 @@ class TestConsortiumFaults:
     ], ids=["no-seed", "nodes-not-a-list", "unknown-role", "string-entry", "three-item-entry", "countless-entry",
             "repeated-role", "two-osp-nodes", "ica-without-rca",
             "no-osp", "float-count", "string-count", "bool-count", "negative-count", "string-seed", "float-seed",
-            "float-rule", "bool-rule", "null-policies", "list-policies", "float-not-before", "float-not-after",
+            "float-rule", "bool-rule", "null-policies", "list-policies", "empty-rule-name", "float-not-before", "float-not-after",
             "int-validity", "null-validity", "three-bound-validity", "string-defer", "non-name-defer",
             "non-member-defer", "genesis-does-not-commit"])
     @pytest.mark.parametrize("verb", ["network-init", "sim-run"])
@@ -484,6 +486,17 @@ class TestPolicyVerbs:
 
     def test_get_absent_rule_fails(self, deployment, capsys):
         assert main(["policy", "get", "--deployment", str(deployment), "--entity", "RA", "--rule", "nope"]) == 1
+
+    @pytest.mark.parametrize("verb, entity, rule, message", [
+        ("add", "", "x", "policy entity must be non-empty"),
+        ("revoke", "RA", "", "policy rule name must be non-empty"),
+    ], ids=["add-empty-entity", "revoke-empty-rule"])
+    def test_an_empty_name_is_a_usage_error(self, deployment, capsys, verb, entity, rule, message):
+        before = _chain_files(deployment)
+        capsys.readouterr()
+        assert main(["policy", verb, "--deployment", str(deployment), "--entity", entity, "--rule", rule]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert _chain_files(deployment) == before
 
     def test_non_pg_submitter_rejected(self, deployment, capsys):
         rc = main([
@@ -864,6 +877,43 @@ class TestMalformedMetricsReport:
             assert code in (1, 2) and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+# JSON nested deeper than the parser recurses.
+DEEP_JSON = "[" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested too deep to parse is unreadable input, never a traceback."""
+
+    @pytest.mark.parametrize("verb, flag, what", [
+        (["network", "init", "--out", "dep"], "--config", "config"),
+        (["sim", "run"], "--scenario", "scenario"),
+        (["metrics", "report"], "--report", "report"),
+    ], ids=["network-init", "sim-run", "metrics-report"])
+    def test_a_file_exits_2_with_cannot_read(self, tmp_path, capsys, monkeypatch, verb, flag, what):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        assert main([*verb, flag, "deep.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read {what}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+
+    def test_a_certificate_file_is_a_reported_failure(self, deployment, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"cert": ' + DEEP_JSON)
+        capsys.readouterr()
+        assert main(["cert", "validate", "--deployment", str(deployment), "--cert", str(deep)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read certificate: maximum recursion depth exceeded")
+
+    def test_a_policy_body_is_a_usage_error(self, deployment, capsys):
+        before = _chain_files(deployment)
+        capsys.readouterr()
+        assert main(["policy", "add", "--deployment", str(deployment), "--entity", "RA", "--rule", "r",
+                     "--body", DEEP_JSON]) == 2
+        assert capsys.readouterr().err.startswith("error: --body must be JSON: maximum recursion depth exceeded")
+        assert _chain_files(deployment) == before
+
+
 class TestSimRunFiles:
     """``sim run`` writes its report, lifecycle and chain files whole or not at all."""
 
@@ -1144,6 +1194,21 @@ class TestScenarioErrors:
         # A generated issue needs an issuer in the genesis.
         ({"seed": 1, "nodes": [["Elector", 2], ["RCA", 1], ["PG", 1], ["OSP", 1]], "generate": {"count": 3},
           "defer_bootstrap": ["RCA-1"]}, "generated workload needs an RCA or ICA"),
+        # A section that is not an object is named, not reported in Python's words.
+        ({**SAMPLE_SCENARIO, "network": [1]}, "network must be an object"),
+        ({**SAMPLE_SCENARIO, "network": {"link_drop": [1]}}, "network link_drop must be an object"),
+        # A name field may not be empty; a policy record could not hold it.
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "policy_add", "entity": "", "rule": "x"}]},
+         "policy_add action entity cannot be empty"),
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "policy_revoke", "entity": "RA", "rule": ""}]},
+         "policy_revoke action rule cannot be empty"),
+        # The window an issue mints with, its own bounds else the scenario's, is checked before the run.
+        ({**SAMPLE_SCENARIO, "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-1",
+                                           "subject_name": "PCA-w0", "not_before": 50, "not_after": 10}]},
+         "issue action validity window 50-10 is empty"),
+        ({**SAMPLE_SCENARIO, "validity": [0, 100], "workload": [{"at_ms": 100, "action": "issue", "issuer": "ICA-1",
+                                                                 "subject_name": "PCA-w0", "not_before": 100}]},
+         "issue action validity window 100-100 is empty"),
         # A quorum below 1 is read as the default of 2, which one elector cannot reach.
         ({**SAMPLE_SCENARIO, "nodes": [["Elector", 1] if r == "Elector" else [r, c] for r, c in SAMPLE_SCENARIO["nodes"]],
           "policies": {"ballot_quorum": 0}}, "fewer electors than the ballot quorum"),

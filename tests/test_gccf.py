@@ -14,8 +14,6 @@ from bbtm.gccf import (
     GccfSnapshot,
     GccfView,
     ISSUANCE_MATRIX,
-    NotAddingVerify,
-    NotRevokingVerify,
     TRUST_ANCHOR_ROLES,
     export_gccf,
     make_add_cert_tx,
@@ -60,7 +58,7 @@ class TestAddCert:
         pca = make_identity("PCA-1", bed.ica, rng=bed.rng)
         bed.add(pca.cert, bed.ica)
         ra = make_identity("RA-9", pca, rng=bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(ra.cert, pca)
         assert reject_reason(exc) == "role-violation"
 
@@ -71,7 +69,7 @@ class TestAddCert:
         latest = bed.view.cert_entry(bed.ica.cert.subject_unique_id).function
         assert latest == TxFunction.REVOKE_CERT
         pca = make_identity("PCA-2", bed.ica, rng=bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(pca.cert, bed.ica)
         assert reject_reason(exc) == "revoked-issuer"
 
@@ -79,14 +77,14 @@ class TestAddCert:
         bed = Bed()
         ghost = make_identity("ICA-7", bed.rca, rng=bed.rng)  # never committed
         pca = make_identity("PCA-3", ghost, rng=bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(pca.cert, ghost)
         assert reject_reason(exc) == "unknown-issuer"
 
     def test_duplicate_serial_rejected(self):
         bed = Bed()
         dup = make_identity("MA-1", bed.rca, serial=bed.ica.cert.serial_number, rng=bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(dup.cert, bed.rca)
         assert reject_reason(exc) == "duplicate-serial"
 
@@ -95,7 +93,7 @@ class TestAddCert:
         ma = make_identity("MA-2", bed.rca, rng=bed.rng)
         forged = replace(ma.cert, subject_name="MA-3")
         tx = make_add_cert_tx(forged, bed.rca.cert, bed.rca.key, 0)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             gccf.apply_tx(bed.view, tx, block_number=5)
         assert reject_reason(exc) == "bad-signature"
 
@@ -103,21 +101,21 @@ class TestAddCert:
         bed = Bed()
         ma = make_identity("MA-4", bed.rca, rng=bed.rng)
         tx = make_add_cert_tx(ma.cert, bed.pg.cert, bed.pg.key, 0)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             gccf.apply_tx(bed.view, tx, block_number=5)
         assert reject_reason(exc) == "role-violation"
 
     def test_direct_root_add_needs_ballot(self):
         bed = Bed()
         rca2 = make_identity("RCA-2", rng=bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(rca2.cert, bed.electors[0])
         assert reject_reason(exc) == "role-violation"
 
     def test_direct_elector_add_needs_ballot(self):
         bed = Bed()
         e4 = make_identity("Elector-4", rng=bed.rng)
-        with pytest.raises(NotAddingVerify):
+        with pytest.raises(ContractRejection):
             bed.add(e4.cert, bed.electors[0])
 
 
@@ -136,27 +134,27 @@ class TestRevokeCert:
         bed = Bed()
         ra = make_identity("RA-1", bed.ica, rng=bed.rng)
         bed.add(ra.cert, bed.ica)
-        with pytest.raises(NotRevokingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.revoke(bed.ica.cert, authorizer=ra)
         assert reject_reason(exc) == "not-PG"
 
     def test_double_revocation_rejected(self):
         bed = Bed()
         bed.revoke(bed.ica.cert)
-        with pytest.raises(NotRevokingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.revoke(bed.ica.cert)
         assert reject_reason(exc) == "already-revoked"
 
     def test_unknown_target_rejected(self):
         bed = Bed()
         ghost = make_identity("MA-9", bed.rca, rng=bed.rng)
-        with pytest.raises(NotRevokingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.revoke(ghost.cert)
         assert reject_reason(exc) == "unknown-target"
 
     def test_pg_cannot_revoke_ballot_governed_targets(self):
         bed = Bed()
-        with pytest.raises(NotRevokingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.revoke(bed.rca.cert)
         assert reject_reason(exc) == "not-PG"
 
@@ -360,7 +358,7 @@ class TestAccessMatrixFuzz:
             try:
                 gccf.apply_tx(bed.view.copy(), tx, block_number=3)
                 committed = True
-            except NotAddingVerify as exc:
+            except ContractRejection as exc:
                 committed = False
                 assert exc.reason == "role-violation"
             assert committed == (allowed and not ballot_governed)
@@ -372,7 +370,7 @@ class TestMonotoneRevocation:
         bed.revoke(bed.ica.cert)
         retry = replace(bed.ica.cert)  # same serial, same bytes
         tx = make_add_cert_tx(retry, bed.rca.cert, bed.rca.key, 0)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             gccf.apply_tx(bed.view, tx, block_number=9)
         assert reject_reason(exc) == "duplicate-serial"
         assert not validate_cert(bed.view, bed.ica.cert, now_s=10.0).ok
@@ -573,7 +571,7 @@ class TestSubjectUidOverwrite:
         elector = bed.electors[0]
         before = bed.view.cert_entry(elector.cert.subject_unique_id)
         evil = _issue_with_uid("RA-evil", bed.ica, elector.cert.subject_unique_id, bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(evil, bed.ica)
         assert reject_reason(exc) == "duplicate-subject"
         assert bed.view.cert_entry(elector.cert.subject_unique_id) is before
@@ -584,7 +582,7 @@ class TestSubjectUidOverwrite:
         bed = Bed()
         bed.revoke(bed.ica.cert)
         again = _issue_with_uid("ICA-1", bed.rca, bed.ica.cert.subject_unique_id, bed.rng)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(again, bed.rca)
         assert reject_reason(exc) == "duplicate-subject"
         assert bed.view.cert_entry(bed.ica.cert.subject_unique_id).function == TxFunction.REVOKE_CERT
@@ -594,7 +592,7 @@ class TestSubjectUidOverwrite:
     def test_duplicate_serial_is_checked_first(self):
         bed = Bed()
         clash = make_identity("ICA-1", bed.rca, serial=bed.ica.cert.serial_number)
-        with pytest.raises(NotAddingVerify) as exc:
+        with pytest.raises(ContractRejection) as exc:
             bed.add(clash.cert, bed.rca)
         assert reject_reason(exc) == "duplicate-serial"
 

@@ -8,15 +8,14 @@ from bbtm import gpf
 from bbtm.gccf import ContractRejection
 from bbtm.gpf import (
     GpfView,
-    NotPG,
     PolicyRecord,
     PolicyStatus,
     ballot_quorum,
+    death_record,
     decode_policy,
     encode_policy,
     get_rule,
     make_policy_tx,
-    make_revoke_policy_tx,
 )
 from bbtm.identity import AuthorityRole
 from bbtm.ledger import Channel
@@ -51,16 +50,18 @@ class TestAddPolicy:
         bed = Bed()
         view = GpfView()
         tx = make_policy_tx(_max_txs_record(), bed.rca.cert, bed.rca.key, 0)
-        with pytest.raises(NotPG):
+        with pytest.raises(ContractRejection) as exc:
             gpf.apply_tx(view, bed.view, tx, block_number=1)
+        assert exc.value.reason == "not-PG"
 
     def test_revoked_pg_is_not_pg(self):
         bed = Bed()
         bed.inject_revoked(bed.pg.cert)
         view = GpfView()
         tx = make_policy_tx(_max_txs_record(), bed.pg.cert, bed.pg.key, 0)
-        with pytest.raises(NotPG):
+        with pytest.raises(ContractRejection) as exc:
             gpf.apply_tx(view, bed.view, tx, block_number=1)
+        assert exc.value.reason == "not-PG"
 
     def test_readd_overwrites_alive(self):
         bed = Bed()
@@ -90,7 +91,7 @@ class TestGenesisRule:
             gpf.apply_tx(view, bed.view, make_policy_tx(_quorum_record(3), bed.pg.cert, bed.pg.key, 0), block_number=0)
         before = dict(view.world)
         for tx in (make_policy_tx(_quorum_record(1), bed.pg.cert, bed.pg.key, 1),
-                   make_revoke_policy_tx(view, "Elector", "ballot_quorum", bed.pg.cert, bed.pg.key, 2)):
+                   make_policy_tx(death_record(view, "Elector", "ballot_quorum"), bed.pg.cert, bed.pg.key, 2)):
             with pytest.raises(ContractRejection) as exc:
                 gpf.apply_tx(view, bed.view, tx, block_number=1)
             assert exc.value.reason == "genesis-rule"
@@ -99,9 +100,10 @@ class TestGenesisRule:
 
     def test_a_non_pg_write_is_still_not_pg(self):
         bed = Bed()
-        with pytest.raises(NotPG):
+        with pytest.raises(ContractRejection) as exc:
             gpf.apply_tx(GpfView(), bed.view, make_policy_tx(_quorum_record(1), bed.rca.cert, bed.rca.key, 0),
                          block_number=1)
+        assert exc.value.reason == "not-PG"
 
 
 class TestRevokePolicy:
@@ -109,7 +111,7 @@ class TestRevokePolicy:
         bed = Bed()
         view = GpfView()
         gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
-        tx = make_revoke_policy_tx(view, "OSP", "block_max_txs", bed.pg.cert, bed.pg.key, 1)
+        tx = make_policy_tx(death_record(view, "OSP", "block_max_txs"), bed.pg.cert, bed.pg.key, 1)
         gpf.apply_tx(view, bed.view, tx, block_number=2)
         record = get_rule(view, "OSP", "block_max_txs")
         assert record.status == PolicyStatus.DEATH
@@ -119,7 +121,7 @@ class TestRevokePolicy:
     def test_unknown_rule(self):
         bed = Bed()
         view = GpfView()
-        tx = make_revoke_policy_tx(view, "Elector", "never_added", bed.pg.cert, bed.pg.key, 0)
+        tx = make_policy_tx(death_record(view, "Elector", "never_added"), bed.pg.cert, bed.pg.key, 0)
         with pytest.raises(ContractRejection) as exc:
             gpf.apply_tx(view, bed.view, tx, block_number=1)
         assert exc.value.reason == "unknown-rule"
@@ -130,7 +132,7 @@ class TestRevokePolicy:
         gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(), bed.pg.cert, bed.pg.key, 0), block_number=1)
         gpf.apply_tx(
             view, bed.view,
-            make_revoke_policy_tx(view, "OSP", "block_max_txs", bed.pg.cert, bed.pg.key, 1),
+            make_policy_tx(death_record(view, "OSP", "block_max_txs"), bed.pg.cert, bed.pg.key, 1),
             block_number=2,
         )
         gpf.apply_tx(view, bed.view, make_policy_tx(_max_txs_record(4), bed.pg.cert, bed.pg.key, 2), block_number=3)
@@ -189,11 +191,16 @@ class TestEncoding:
         with pytest.raises(ContractRejection):
             decode_policy(bad)
 
-    def test_malformed_body_rejected(self):
-        with pytest.raises(ContractRejection):
-            PolicyRecord(entity="X", rule_name="r", rule_body={"k": 1.5}, status=PolicyStatus.ALIVE)
-        with pytest.raises(ContractRejection):
-            PolicyRecord(entity="", rule_name="r", rule_body={}, status=PolicyStatus.ALIVE)
+    @pytest.mark.parametrize("entity, rule, body, message", [
+        ("X", "r", {"k": 1.5}, "policy rule body must map names to scalars"),
+        ("", "r", {}, "policy entity must be non-empty"),
+        ("X", "", {}, "policy rule name must be non-empty"),
+    ], ids=["float-value", "empty-entity", "empty-rule"])
+    def test_malformed_record_is_a_value_error(self, entity, rule, body, message):
+        # The record names the bad value; only the contract names a reason code.
+        with pytest.raises(ValueError, match=message) as exc:
+            PolicyRecord(entity=entity, rule_name=rule, rule_body=body, status=PolicyStatus.ALIVE)
+        assert not isinstance(exc.value, ContractRejection)
 
 
 class TestWriteExclusivity:

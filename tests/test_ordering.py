@@ -13,7 +13,6 @@ from bbtm.ledger import Channel, Transaction, ZERO_HASH
 from bbtm.node import Node
 from bbtm.ordering import (
     CHANNEL_WRITERS,
-    ConfigError,
     ConsortiumConfig,
     OrderingService,
     Rejected,
@@ -70,7 +69,7 @@ class TestCreateGenesis:
             osp_cert=dep.osp.cert,
             members=dep.consortium.members + (rogue.cert,),
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="more than one OSP certificate"):
             create_genesis(bad, [], [], dep.osp.key)
 
     def test_duplicate_member_certs_is_an_error(self):
@@ -79,7 +78,7 @@ class TestCreateGenesis:
             osp_cert=dep.osp.cert,
             members=dep.consortium.members + (dep.consortium.members[0],),
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="duplicate member certificates"):
             create_genesis(bad, [], [], dep.osp.key)
 
     def test_genesis_determinism_golden_digest(self):

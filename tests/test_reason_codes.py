@@ -4,13 +4,18 @@ Each row builds one transaction that a member signs but its contract
 refuses.  The sequencer's admission must reject it with the documented code
 (README "Rejection reasons"), and a block the ordering service cuts around
 it must be refused by a node's commit, the check every peer runs, with the
-same code.
+same code, and leave the node's world state as it was.  Every code the
+sources pass must be listed in README "Rejection reasons".
 """
 
+import ast
+import pathlib
+import re
 from dataclasses import replace
 
 import pytest
 
+import bbtm
 from bbtm import gccf, wire
 from bbtm.ballot import (
     Endorsement,
@@ -195,6 +200,13 @@ def rule_body_that_is_no_object(w):
     return _tx(Channel.GPF, TxFunction.ADD_POLICY, policy_key("RA", "r0"), payload, w["PG-1"])
 
 
+def rule_body_nested_too_deep_to_parse(w):
+    # The policy generator is the authority the ledger distrusts: a body
+    # json.loads cannot parse without overflowing its recursion is malformed.
+    payload = b"".join(wire.field(part) for part in (b"RA", b"r0", b"[" * 100_000, PolicyStatus.ALIVE.value.encode()))
+    return _tx(Channel.GPF, TxFunction.ADD_POLICY, policy_key("RA", "r0"), payload, w["PG-1"])
+
+
 def death_record_under_an_addition(w):
     payload = encode_policy(_rule(PolicyStatus.DEATH))
     return _tx(Channel.GPF, TxFunction.ADD_POLICY, policy_key("RA", "r0"), payload, w["PG-1"])
@@ -219,6 +231,7 @@ CASES = [
     (policy_function_on_the_certificate_channel, "wrong-channel"),
     (certificate_function_on_the_policy_channel, "wrong-channel"),
     (rule_body_that_is_no_object, "malformed-rule"),
+    (rule_body_nested_too_deep_to_parse, "malformed-rule"),
     (death_record_under_an_addition, "malformed-rule"),
 ]
 
@@ -232,11 +245,13 @@ def test_admission_and_a_peer_commit_refuse_with_the_documented_code(build, reas
     assert rejected.value.reason == reason
     ledger = w.node.ledger(tx.channel)
     heights = {channel: w.node.ledger(channel).height for channel in Channel}
+    digest = w.node.world_state_digest()
     block = make_block(ledger.height, ledger.head_hash(), [tx], w.dep.osp.cert, w.dep.osp.key)
     with pytest.raises(BlockRefused) as refused:
         w.node.commit_block(tx.channel, block)
     assert refused.value.reason == reason
     assert {channel: w.node.ledger(channel).height for channel in Channel} == heights
+    assert w.node.world_state_digest() == digest
 
 
 def test_a_genesis_root_submitted_by_another_is_refused():
@@ -248,3 +263,37 @@ def test_a_genesis_root_submitted_by_another_is_refused():
     with pytest.raises(BlockRefused) as refused:
         Node(dep.osp.cert).commit_block(Channel.GCCF, make_block(0, ZERO_HASH, txs, dep.osp.cert, dep.osp.key))
     assert refused.value.reason == "role-violation"
+
+
+# The calls that carry a reason code, and the position of the code among their arguments.
+CODE_ARGUMENT = {"ContractRejection": 0, "Rejected": 0, "BallotError": 0, "_decoded_cert": 1, "_reject": 3}
+
+
+def _source_codes():
+    """Each reason code the sources pass as a literal to a call of CODE_ARGUMENT, with where it is passed.
+
+    A literal with a space in it is a message, not a code (a malformed
+    endorsement's field sizes)."""
+    codes = {}
+    for path in sorted(pathlib.Path(bbtm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            position = CODE_ARGUMENT.get(name)
+            if position is None or len(node.args) <= position:
+                continue
+            arg = node.args[position]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and " " not in arg.value:
+                codes.setdefault(arg.value, f"{path.name}:{node.lineno}")
+    return codes
+
+
+def test_every_reason_code_is_documented():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = re.search(r"^## Rejection reasons\n(.*?)^## ", readme, re.S | re.M).group(1)
+    codes = _source_codes()
+    # The scan finds each kind of call: a sequencer, a contract, a ballot builder and a simulator code.
+    assert {"duplicate-tx", "not-PG", "not-accepted", "osp-unavailable"} <= set(codes)
+    undocumented = {code: where for code, where in codes.items() if f"`{code}`" not in section}
+    assert undocumented == {}

@@ -220,6 +220,56 @@ class TestCrashRecovery:
             sim.crash_node("RA-1")
 
 
+SAMPLE_NODES = json.loads((pathlib.Path(__file__).resolve().parent.parent / "samples" / "scenario.json").read_text())["nodes"]
+
+
+def _sample_run(workload, faults=()):
+    """Two runs of the sample nodes with only the given workload; both reports as bytes, and the first report."""
+    scenario = {"seed": 42, "nodes": SAMPLE_NODES, "policies": {"ballot_quorum": 2}, "workload": workload,
+                "faults": list(faults)}
+    runs = [Simulation(ScenarioConfig.from_json(scenario)).run() for _ in range(2)]
+    return [report.to_json_bytes() for report in runs], runs[0]
+
+
+def _issued(report):
+    return [lc for lc in report.lifecycles if lc.function == "AddCert" and lc.submit_ms >= 1000]
+
+
+class TestCutsNoTimerMakes:
+    """The two cuts that no size threshold or timer check of an admission makes."""
+
+    def test_leftovers_are_force_cut_when_the_event_queue_empties(self):
+        # The issue's cut check runs after the 5000 ms timeout has committed, so
+        # the check cuts nothing and only the drain's force-cut commits it.
+        reports, report = _sample_run([
+            {"at_ms": 1000, "action": "policy_add", "entity": "OSP", "rule": "block_timeout_ms",
+             "body": {"value": 5000}},
+            {"at_ms": 1100, "action": "issue", "issuer": "ICA-1", "subject_name": "RA-7"},
+        ])
+        assert reports[0] == reports[1]
+        assert report.converged and not report.stalled
+        [issued] = _issued(report)
+        assert issued.cut_ms < issued.admit_ms + 5000
+        assert set(issued.commits) == {n.name for n in report.nodes}
+
+    def test_a_recovered_sequencer_cuts_what_it_admitted_before_its_crash(self):
+        # The query keeps the event queue busy past the recovery, so no drain force-cuts at 2000 ms.
+        reports, report = _sample_run(
+            [{"at_ms": 1000 + 5 * i, "action": "issue", "issuer": "ICA-1", "subject_name": name}
+             for i, name in enumerate(["RA-7", "ECA-1", "LA-1"])]
+            + [{"at_ms": 3000, "action": "query", "node": "RA-1", "target": "RA-7"}],
+            faults=[{"node": "OSP-1", "crash_at_ms": 1100, "recover_at_ms": 2000}],
+        )
+        assert reports[0] == reports[1]
+        assert report.converged and not report.stalled
+        issued = _issued(report)
+        assert len(issued) == 3 and len(report.nodes) == 10
+        for lc in issued:
+            assert lc.admit_ms < 1100 and lc.cut_ms == 2000
+            assert set(lc.commits) == {n.name for n in report.nodes}
+        assert [q["result"] for q in report.queries] == ["Success"]
+
+
 class TestKnownRuleValues:
     """A rule value the sequencer cannot use reads as the rule's default; the run never stops on it."""
 
